@@ -63,7 +63,6 @@ def cmd_singlet_cjwr(
     werner_p: float | None = None,
     mesh: int = engine.DEFAULT_MESH,
     tol: float = engine.DEFAULT_LP_TOL,
-    backend: str = "auto",
 ) -> RunReport:
     """Matched-Pauli correlation witness plus local-model and pinned-value
     feasibility for the singlet (or a Werner state via ``werner_p``)."""
@@ -72,11 +71,11 @@ def cmd_singlet_cjwr(
 
     corr = witnesses.correlators_from_assemblage(asm, bob_obs)
     cj = witnesses.cjwr(corr)
-    lhs = engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol, backend=backend)
+    lhs = engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol)
     verdicts = [_verdict_entry("lhs", lhs)]
-    verdicts.append(_verdict_entry("pv[all tests]", engine.pv_feasibility(asm, bob_povms, mesh=mesh, tol=tol, backend=backend)))
+    verdicts.append(_verdict_entry("pv[all tests]", engine.pv_feasibility(asm, bob_povms, mesh=mesh, tol=tol)))
     for y, povm in enumerate(bob_povms):
-        pv = engine.pv_feasibility(asm, [povm], mesh=mesh, tol=tol, backend=backend)
+        pv = engine.pv_feasibility(asm, [povm], mesh=mesh, tol=tol)
         verdicts.append(_verdict_entry(f"pv[test {y}]", pv))
     records = scenario.scan_predictability(asm, bob_povms)
 
@@ -95,7 +94,6 @@ def cmd_singlet_cjwr(
         "state": "singlet" if werner_p is None else f"werner(p={werner_p})",
         "mesh": mesh,
         "tol": tol,
-        "backend": backend,
     }
     return _report("singlet-cjwr", inputs, verdicts, witness_values, details, t0)
 
@@ -106,7 +104,6 @@ def cmd_werner_scan(
     mesh: int = engine.DEFAULT_MESH,
     bracket_tol: float = 0.01,
     tol: float = engine.DEFAULT_LP_TOL,
-    backend: str = "auto",
     witness_only: bool = False,
 ) -> RunReport:
     """Scan Werner weight p: per-point witness value and LHS verdict, plus
@@ -133,7 +130,7 @@ def cmd_werner_scan(
         if witness_only:
             status = "infeasible" if f_val > 1.0 else "undecided"
         else:
-            status = engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol, backend=backend).status
+            status = engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol).status
         rows.append([p, f_val, status])
 
     witness_values = {}
@@ -142,7 +139,7 @@ def cmd_werner_scan(
     if witness_only:
         witness_values["crossing_p"] = 1.0 / math.sqrt(settings)
     else:
-        checker = lambda a: engine.lhs_feasibility_qubit(a, mesh=mesh, tol=tol, backend=backend)
+        checker = lambda a: engine.lhs_feasibility_qubit(a, mesh=mesh, tol=tol)
         p_feas, p_infeas = engine.threshold_scan(build, checker, 0.0, 1.0, bracket_tol)
         witness_values["p_feasible_max"] = p_feas
         if p_infeas is not None:
@@ -154,7 +151,6 @@ def cmd_werner_scan(
         "mesh": mesh,
         "bracket_tol": bracket_tol,
         "tol": tol,
-        "backend": backend,
         "witness_only": witness_only,
     }
     return _report("werner-scan", inputs, verdicts, witness_values, details, t0)
@@ -216,7 +212,6 @@ def cmd_check(
     mesh: int = engine.DEFAULT_MESH,
     tol: float = engine.DEFAULT_LP_TOL,
     mode: str = "float",
-    backend: str = "auto",
 ) -> RunReport:
     """Validate a scenario file and run the applicable checks: exactness of
     no-signalling, predictability scan, feasibility, and witnesses."""
@@ -232,7 +227,7 @@ def cmd_check(
     if isinstance(doc, dict) and "x_settings" in doc:
         return _check_box(path, doc, t0)
     if isinstance(doc, dict) and "dimA" in doc:
-        return _check_quantum(path, doc, mesh, tol, mode, backend, t0)
+        return _check_quantum(path, doc, mesh, tol, mode, t0)
     raise InputError(
         f"{path}: unrecognized scenario schema; expected quantum fields "
         "(dimA, dimB, state, alice_povms) or box fields (x_settings, a_outcomes, ...)"
@@ -256,14 +251,14 @@ def _check_box(path, doc, t0) -> RunReport:
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
 
-def _check_quantum(path, doc, mesh, tol, mode, backend, t0) -> RunReport:
+def _check_quantum(path, doc, mesh, tol, mode, t0) -> RunReport:
     if mode == "exact":
         raise InputError("exact mode is only available for box-world scenarios")
     sc = scenario.load_scenario(doc)
     asm = scenario.assemblage_from_povms(sc["rho"], sc["alice"], dim_b=sc["dims"][1])
     ns = scenario.check_no_signalling(asm)
     verdicts = [
-        _verdict_entry("lhs", engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol, backend=backend))
+        _verdict_entry("lhs", engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol))
     ]
     witness_values = {}
     details = {
@@ -278,7 +273,7 @@ def _check_quantum(path, doc, mesh, tol, mode, backend, t0) -> RunReport:
             for r in records
         ]
         verdicts.append(
-            _verdict_entry("pv[all tests]", engine.pv_feasibility(asm, bob, mesh=mesh, tol=tol, backend=backend))
+            _verdict_entry("pv[all tests]", engine.pv_feasibility(asm, bob, mesh=mesh, tol=tol))
         )
         if len(bob) == asm.settings and all(p.num_outcomes == 2 for p in bob):
             try:
@@ -292,7 +287,7 @@ def _check_quantum(path, doc, mesh, tol, mode, backend, t0) -> RunReport:
                 witness_values["F"] = cj.F
                 witness_values["s_m"] = witnesses.s_m(corr)
                 details["violated"] = cj.violated
-    inputs = {"file": str(path), "mesh": mesh, "tol": tol, "mode": mode, "backend": backend}
+    inputs = {"file": str(path), "mesh": mesh, "tol": tol, "mode": mode}
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
 
@@ -317,11 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="report.json", help="write the RunReport as JSON")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized probes (canned commands are deterministic)")
     lp = argparse.ArgumentParser(add_help=False)
     lp.add_argument("--mesh", type=int, default=engine.DEFAULT_MESH, help="sphere mesh size (default %(default)s)")
     lp.add_argument("--tol", type=float, default=engine.DEFAULT_LP_TOL, help="LP feasibility tolerance (default %(default)s)")
-    lp.add_argument("--backend", choices=["auto", "c", "py"], default="auto", help="pivot kernel (default auto)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -352,16 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> RunReport:
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"--tol must be a positive finite number, got {tol}")
     if args.command == "singlet-cjwr":
         return cmd_singlet_cjwr(
             settings=args.settings, werner_p=args.werner_p,
-            mesh=args.mesh, tol=args.tol, backend=args.backend,
+            mesh=args.mesh, tol=args.tol,
         )
     if args.command == "werner-scan":
         return cmd_werner_scan(
             settings=args.settings, grid=_parse_range(args.grid, "--grid"),
             mesh=args.mesh, bracket_tol=args.bracket_tol, tol=args.tol,
-            backend=args.backend, witness_only=args.witness_only,
+            witness_only=args.witness_only,
         )
     if args.command == "prbox":
         return cmd_prbox()
@@ -369,7 +365,7 @@ def _dispatch(args) -> RunReport:
         sweep = _parse_range(args.sweep, "--sweep") if args.sweep else None
         return cmd_reid(r=args.r, sweep=sweep, eta=args.eta)
     if args.command == "check":
-        return cmd_check(args.file, mesh=args.mesh, tol=args.tol, mode=args.mode, backend=args.backend)
+        return cmd_check(args.file, mesh=args.mesh, tol=args.tol, mode=args.mode)
     raise InputError(f"unknown command {args.command!r}")
 
 

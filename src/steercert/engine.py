@@ -20,6 +20,7 @@ deterministic post-processing reproduces them).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,33 +54,26 @@ class DeterministicStrategy:
 
 
 def enumerate_strategies(
-    num_settings: int, num_outcomes: int, cap: int = ENUMERATION_CAP
+    num_settings: int, num_outcomes, cap: int = ENUMERATION_CAP
 ) -> list:
-    """All response functions, lexicographic in the response tuple."""
-    if num_settings < 1 or num_outcomes < 1:
-        raise InputError("need at least one setting and one outcome")
-    count = num_outcomes**num_settings
+    """All response functions, lexicographic in the response tuple.
+
+    ``num_outcomes`` is one count shared by every setting, or a sequence
+    giving each setting its own count.
+    """
+    counts = (
+        [num_outcomes] * num_settings if np.ndim(num_outcomes) == 0 else list(num_outcomes)
+    )
+    if num_settings < 1 or len(counts) != num_settings or min(counts) < 1:
+        raise InputError("need at least one setting and one outcome per setting")
+    count = math.prod(counts)
     if count > cap:
         raise InputError(
             f"{count} deterministic strategies exceed the enumeration cap {cap}"
         )
     return [
         DeterministicStrategy(responses=r)
-        for r in itertools.product(range(num_outcomes), repeat=num_settings)
-    ]
-
-
-def _mixed_strategies(outcome_counts, cap: int = ENUMERATION_CAP) -> list:
-    count = 1
-    for c in outcome_counts:
-        count *= c
-    if count > cap:
-        raise InputError(
-            f"{count} deterministic strategies exceed the enumeration cap {cap}"
-        )
-    return [
-        DeterministicStrategy(responses=r)
-        for r in itertools.product(*[range(c) for c in outcome_counts])
+        for r in itertools.product(*[range(c) for c in counts])
     ]
 
 
@@ -300,7 +294,6 @@ def lhs_feasibility_qubit(
     asm: Assemblage,
     mesh=DEFAULT_MESH,
     tol: float = DEFAULT_LP_TOL,
-    backend: str = "auto",
     cap: int = ENUMERATION_CAP,
     adapt: bool = True,
 ) -> SteeringVerdict:
@@ -329,7 +322,7 @@ def lhs_feasibility_qubit(
 
     a_in = _strategy_vertex_matrix(strategies, asm.settings, asm.outcomes, inner.bloch_columns())
     v_in = solve_feasibility_float(
-        FeasibilityProblem(a=a_in, b=rhs, num_vars=a_in.shape[1]), tol=tol, backend=backend
+        FeasibilityProblem(a=a_in, b=rhs, num_vars=a_in.shape[1]), tol=tol
     )
     if v_in.status == FEASIBLE:
         model = _model_from_weights(v_in.model, strategies, inner.bloch_columns())
@@ -345,7 +338,7 @@ def lhs_feasibility_qubit(
 
     a_out = _strategy_vertex_matrix(strategies, asm.settings, asm.outcomes, outer.bloch_columns())
     v_out = solve_feasibility_float(
-        FeasibilityProblem(a=a_out, b=rhs, num_vars=a_out.shape[1]), tol=tol, backend=backend
+        FeasibilityProblem(a=a_out, b=rhs, num_vars=a_out.shape[1]), tol=tol
     )
     if v_out.status == INFEASIBLE:
         return SteeringVerdict(
@@ -484,7 +477,6 @@ def pv_feasibility(
     bob_tests=None,
     mesh=DEFAULT_MESH,
     tol: float = DEFAULT_LP_TOL,
-    backend: str = "auto",
     cap: int = ENUMERATION_CAP,
 ) -> SteeringVerdict:
     """Local-model membership with hidden states pinned to the test family.
@@ -516,7 +508,7 @@ def pv_feasibility(
 
     det = deterministic_bloch_set(bob_tests, tol=tol if tol > 1e-12 else 1e-9)
     if det is None:
-        verdict = lhs_feasibility_qubit(asm, mesh=mesh, tol=tol, backend=backend, cap=cap)
+        verdict = lhs_feasibility_qubit(asm, mesh=mesh, tol=tol, cap=cap)
         return SteeringVerdict(
             verdict.status,
             model=verdict.model,
@@ -530,7 +522,7 @@ def pv_feasibility(
     rhs = _assemblage_rhs(asm)
     a_mat = _strategy_vertex_matrix(strategies, asm.settings, asm.outcomes, det)
     verdict = solve_feasibility_float(
-        FeasibilityProblem(a=a_mat, b=rhs, num_vars=a_mat.shape[1]), tol=tol, backend=backend
+        FeasibilityProblem(a=a_mat, b=rhs, num_vars=a_mat.shape[1]), tol=tol
     )
     meta = {
         "question": "pv",
@@ -612,7 +604,6 @@ def joint_measurability(
     povms,
     mesh=DEFAULT_MESH,
     tol: float = DEFAULT_LP_TOL,
-    backend: str = "auto",
     cap: int = ENUMERATION_CAP,
     adapt: bool = True,
 ) -> SteeringVerdict:
@@ -633,7 +624,7 @@ def joint_measurability(
     for p in povms:
         if p.dim != 2:
             raise InputError("joint measurability engine handles qubit effects")
-    strategies = _mixed_strategies([p.num_outcomes for p in povms], cap=cap)
+    strategies = enumerate_strategies(len(povms), [p.num_outcomes for p in povms], cap=cap)
     inner, outer = _resolve_mesh(mesh)
     if adapt:
         inner, outer = _augment_mesh(inner, outer, _effect_directions(povms))
@@ -674,7 +665,7 @@ def joint_measurability(
 
     a_in, b = build(inner)
     v_in = solve_feasibility_float(
-        FeasibilityProblem(a=a_in, b=b, num_vars=a_in.shape[1]), tol=tol, backend=backend
+        FeasibilityProblem(a=a_in, b=b, num_vars=a_in.shape[1]), tol=tol
     )
     if v_in.status == FEASIBLE:
         parents = _parent_effects(v_in.model, strategies, inner.bloch_columns())
@@ -690,7 +681,7 @@ def joint_measurability(
 
     a_out, b = build(outer)
     v_out = solve_feasibility_float(
-        FeasibilityProblem(a=a_out, b=b, num_vars=a_out.shape[1]), tol=tol, backend=backend
+        FeasibilityProblem(a=a_out, b=b, num_vars=a_out.shape[1]), tol=tol
     )
     if v_out.status == INFEASIBLE:
         return SteeringVerdict(
@@ -744,6 +735,8 @@ def threshold_scan(family, checker, lo, hi, tol) -> tuple:
     """
     if not lo < hi:
         raise InputError(f"need lo < hi, got [{lo}, {hi}]")
+    if not tol > 0:
+        raise InputError(f"bracket width must be positive, got {tol}")  # bisection would never halt
     cache = {}
     feasible_at = []
     infeasible_at = []

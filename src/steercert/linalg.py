@@ -49,6 +49,8 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} has non-finite entries (NaN or infinity)")
     dev = float(np.max(np.abs(m - dag(m))))
     if dev > tol:
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")

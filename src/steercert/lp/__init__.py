@@ -1,10 +1,9 @@
 """Linear feasibility core: does A w = b admit w >= 0?
 
 Two interchangeable arithmetic modes sit behind one entry point.  Float
-mode runs a tolerance-banded phase-one simplex (compiled kernel when the
-extension is built, pure python otherwise) and may answer undecided near
-the boundary; exact mode runs the same algorithm over rationals and
-always decides.  Every verdict carries a witness that was re-verified by
+mode runs a tolerance-banded phase-one simplex on a numpy tableau and
+may answer undecided near the boundary; exact mode runs the same
+phase one over rationals under Bland's rule and always decides.  Every verdict carries a witness that was re-verified by
 substitution before being returned.
 """
 
@@ -40,11 +39,10 @@ def solve_feasibility(
     problem: FeasibilityProblem,
     mode: str = "float",
     tol: float = DEFAULT_TOL,
-    backend: str = "auto",
 ) -> FeasibilityVerdict:
     """Solve in the requested arithmetic mode ("float" or "exact")."""
     if mode == "float":
-        return solve_feasibility_float(problem, tol=tol, backend=backend)
+        return solve_feasibility_float(problem, tol=tol)
     if mode == "exact":
         return solve_feasibility_exact(problem)
     raise ValueError(f"unknown mode {mode!r}, expected 'float' or 'exact'")

@@ -1,14 +1,14 @@
 """Tolerance-based feasibility solver.
 
-Builds the phase-one tableau for ``A w = b, w >= 0``, drives it with one
-of the two pivot kernels (compiled if built, pure python otherwise), and
-converts the phase-one optimum z* into a verdict:
+Builds the phase-one tableau for ``A w = b, w >= 0``, drives it with the
+numpy pivot kernel in ``_pivot``, and converts the phase-one optimum z*
+into a verdict:
 
     z* <= tol              feasible, model re-verified by substitution
     z* >= 100 * tol        infeasible, separating certificate re-verified
     otherwise              undecided
 
-The kernels only steer the combinatorial search.  Every number that
+The kernel only steers the combinatorial search.  Every number that
 feeds a verdict (basic solution, objective, dual prices) is recomputed
 from the original constraint data by refactorizing the final basis, and
 if those clean numbers show the kernel stopped on a drifted tableau the
@@ -19,8 +19,11 @@ the answer to undecided rather than trusting solver state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..errors import InputError
 from .problem import (
     FEASIBLE,
     INFEASIBLE,
@@ -28,33 +31,16 @@ from .problem import (
     FeasibilityProblem,
     FeasibilityVerdict,
 )
-from ._pivot_py import ITERATION_LIMIT, OPTIMAL, STALLED
-from . import _pivot_py as _pure
+from . import _pivot
+from ._pivot import ITERATION_LIMIT, OPTIMAL, STALLED
 
-try:
-    from . import _pivot as _compiled
-except ImportError:
-    _compiled = None
-
-BACKEND = "c" if _compiled is not None else "py"
+BACKEND = "numpy"
 
 DEFAULT_TOL = 1e-9
 UNDECIDED_FACTOR = 100.0
 # pivots smaller than this amplify roundoff faster than they make progress
 PIVOT_EPS = 1e-8
 MAX_RESTARTS = 6
-
-
-def _kernel_for(backend: str):
-    if backend == "auto":
-        return (_compiled if _compiled is not None else _pure), BACKEND
-    if backend == "c":
-        if _compiled is None:
-            raise ValueError("compiled pivot kernel is not available in this install")
-        return _compiled, "c"
-    if backend == "py":
-        return _pure, "py"
-    raise ValueError(f"unknown backend {backend!r}, expected 'auto', 'c' or 'py'")
 
 
 def residual_inf(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
@@ -108,10 +94,10 @@ def _clean_solution(a_pos: np.ndarray, b_pos: np.ndarray, basis: np.ndarray):
 def solve_feasibility_float(
     problem: FeasibilityProblem,
     tol: float = DEFAULT_TOL,
-    backend: str = "auto",
     max_iter: int | None = None,
 ) -> FeasibilityVerdict:
-    kernel, backend_used = _kernel_for(backend)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"tolerance must be a positive finite number, got {tol}")
 
     a = np.asarray(problem.a, dtype=np.float64)
     b = np.asarray(problem.b, dtype=np.float64)
@@ -129,16 +115,14 @@ def solve_feasibility_float(
         max_iter = 1000 + 50 * m + 2 * n
 
     basis = np.arange(n, n + m, dtype=np.intp)
-    meta = {"mode": "float", "backend": backend_used, "tol": tol, "pivots": 0, "restarts": 0}
-    status = OPTIMAL
-    clean = _clean_solution(a_pos, b_pos, basis)
+    meta = {"mode": "float", "tol": tol, "pivots": 0, "restarts": 0}
     for attempt in range(MAX_RESTARTS + 1):
         t = _tableau_for_basis(a_pos, b_pos, basis)
         if t is None:
             return FeasibilityVerdict(
                 UNDECIDED, gap=(float("nan"),) * 2, meta={**meta, "reason": "singular basis"}
             )
-        status, pivots = kernel.run_phase1(t, basis, n, tol, eps_pivot, max_iter)
+        status, pivots = _pivot.run_phase1(t, basis, n, tol, eps_pivot, max_iter)
         meta["pivots"] += pivots
         meta["restarts"] = attempt
         clean = _clean_solution(a_pos, b_pos, basis)

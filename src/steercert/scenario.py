@@ -35,6 +35,8 @@ def _as_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("matrix has non-finite entries (NaN or infinity)")
     return arr
 
 
@@ -372,11 +374,12 @@ def matrix_to_json(m) -> list:
 
 def matrix_from_json(rows) -> np.ndarray:
     try:
-        return np.array(
+        arr = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in rows], dtype=complex
         )
     except (TypeError, IndexError) as exc:
         raise InputError("matrix entries must be [re, im] pairs") from exc
+    return _as_matrix(arr)
 
 
 def load_scenario(source) -> dict:

@@ -50,6 +50,10 @@ def test_enumerate_strategies_lexicographic_and_cap():
     assert [s.responses for s in strategies] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     with pytest.raises(InputError):
         enumerate_strategies(10, 4, cap=4096)
+    mixed = enumerate_strategies(2, [1, 3])
+    assert [s.responses for s in mixed] == [(0, 0), (0, 1), (0, 2)]
+    with pytest.raises(InputError):
+        enumerate_strategies(2, [2])
 
 
 def test_werner_low_weight_is_feasible_with_tight_model():
@@ -355,3 +359,6 @@ def test_threshold_scan_rejects_non_monotone_family():
 def test_threshold_scan_input_validation():
     with pytest.raises(InputError):
         threshold_scan(lambda p: p, lambda a: None, 1.0, 0.0, 0.1)
+    for width in (0.0, -0.1, float("nan")):
+        with pytest.raises(InputError):
+            threshold_scan(lambda p: p, lambda a: None, 0.0, 1.0, width)

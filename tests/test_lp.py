@@ -8,7 +8,6 @@ import pytest
 
 from steercert.errors import InputError
 from steercert.lp import (
-    BACKEND,
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
@@ -19,46 +18,14 @@ from steercert.lp import (
     solve_feasibility_exact,
     solve_feasibility_float,
 )
+from helpers import (
+    assert_certificate_valid,
+    assert_model_valid,
+    feasible_instance,
+    infeasible_instance,
+)
 
 RNG = np.random.default_rng(4071)
-
-
-def feasible_instance(rng, rows, cols):
-    # b is constructed inside the cone, so feasibility is known by construction
-    a = rng.normal(size=(rows, cols))
-    w_true = np.abs(rng.normal(size=cols))
-    w_true[rng.integers(0, cols)] = 0.0
-    return FeasibilityProblem(a=a, b=a @ w_true, num_vars=cols), w_true
-
-
-def infeasible_instance(rng, rows, cols):
-    # every column is tilted to satisfy y . a_j <= 0 while y . b > 0,
-    # so a Farkas vector exists by construction
-    y = rng.normal(size=rows)
-    y /= np.linalg.norm(y)
-    a = rng.normal(size=(rows, cols))
-    for j in range(cols):
-        overlap = y @ a[:, j]
-        if overlap > -0.1:
-            a[:, j] -= (overlap + 0.5) * y
-    b = rng.normal(size=rows)
-    b += (1.0 - y @ b) * y
-    return FeasibilityProblem(a=a, b=b, num_vars=cols)
-
-
-def assert_model_valid(problem, verdict, tol=1e-7):
-    w = np.asarray(verdict.model, dtype=float)
-    assert w.min() >= -tol
-    residual = np.asarray(problem.a, dtype=float) @ w - np.asarray(problem.b, dtype=float)
-    assert np.max(np.abs(residual)) <= tol * max(1.0, np.max(np.abs(problem.b)))
-
-
-def assert_certificate_valid(problem, verdict, tol=1e-7):
-    c = np.asarray(verdict.certificate, dtype=float)
-    a = np.asarray(problem.a, dtype=float)
-    b = np.asarray(problem.b, dtype=float)
-    assert np.min(c @ a) >= -tol
-    assert c @ b < 0
 
 
 def test_random_feasible_instances_float():
@@ -134,22 +101,6 @@ def test_exact_and_float_verdicts_match_on_decided_instances():
             assert f.status == e.status
 
 
-@pytest.mark.skipif(BACKEND != "c", reason="compiled kernel not built")
-def test_backends_agree():
-    for _ in range(20):
-        problem, _ = feasible_instance(RNG, 4, 9)
-        vc = solve_feasibility_float(problem, backend="c")
-        vp = solve_feasibility_float(problem, backend="py")
-        assert vc.status == vp.status == FEASIBLE
-        assert_model_valid(problem, vc)
-        assert_model_valid(problem, vp)
-    for _ in range(20):
-        problem = infeasible_instance(RNG, 4, 8)
-        vc = solve_feasibility_float(problem, backend="c")
-        vp = solve_feasibility_float(problem, backend="py")
-        assert vc.status == vp.status == INFEASIBLE
-
-
 def test_solve_feasibility_mode_dispatch():
     problem, _ = feasible_instance(RNG, 2, 3)
     assert solve_feasibility(problem, mode="float").status == FEASIBLE
@@ -191,6 +142,13 @@ def test_parse_rational():
     assert parse_rational("-2") == Fraction(-2)
     with pytest.raises(InputError):
         parse_rational("a/b")
+
+
+def test_non_positive_or_non_finite_tolerance_is_rejected():
+    problem, _ = feasible_instance(RNG, 2, 3)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="tolerance"):
+            solve_feasibility_float(problem, tol=tol)
 
 
 def test_tolerance_band_boundary_behaviour():

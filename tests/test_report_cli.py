@@ -178,6 +178,14 @@ def test_main_input_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_rejects_non_positive_or_non_finite_tol(capsys):
+    for tol in ("-1", "0", "nan", "inf"):
+        assert cli.main(["singlet-cjwr", "--tol", tol]) == 1
+        assert "--tol must be a positive finite number" in capsys.readouterr().err
+    with pytest.raises(InputError):
+        cli.cmd_singlet_cjwr(tol=0.0)
+
+
 def test_main_internal_error_exit_code(monkeypatch, capsys):
     def boom():
         raise InternalCheckError("substitution failed")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,26 @@ def test_povm_validation():
         Povm(label="negative", effects=(np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])), dim=2)
     with pytest.raises(InputError):
         Povm(label="dim", effects=(np.eye(3),), dim=2)
+
+
+def test_non_finite_matrices_are_rejected_up_front():
+    for bad in (np.nan, np.inf):
+        effect = np.array([[bad, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any eigenvalue work
+            with pytest.raises(InputError, match="non-finite"):
+                Povm(label="bad", effects=(effect, np.eye(2) - effect), dim=2)
+            with pytest.raises(InputError, match="non-finite"):
+                assemblage_from_povms(np.full((4, 4), bad), [pauli_povm("z")])
+            block = {(0, 0): effect / 2, (0, 1): np.eye(2) / 2}
+            with pytest.raises(InputError, match="non-finite"):
+                Assemblage(settings=1, outcomes=2, dim_b=2, sigma=block)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.require_hermitian(effect)
+    doc = {"dimA": 2, "dimB": 2, "state": {"kind": "explicit", "matrix": [[[float("nan"), 0.0]] * 4] * 4},
+           "alice_povms": [[matrix_to_json(e) for e in pauli_povm("z").effects]]}
+    with pytest.raises(InputError, match="non-finite"):
+        load_scenario(doc)
 
 
 def test_pauli_povm_projects_onto_axis():
