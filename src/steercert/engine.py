@@ -144,7 +144,7 @@ class BoxLhsModel:
     def reconstruct(self, x: int, a: int, y: int, b: int) -> Fraction:
         total = Fraction(0)
         for w, state, strat in zip(self.weights, self.hidden_states, self.strategies):
-            if strat.responses[x] == a:
+            if w and strat.responses[x] == a:
                 total += w * state.prob(y, b)
         return total
 
@@ -363,6 +363,7 @@ def lhs_feasibility_boxworld(asm: GptAssemblage, cap: int = ENUMERATION_CAP) -> 
     bob = enumerate_strategies(ny, nb, cap=cap)
 
     pairs = [(la, lb) for la in alice for lb in bob]
+    one, zero = Fraction(1), Fraction(0)
     rows = []
     rhs = []
     for x in range(asm.x_settings):
@@ -372,9 +373,7 @@ def lhs_feasibility_boxworld(asm: GptAssemblage, cap: int = ENUMERATION_CAP) -> 
                 for b in range(nb):
                     rows.append(
                         [
-                            Fraction(1)
-                            if la.responses[x] == a and lb.responses[y] == b
-                            else Fraction(0)
+                            one if la.responses[x] == a and lb.responses[y] == b else zero
                             for la, lb in pairs
                         ]
                     )

@@ -1,14 +1,17 @@
 """Linear feasibility core: does A w = b admit w >= 0?
 
-Two interchangeable arithmetic modes sit behind one entry point.  Float
-mode runs a tolerance-banded phase-one simplex on a numpy tableau and
-may answer undecided near the boundary; exact mode runs the same
-phase one over rationals under Bland's rule and always decides.  Every verdict carries a witness that was re-verified by
-substitution before being returned.
+Two arithmetic modes sit behind one entry point.  Float mode runs a
+tolerance-banded phase-one simplex on a numpy tableau and may answer
+undecided near the boundary.  Exact mode takes the final basis of the
+same float phase one and confirms it in rational arithmetic; when the
+basis fails an exact check it falls back to Bland's rule on a Fraction
+tableau, so it always decides.  Every verdict carries a witness that was
+re-verified by substitution before being returned.
 """
 
 from __future__ import annotations
 
+from ..errors import InputError
 from .problem import (
     FEASIBLE,
     INFEASIBLE,
@@ -45,4 +48,4 @@ def solve_feasibility(
         return solve_feasibility_float(problem, tol=tol)
     if mode == "exact":
         return solve_feasibility_exact(problem)
-    raise ValueError(f"unknown mode {mode!r}, expected 'float' or 'exact'")
+    raise InputError(f"unknown mode {mode!r}, expected 'float' or 'exact'")

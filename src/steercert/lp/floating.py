@@ -63,10 +63,13 @@ def _tableau_for_basis(a_pos: np.ndarray, b_pos: np.ndarray, basis: np.ndarray):
     """Fresh phase-one tableau for the given basis, priced from scratch."""
     m, n = a_pos.shape
     full = np.hstack([a_pos, np.eye(m), b_pos[:, None]])
-    try:
-        body = np.linalg.solve(full[:, basis], full)
-    except np.linalg.LinAlgError:
-        return None
+    if np.array_equal(basis, np.arange(n, n + m)):
+        body = full  # the all-artificial basis is the identity
+    else:
+        try:
+            body = np.linalg.solve(full[:, basis], full)
+        except np.linalg.LinAlgError:
+            return None
     cost = np.zeros(n + m + 1)
     cost[n : n + m] = 1.0
     t = np.empty((m + 1, n + m + 1))
@@ -91,6 +94,39 @@ def _clean_solution(a_pos: np.ndarray, b_pos: np.ndarray, basis: np.ndarray):
     return xb, max(z, 0.0), y, rc_min
 
 
+def phase_one(a_pos: np.ndarray, b_pos: np.ndarray, tol: float, max_iter: int | None = None):
+    """Float phase one on ``A_pos w = b_pos`` (b_pos >= 0), restarted on drift.
+
+    Runs the kernel from the all-artificial basis.  When the refactorized
+    final basis still has an improving column, the search resumes from a
+    fresh tableau for that basis, at most MAX_RESTARTS times.  Returns
+    (status, basis, clean, pivots, restarts): ``clean`` is the
+    ``_clean_solution`` tuple of the final basis, or None when a basis
+    turned out singular.
+    """
+    m, n = a_pos.shape
+    eps_pivot = max(tol, PIVOT_EPS)
+    if max_iter is None:
+        max_iter = 1000 + 50 * m + 2 * n
+    basis = np.arange(n, n + m, dtype=np.intp)
+    status, clean, pivots, restarts = OPTIMAL, None, 0, 0
+    for attempt in range(MAX_RESTARTS + 1):
+        t = _tableau_for_basis(a_pos, b_pos, basis)
+        if t is None:
+            return status, basis, None, pivots, restarts
+        status, done = _pivot.run_phase1(t, basis, n, tol, eps_pivot, max_iter)
+        pivots += done
+        restarts = attempt
+        clean = _clean_solution(a_pos, b_pos, basis)
+        if clean is None:
+            break
+        if status == OPTIMAL and (clean[3] >= -10.0 * tol or clean[1] <= tol):
+            break
+        if status == STALLED and done == 0:
+            break  # a fresh tableau changed nothing; restarting cannot help
+    return status, basis, clean, pivots, restarts
+
+
 def solve_feasibility_float(
     problem: FeasibilityProblem,
     tol: float = DEFAULT_TOL,
@@ -104,36 +140,18 @@ def solve_feasibility_float(
     if a.ndim != 2:
         a = a.reshape(len(b), -1)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("constraint data contains non-finite entries")
+        raise InputError("constraint data contains non-finite entries")
     m, n = a.shape
 
     sign = np.where(b < 0.0, -1.0, 1.0)
     a_pos = a * sign[:, None]
     b_pos = b * sign
-    eps_pivot = max(tol, PIVOT_EPS)
-    if max_iter is None:
-        max_iter = 1000 + 50 * m + 2 * n
-
-    basis = np.arange(n, n + m, dtype=np.intp)
-    meta = {"mode": "float", "tol": tol, "pivots": 0, "restarts": 0}
-    for attempt in range(MAX_RESTARTS + 1):
-        t = _tableau_for_basis(a_pos, b_pos, basis)
-        if t is None:
-            return FeasibilityVerdict(
-                UNDECIDED, gap=(float("nan"),) * 2, meta={**meta, "reason": "singular basis"}
-            )
-        status, pivots = _pivot.run_phase1(t, basis, n, tol, eps_pivot, max_iter)
-        meta["pivots"] += pivots
-        meta["restarts"] = attempt
-        clean = _clean_solution(a_pos, b_pos, basis)
-        if clean is None:
-            return FeasibilityVerdict(
-                UNDECIDED, gap=(float("nan"),) * 2, meta={**meta, "reason": "singular basis"}
-            )
-        if status == OPTIMAL and (clean[3] >= -10.0 * tol or clean[1] <= tol):
-            break
-        if status == STALLED and pivots == 0:
-            break  # a fresh tableau changed nothing; restarting cannot help
+    status, basis, clean, pivots, restarts = phase_one(a_pos, b_pos, tol, max_iter)
+    meta = {"mode": "float", "tol": tol, "pivots": pivots, "restarts": restarts}
+    if clean is None:
+        return FeasibilityVerdict(
+            UNDECIDED, gap=(float("nan"),) * 2, meta={**meta, "reason": "singular basis"}
+        )
     xb, z, y, rc_min = clean
     meta["z"] = z
 

@@ -34,7 +34,7 @@ from steercert.scenario import (
     singlet,
     werner_state,
 )
-from helpers import random_unit_vector
+from helpers import assert_box_verdict_exact, lifted_prbox, random_unit_vector
 
 RNG = np.random.default_rng(55101)
 
@@ -205,6 +205,22 @@ def test_isotropic_box_boundary():
         Fraction(1, 2) + Fraction(1, 1000), prbox_assemblage(), uniform_assemblage()
     )
     assert lhs_feasibility_boxworld(above).is_infeasible
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (4, 2, 4, 2)])
+def test_larger_uniform_boxes_are_feasible(shape):
+    asm = uniform_assemblage(*shape)
+    verdict = lhs_feasibility_boxworld(asm)
+    assert verdict.is_feasible
+    assert_box_verdict_exact(asm, verdict)
+
+
+@pytest.mark.parametrize("lam, feasible", [(Fraction(1, 2), True), (Fraction(51, 100), False)])
+def test_lifted_prbox_mixture_threshold_on_4242(lam, feasible):
+    asm = mix_assemblages(lam, lifted_prbox(4, 4), uniform_assemblage(4, 2, 4, 2))
+    verdict = lhs_feasibility_boxworld(asm)
+    assert verdict.is_feasible is feasible
+    assert_box_verdict_exact(asm, verdict)
 
 
 def test_exact_box_threshold_bisection():
