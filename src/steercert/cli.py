@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="report.json", help="write the RunReport as JSON")
     lp = argparse.ArgumentParser(add_help=False)
-    lp.add_argument("--mesh", type=int, default=engine.DEFAULT_MESH, help="sphere mesh size (default %(default)s)")
+    lp.add_argument("--mesh", type=int, default=engine.DEFAULT_MESH, help="seed mesh size of the qubit engine (default %(default)s)")
     lp.add_argument("--tol", type=float, default=engine.DEFAULT_LP_TOL, help="LP feasibility tolerance (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,13 +2,16 @@
 
 An assemblage admits a local hidden state model when it can be written
 as a mixture of deterministic response strategies for Alice paired with
-fixed states for Bob.  Over the qubit state space that membership is a
-cone problem; this engine sandwiches the cone between inner and outer
-Bloch polytopes so one LP feasibility answer certifies a genuine model
-and the other certifies a steering witness, with an explicit undecided
-band in between.  Box-world assemblages get the exact treatment: Bob's
-state polytope has deterministic tables as vertices, so a rational LP
-decides membership outright.
+fixed states for Bob.  On a qubit, Bob's cone of positive operators is
+the Lorentz cone |r| <= t, so the cheapest strategy-state pair against
+any linear witness has a closed form.  The engine therefore decides
+membership over the exact Bloch ball by column generation: a float
+master LP over finitely many pure states either yields a model, or its
+certificate, shifted until it is nonnegative on the whole ball, still
+separates and is checked exactly, or pricing adds the states the
+certificate likes least.  Box-world assemblages get the exact treatment:
+Bob's state polytope has deterministic tables as vertices, so a rational
+LP decides membership outright.
 
 The same machinery answers two sharper questions: whether hidden states
 can be predetermined (deterministic on a named family of Bob tests, a
@@ -38,7 +41,6 @@ from .lp import (
     solve_feasibility_exact,
     solve_feasibility_float,
 )
-from .polytope import DEFAULT_MESH, _SAFETY, BlochPolytope, covering_angle, mesh_pair
 from .scenario import Assemblage, Povm
 
 ENUMERATION_CAP = 4096
@@ -176,180 +178,214 @@ class BoxLhsModel:
 
 
 # ---------------------------------------------------------------------------
-# qubit LHS membership
+# qubit cone by column generation on the Bloch ball
 
-def _assemblage_rhs(asm: Assemblage) -> np.ndarray:
-    """Per (x, a): trace and three Pauli components of the block."""
-    b = np.empty(4 * asm.settings * asm.outcomes)
-    for x in range(asm.settings):
-        for a in range(asm.outcomes):
-            s = asm.block(x, a)
-            r = 4 * (x * asm.outcomes + a)
-            b[r] = s.trace().real
-            for k, pauli in enumerate(linalg.PAULIS):
-                b[r + 1 + k] = (s @ pauli).trace().real
-    return b
+DEFAULT_MESH = 162
+# master LPs per verdict; Werner states 1e-6 from the threshold take 5-22
+MAX_ROUNDS = 60
+# added to the certificate's shift so that rounding cannot leave a
+# strategy's exact ball minimum a hair below zero
+_SHIFT_PAD = 1e-12
 
 
-def _strategy_vertex_matrix(
-    strategies, settings: int, outcomes: int, bloch: np.ndarray, coeff: float = 1.0
-) -> np.ndarray:
-    """Constraint matrix with one column per (strategy, vertex) pair.
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n nearly uniform unit vectors from the golden-angle spiral."""
+    if n < 4:
+        raise InputError(f"need at least 4 vertices, got {n}")
+    i = np.arange(n)
+    z = 1.0 - 2.0 * (i + 0.5) / n
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
 
-    Column (lam, v) carries coeff * (1, bloch[v]) in the four component
-    rows of every context (x, a) the strategy answers with a.
+
+def _seed_directions(mesh, directions) -> np.ndarray:
+    """The Fibonacci mesh of ``mesh`` points plus the problem's own unit
+    directions that it does not already contain.
+
+    Pure conditional states and projective parent effects are extreme
+    points of the ball, so seeding their exact directions lets the first
+    master represent them.
     """
-    nv = bloch.shape[0]
-    comp = np.empty((4, nv))
-    comp[0] = 1.0
-    comp[1:] = bloch.T
-    comp *= coeff
-    a_mat = np.zeros((4 * settings * outcomes, len(strategies) * nv))
-    for li, strat in enumerate(strategies):
-        for x in range(settings):
-            r = 4 * (x * outcomes + strat.responses[x])
-            a_mat[r : r + 4, li * nv : (li + 1) * nv] = comp
-    return a_mat
-
-
-def _model_from_weights(w, strategies, bloch: np.ndarray) -> LhsModel:
-    nv = bloch.shape[0]
-    weights = []
-    states = []
-    for li in range(len(strategies)):
-        chunk = np.asarray(w[li * nv : (li + 1) * nv], dtype=float)
-        p = float(chunk.sum())
-        if p <= 0.0:
-            weights.append(0.0)
-            states.append(np.eye(2, dtype=complex) / 2.0)
-            continue
-        vec = (chunk @ bloch) / p
-        weights.append(p)
-        states.append(linalg.bloch_state(vec))
-    return LhsModel(
-        weights=np.asarray(weights), hidden_states=tuple(states), strategies=tuple(strategies)
-    )
-
-
-def _resolve_mesh(mesh) -> tuple:
-    if isinstance(mesh, int):
-        return mesh_pair(mesh)
-    inner, outer = mesh
-    if not (isinstance(inner, BlochPolytope) and isinstance(outer, BlochPolytope)):
-        raise InputError("mesh must be a vertex count or an (inner, outer) polytope pair")
-    if inner.kind != "inner" or outer.kind != "outer":
-        raise InputError("mesh pair must be ordered (inner, outer)")
-    return inner, outer
-
-
-def _augment_mesh(inner: BlochPolytope, outer: BlochPolytope, directions) -> tuple:
-    """Add problem-specific unit directions to the mesh vertex set.
-
-    Extremal targets (pure conditional states, projective parent
-    effects) are representable only when their exact Bloch direction is
-    a vertex, since pure states are extreme points of the ball.  Unit
-    vertices are valid states wherever they sit, so the inner guarantee
-    is unaffected; the outer scale is recomputed from the covering angle
-    of the enlarged set, which can only tighten.
-    """
-    fresh = []
-    have = inner.vertices
+    if isinstance(mesh, bool) or not isinstance(mesh, (int, np.integer)):
+        raise InputError(f"mesh must be an integer seed size, got {mesh!r}")
+    pool = fibonacci_sphere(int(mesh))
     for d in directions:
         d = np.asarray(d, dtype=float)
         norm = float(np.linalg.norm(d))
-        if norm <= 1e-12:
-            continue
-        d = d / norm
-        pool = have if not fresh else np.vstack([have, fresh])
-        if np.max(pool @ d) < 1.0 - 1e-12:
-            fresh.append(d)
-    if not fresh:
-        return inner, outer
-    verts = np.vstack([have, fresh])
-    inflate = (1.0 + _SAFETY) / np.cos(covering_angle(verts))
-    return (
-        BlochPolytope(vertices=verts, kind="inner", scale=1.0),
-        BlochPolytope(vertices=verts, kind="outer", scale=float(inflate)),
-    )
+        if norm > 1e-12 and np.max(pool @ d) < norm * (1.0 - 1e-12):
+            pool = np.vstack([pool, d / norm])
+    return pool
 
 
-def _block_directions(asm: Assemblage) -> list:
-    dirs = []
-    for s in asm.sigma.values():
-        _, rx, ry, rz = linalg.bloch_components(s)
-        dirs.append(np.array([rx, ry, rz]))
-    return dirs
+def _touch_matrix(strategies, counts, anchor: bool = False) -> np.ndarray:
+    """touch[l, r] = 1 when strategy l fills block r.
+
+    Block offsets[x] + a stands for context (x, a); with ``anchor`` one
+    more block, filled by every strategy, closes the list.
+    """
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
+    touch = np.zeros((len(strategies), int(np.sum(counts)) + anchor))
+    for li, strat in enumerate(strategies):
+        touch[li, offsets + np.asarray(strat.responses, dtype=int)] = 1.0
+    if anchor:
+        touch[:, -1] = 1.0
+    return touch
 
 
-def _effect_directions(povms) -> list:
-    dirs = []
-    for povm in povms:
-        for effect in povm.effects:
-            _, beta = _effect_components(effect)
-            dirs.append(beta)
-    return dirs
+def _columns(touch: np.ndarray, coeff: float, lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Constraint matrix whose column j is coeff * (1, dirs[j]) in the four
+    rows (trace, then Pauli components) of every block strategy lam[j] fills."""
+    t = coeff * touch[lam].T
+    a = np.empty((touch.shape[1], 4, len(lam)))
+    a[:, 0] = t
+    a[:, 1:] = t[:, None, :] * dirs.T[None]
+    return a.reshape(4 * touch.shape[1], len(lam))
+
+
+def _per_strategy(touch: np.ndarray, lam: np.ndarray, dirs: np.ndarray, w) -> tuple:
+    """(mass, vec): total weight and weighted Bloch sum of each strategy's columns."""
+    w = np.asarray(w, dtype=float)
+    mass = np.bincount(lam, weights=w, minlength=touch.shape[0])
+    vec = np.zeros((touch.shape[0], 3))
+    np.add.at(vec, lam, w[:, None] * dirs)
+    return mass, vec
+
+
+def _ball_check(touch: np.ndarray, coeff: float, c, b) -> bool:
+    """Exact test, on the float64 values as stored, that c separates b
+    from every column of the whole ball: c.b < 0, and each strategy's
+    alpha_l + beta_l.n has alpha_l >= 0 and alpha_l^2 >= |beta_l|^2."""
+    cf = [Fraction(float(v)) for v in c]
+    if sum(ci * Fraction(float(bi)) for ci, bi in zip(cf, b) if ci) >= 0:
+        return False
+    k = Fraction(coeff)
+    for row in touch:
+        parts = [sum(cf[4 * r + i] for r in np.flatnonzero(row)) for i in range(4)]
+        alpha = k * parts[0]
+        if alpha < 0 or alpha * alpha < k * k * sum(p * p for p in parts[1:]):
+            return False
+    return True
+
+
+def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild) -> SteeringVerdict:
+    """Decide whether rhs lies in the cone of the columns coeff * (1, n)
+    over every strategy l (in the blocks ``touch[l]`` marks) and every
+    unit vector n, i.e. the whole Bloch ball.
+
+    A master LP holds finitely many columns (l, n), starting from every
+    strategy on every seed direction: a Fibonacci mesh of ``mesh`` points
+    plus the Bloch directions of the blocks of ``rhs``.  A feasible
+    master is a genuine model; ``rebuild(mass, vec)`` turns it into
+    (verdict fields, deviation), and the deviation must stay within
+    MODEL_TOL.  Otherwise the master
+    certificate c prices each strategy over the ball in closed form:
+    alpha_l + beta_l.n is smallest at n = -beta_l/|beta_l|, where it is
+    alpha_l - |beta_l|, with mu the minimum over l.  Raising every trace
+    row of c by -mu/k, where k is the trace weight of one column, makes c
+    nonnegative on the whole ball and lowers c.b by |mu|; if c.b stays
+    negative the certificate is exact-checked and returned.  If not, the
+    strategies with a negative minimum enter with their best direction
+    and the master is solved again from scratch.
+    """
+    seed = _seed_directions(mesh, rhs.reshape(-1, 4)[:, 1:])
+    num_strategies = touch.shape[0]
+    k = coeff * touch.sum(axis=1)[0]  # every strategy fills the same number of blocks
+    lam = np.repeat(np.arange(num_strategies), len(seed))
+    dirs = np.tile(seed, (num_strategies, 1))
+    meta = {"question": question, "mesh_size": int(mesh), "tol": tol}
+
+    def undecided(reason, **extra):
+        z = meta["master"].get("z", float("nan"))
+        return SteeringVerdict(UNDECIDED, gap=(z, z), meta={**meta, "reason": reason, **extra})
+
+    for rounds in range(1, MAX_ROUNDS + 1):
+        a = _columns(touch, coeff, lam, dirs)
+        master = solve_feasibility_float(FeasibilityProblem(a=a, b=rhs, num_vars=len(lam)), tol=tol)
+        meta.update(rounds=rounds, columns=len(lam), master=master.meta)
+        if master.status == UNDECIDED:
+            reason = master.meta.get("reason", "z inside the undecided band")
+            return undecided(f"master LP undecided: {reason}")
+        if master.status == FEASIBLE:
+            meta["margin"] = master.meta["z"]
+            fields, dev = rebuild(*_per_strategy(touch, lam, dirs, master.model))
+            if dev > MODEL_TOL:
+                return undecided("reconstruction exceeded the model tolerance", deviation=dev)
+            return SteeringVerdict(FEASIBLE, model=master.model, meta={**meta, "model_deviation": dev}, **fields)
+
+        c = np.asarray(master.certificate, dtype=float)
+        per_block = c.reshape(-1, 4)
+        alpha = coeff * (touch @ per_block[:, 0])
+        beta = coeff * (touch @ per_block[:, 1:])
+        beta_norm = np.linalg.norm(beta, axis=1)
+        slack = alpha - beta_norm
+        mu = float(slack.min())
+        cert = c.copy()
+        cert[0::4] += (max(-mu, 0.0) + _SHIFT_PAD) / k
+        meta["margin"] = -float(cert @ rhs)
+        if meta["margin"] > 0.0:
+            if not _ball_check(touch, coeff, cert, rhs):
+                return undecided("certificate failed ball check")
+            return SteeringVerdict(
+                INFEASIBLE,
+                certificate=cert,
+                meta={**meta, "certified": "exactly, for the input as stored in float64"},
+            )
+
+        enter = np.flatnonzero((slack < 0.0) & (beta_norm > 0.0))
+        lam = np.concatenate([lam, enter])
+        dirs = np.vstack([dirs, -beta[enter] / beta_norm[enter, None]])
+    return undecided("round limit")
+
+
+def _block_rows(mats) -> np.ndarray:
+    """Trace and the three Pauli components of each 2x2 matrix, stacked."""
+    return np.array(
+        [[m.trace().real] + [(m @ pauli).trace().real for pauli in linalg.PAULIS] for m in mats]
+    ).ravel()
+
+
+def _assemblage_rhs(asm: Assemblage) -> np.ndarray:
+    return _block_rows(asm.block(x, a) for x in range(asm.settings) for a in range(asm.outcomes))
+
+
+def _lhs_model(mass: np.ndarray, vec: np.ndarray, strategies) -> LhsModel:
+    states = [
+        linalg.bloch_state(v / p) if p > 0.0 else np.eye(2, dtype=complex) / 2.0
+        for p, v in zip(mass, vec)
+    ]
+    return LhsModel(weights=mass, hidden_states=tuple(states), strategies=tuple(strategies))
 
 
 def lhs_feasibility_qubit(
     asm: Assemblage,
-    mesh=DEFAULT_MESH,
+    mesh: int = DEFAULT_MESH,
     tol: float = DEFAULT_LP_TOL,
     cap: int = ENUMERATION_CAP,
-    adapt: bool = True,
 ) -> SteeringVerdict:
-    """Sandwich the local-model cone between two polytope LPs.
+    """Decide local-model membership over the exact qubit state space.
 
-    Inner feasible: a genuine model over valid states is returned.
-    Outer infeasible: the certificate separates the assemblage from a
-    strictly larger cone, so no local model exists.  Anything else is an
-    honest undecided with the two phase-one margins as the gap.  With
-    ``adapt`` the mesh gains the blocks' own Bloch directions, so pure
-    conditional states stay representable.
+    Column (l, n) is strategy l paired with the pure state of Bloch
+    vector n, so the local models are the cone over the whole Bloch ball
+    (``_column_generation``).  Feasible ships a model that rebuilds the
+    assemblage within MODEL_TOL; Infeasible ships a steering witness c,
+    exactly checked to be nonnegative on every strategy and qubit state
+    and negative on the assemblage.  ``mesh`` is the size of the seed
+    mesh; it changes the work done, and a decided verdict does not
+    depend on it.  Undecided names its reason in ``meta["reason"]``.
     """
     if asm.dim_b != 2:
-        raise InputError(f"polytope engine needs a qubit on Bob's side, got dim {asm.dim_b}")
-    inner, outer = _resolve_mesh(mesh)
-    if adapt:
-        inner, outer = _augment_mesh(inner, outer, _block_directions(asm))
+        raise InputError(f"qubit engine needs a qubit on Bob's side, got dim {asm.dim_b}")
     strategies = enumerate_strategies(asm.settings, asm.outcomes, cap=cap)
-    rhs = _assemblage_rhs(asm)
-    base_meta = {
-        "question": "lhs",
-        "mesh_size": inner.num_vertices,
-        "inflate": outer.scale,
-        "tol": tol,
-    }
+    touch = _touch_matrix(strategies, [asm.outcomes] * asm.settings)
 
-    a_in = _strategy_vertex_matrix(strategies, asm.settings, asm.outcomes, inner.bloch_columns())
-    v_in = solve_feasibility_float(
-        FeasibilityProblem(a=a_in, b=rhs, num_vars=a_in.shape[1]), tol=tol
-    )
-    if v_in.status == FEASIBLE:
-        model = _model_from_weights(v_in.model, strategies, inner.bloch_columns())
-        dev = model.max_deviation(asm)
-        if dev <= MODEL_TOL and abs(model.total_weight() - 1.0) <= MODEL_TOL:
-            return SteeringVerdict(
-                FEASIBLE,
-                model=v_in.model,
-                lhs_model=model,
-                meta={**base_meta, "inner": v_in.meta, "model_deviation": dev},
-            )
-        v_in = v_in.with_meta(reason="reconstruction exceeded the model tolerance", deviation=dev)
+    def rebuild(mass, vec):
+        model = _lhs_model(mass, vec, strategies)
+        dev = max(model.max_deviation(asm), abs(model.total_weight() - 1.0))
+        return {"lhs_model": model}, dev
 
-    a_out = _strategy_vertex_matrix(strategies, asm.settings, asm.outcomes, outer.bloch_columns())
-    v_out = solve_feasibility_float(
-        FeasibilityProblem(a=a_out, b=rhs, num_vars=a_out.shape[1]), tol=tol
-    )
-    if v_out.status == INFEASIBLE:
-        return SteeringVerdict(
-            INFEASIBLE,
-            certificate=v_out.certificate,
-            meta={**base_meta, "inner": v_in.meta, "outer": v_out.meta},
-        )
-    gap = (v_in.meta.get("z", float("nan")), v_out.meta.get("z", float("nan")))
-    return SteeringVerdict(
-        UNDECIDED, gap=gap, meta={**base_meta, "inner": v_in.meta, "outer": v_out.meta}
-    )
+    return _column_generation("lhs", touch, 1.0, _assemblage_rhs(asm), mesh, tol, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +517,10 @@ def pv_feasibility(
     """Local-model membership with hidden states pinned to the test family.
 
     Hidden states must answer every test deterministically, so the qubit
-    vertex set collapses to the analytic deterministic states (often
-    empty for incompatible tests, making infeasibility exact rather than
-    mesh-limited).  Box-world vertices are already deterministic tables,
+    states collapse to the finitely many analytic deterministic states
+    (often none for incompatible tests), and one LP over them decides.
+    When no test constrains the states this is the plain qubit local-model
+    question, and ``mesh`` seeds its column generation.  Box-world vertices are already deterministic tables,
     so there the answer coincides with plain local-model membership.
     """
     if isinstance(asm, GptAssemblage):
@@ -501,7 +538,7 @@ def pv_feasibility(
     if not isinstance(asm, Assemblage):
         raise InputError("expected an Assemblage or a GptAssemblage")
     if asm.dim_b != 2:
-        raise InputError(f"polytope engine needs a qubit on Bob's side, got dim {asm.dim_b}")
+        raise InputError(f"qubit engine needs a qubit on Bob's side, got dim {asm.dim_b}")
     if bob_tests is None:
         raise InputError("the predetermined-value question needs Bob's test family")
 
@@ -518,10 +555,12 @@ def pv_feasibility(
         )
 
     strategies = enumerate_strategies(asm.settings, asm.outcomes, cap=cap)
-    rhs = _assemblage_rhs(asm)
-    a_mat = _strategy_vertex_matrix(strategies, asm.settings, asm.outcomes, det)
+    touch = _touch_matrix(strategies, [asm.outcomes] * asm.settings)
+    lam = np.repeat(np.arange(len(strategies)), len(det))
+    dirs = np.tile(det, (len(strategies), 1))
+    a_mat = _columns(touch, 1.0, lam, dirs)
     verdict = solve_feasibility_float(
-        FeasibilityProblem(a=a_mat, b=rhs, num_vars=a_mat.shape[1]), tol=tol
+        FeasibilityProblem(a=a_mat, b=_assemblage_rhs(asm), num_vars=a_mat.shape[1]), tol=tol
     )
     meta = {
         "question": "pv",
@@ -530,7 +569,7 @@ def pv_feasibility(
         "solve": verdict.meta,
     }
     if verdict.status == FEASIBLE:
-        model = _model_from_weights(verdict.model, strategies, det)
+        model = _lhs_model(*_per_strategy(touch, lam, dirs, verdict.model), strategies)
         dev = model.max_deviation(asm)
         if dev <= MODEL_TOL and abs(model.total_weight() - 1.0) <= MODEL_TOL:
             return SteeringVerdict(
@@ -543,7 +582,8 @@ def pv_feasibility(
         )
     if verdict.status == INFEASIBLE:
         return SteeringVerdict(INFEASIBLE, certificate=verdict.certificate, meta=meta)
-    return SteeringVerdict(UNDECIDED, gap=verdict.gap, meta=meta)
+    reason = verdict.meta.get("reason", "z inside the undecided band")
+    return SteeringVerdict(UNDECIDED, gap=verdict.gap, meta={**meta, "reason": reason})
 
 
 # ---------------------------------------------------------------------------
@@ -601,21 +641,21 @@ def check_value_assignment(effect_groups, assignment, coarse_grainings=None) -> 
 
 def joint_measurability(
     povms,
-    mesh=DEFAULT_MESH,
+    mesh: int = DEFAULT_MESH,
     tol: float = DEFAULT_LP_TOL,
     cap: int = ENUMERATION_CAP,
-    adapt: bool = True,
 ) -> SteeringVerdict:
     """Does one parent measurement reproduce all given ones?
 
-    Parent effects are sought as G_lam = sum_v w_(lam,v) * 2 * state(v),
-    so nonnegative weights make each G_lam automatically positive; the
-    constraints marginalize the parent through the strategies onto each
-    target effect and pin sum_lam G_lam to the identity (four redundant
-    rows kept deliberately as a consistency anchor).  The inner/outer
-    polytope pair yields model / witness / undecided as for steering.
-    With ``adapt`` the mesh gains the effects' own Bloch axes, so
-    projective parents (needed for commuting pairs) stay representable.
+    Parent effects are sought as G_lam = sum_n w_(lam,n) * 2 * state(n)
+    over the whole Bloch ball, so nonnegative weights make each G_lam
+    positive; the constraints marginalize the parent through the
+    strategies onto each target effect and pin sum_lam G_lam to the
+    identity (four rows after the effects' rows).  The same column
+    generation as ``lhs_feasibility_qubit`` decides it: Feasible ships
+    the parent effects, Infeasible an exactly ball-checked certificate.
+    The effects' own Bloch axes join the seed, so projective parents
+    (needed for commuting pairs) are in the first master.
     """
     povms = list(povms)
     if not povms:
@@ -623,88 +663,19 @@ def joint_measurability(
     for p in povms:
         if p.dim != 2:
             raise InputError("joint measurability engine handles qubit effects")
-    strategies = enumerate_strategies(len(povms), [p.num_outcomes for p in povms], cap=cap)
-    inner, outer = _resolve_mesh(mesh)
-    if adapt:
-        inner, outer = _augment_mesh(inner, outer, _effect_directions(povms))
-    base_meta = {
-        "question": "joint-measurability",
-        "mesh_size": inner.num_vertices,
-        "inflate": outer.scale,
-        "tol": tol,
-    }
+    counts = [p.num_outcomes for p in povms]
+    strategies = enumerate_strategies(len(povms), counts, cap=cap)
+    touch = _touch_matrix(strategies, counts, anchor=True)
+    rhs = np.concatenate([_block_rows(e for povm in povms for e in povm.effects), [2.0, 0.0, 0.0, 0.0]])
 
-    def build(poly: BlochPolytope):
-        bloch = poly.bloch_columns()
-        nv = bloch.shape[0]
-        counts = [p.num_outcomes for p in povms]
-        nrows = 4 * sum(counts) + 4
-        a_mat = np.zeros((nrows, len(strategies) * nv))
-        comp = np.empty((4, nv))
-        comp[0] = 1.0
-        comp[1:] = bloch.T
-        comp *= 2.0
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        for li, strat in enumerate(strategies):
-            cols = slice(li * nv, (li + 1) * nv)
-            for x in range(len(povms)):
-                r = 4 * (offsets[x] + strat.responses[x])
-                a_mat[r : r + 4, cols] += comp
-            a_mat[nrows - 4 : nrows, cols] += comp
-        b = np.empty(nrows)
-        for x, povm in enumerate(povms):
-            for a, effect in enumerate(povm.effects):
-                r = 4 * (offsets[x] + a)
-                b[r] = effect.trace().real
-                for k, pauli in enumerate(linalg.PAULIS):
-                    b[r + 1 + k] = (effect @ pauli).trace().real
-        b[nrows - 4] = 2.0
-        b[nrows - 3 :] = 0.0
-        return a_mat, b
-
-    a_in, b = build(inner)
-    v_in = solve_feasibility_float(
-        FeasibilityProblem(a=a_in, b=b, num_vars=a_in.shape[1]), tol=tol
-    )
-    if v_in.status == FEASIBLE:
-        parents = _parent_effects(v_in.model, strategies, inner.bloch_columns())
-        dev = _parent_deviation(parents, strategies, povms)
-        if dev <= MODEL_TOL:
-            return SteeringVerdict(
-                FEASIBLE,
-                model=v_in.model,
-                parent_effects=parents,
-                meta={**base_meta, "inner": v_in.meta, "model_deviation": dev},
-            )
-        v_in = v_in.with_meta(reason="parent reconstruction exceeded the model tolerance", deviation=dev)
-
-    a_out, b = build(outer)
-    v_out = solve_feasibility_float(
-        FeasibilityProblem(a=a_out, b=b, num_vars=a_out.shape[1]), tol=tol
-    )
-    if v_out.status == INFEASIBLE:
-        return SteeringVerdict(
-            INFEASIBLE,
-            certificate=v_out.certificate,
-            meta={**base_meta, "inner": v_in.meta, "outer": v_out.meta},
+    def rebuild(mass, vec):
+        parents = tuple(
+            p * linalg.I2 + v[0] * linalg.SIGMA_X + v[1] * linalg.SIGMA_Y + v[2] * linalg.SIGMA_Z
+            for p, v in zip(mass, vec)
         )
-    gap = (v_in.meta.get("z", float("nan")), v_out.meta.get("z", float("nan")))
-    return SteeringVerdict(
-        UNDECIDED, gap=gap, meta={**base_meta, "inner": v_in.meta, "outer": v_out.meta}
-    )
+        return {"parent_effects": parents}, _parent_deviation(parents, strategies, povms)
 
-
-def _parent_effects(w, strategies, bloch: np.ndarray) -> tuple:
-    nv = bloch.shape[0]
-    parents = []
-    for li in range(len(strategies)):
-        chunk = np.asarray(w[li * nv : (li + 1) * nv], dtype=float)
-        total = 2.0 * float(chunk.sum())
-        vec = 2.0 * (chunk @ bloch)
-        parents.append(
-            (total * np.eye(2, dtype=complex) + vec[0] * linalg.SIGMA_X + vec[1] * linalg.SIGMA_Y + vec[2] * linalg.SIGMA_Z) / 2.0
-        )
-    return tuple(parents)
+    return _column_generation("joint-measurability", touch, 2.0, rhs, mesh, tol, rebuild)
 
 
 def _parent_deviation(parents, strategies, povms) -> float:

@@ -55,9 +55,9 @@ class FeasibilityVerdict:
     status:      one of FEASIBLE / INFEASIBLE / UNDECIDED.
     model:       variable assignment satisfying the constraints (FEASIBLE).
     certificate: dual vector c with c.A >= 0 and c.b < 0 (INFEASIBLE).
-    gap:         pair of phase-one infeasibility measures (UNDECIDED): for
-                 engine verdicts these are the inner and outer LP objectives,
-                 for a raw solve both entries equal the phase-one objective.
+    gap:         pair of phase-one infeasibility measures (UNDECIDED): both
+                 entries equal the phase-one objective of the last LP solved
+                 (NaN when it has none).
     meta:        solver/engine context (mode, tolerance, mesh size, ...).
     """
 

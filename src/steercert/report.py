@@ -1,6 +1,6 @@
 """Run reports: a JSON-serializable record of one command invocation.
 
-Reports embed the inputs, mesh/tolerance settings, and the library
+Reports embed the inputs, seed mesh/tolerance settings, and the library
 version alongside every verdict so a certificate can be audited later
 without rerunning anything.
 """

@@ -5,7 +5,7 @@ witness value F = |sum_x <A_x B_x>| / sqrt(m) is at most 1 for any
 assemblage with a local hidden state model, so F > 1 certifies steering
 from correlators alone.  Witnesses consume correlator sets rather than
 assemblages, so quantum and box-world joints share the code; the single
-adapter below fixes the sign convention outcome a -> eigenvalue (-1)^a.
+converter below fixes the sign convention outcome a -> eigenvalue (-1)^a.
 """
 
 from __future__ import annotations

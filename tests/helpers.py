@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from steercert import boxworld, linalg
+from steercert import boxworld, linalg, scenario
 from steercert.lp import FeasibilityProblem
 
 
@@ -162,3 +162,135 @@ def assert_box_verdict_exact(asm, verdict):
         assert sum(ci * ri for ci, ri in zip(c, rhs)) < 0
         for col in cols:
             assert sum(c[i] for i in hits(col)) >= 0
+
+
+# ---------------------------------------------------------------------------
+# qubit cone: row layouts, ball checks and a test-only mesh sandwich
+#
+# Rows come in blocks of four (trace, then the x, y, z Pauli parts): one
+# block per context (x, a), and for joint measurability one more block
+# for the identity.  A strategy l fills the blocks of the contexts
+# (x, l(x)), plus the identity block; columns are the lexicographic
+# strategies, as the engine enumerates them.
+
+
+def _components(m) -> list:
+    return [float(np.trace(m).real)] + [float(np.trace(m @ s).real) for s in linalg.PAULIS]
+
+
+def lhs_rows(asm) -> np.ndarray:
+    return np.concatenate(
+        [_components(asm.block(x, a)) for x in range(asm.settings) for a in range(asm.outcomes)]
+    )
+
+
+def jm_rows(povms) -> np.ndarray:
+    return np.concatenate([_components(e) for p in povms for e in p.effects] + [[2.0, 0.0, 0.0, 0.0]])
+
+
+def lhs_touch(settings: int, outcomes: int) -> list:
+    return [
+        [x * outcomes + a for x, a in enumerate(strat)]
+        for strat in itertools.product(range(outcomes), repeat=settings)
+    ]
+
+
+def jm_touch(povms) -> list:
+    counts = [p.num_outcomes for p in povms]
+    offsets = np.cumsum([0] + counts[:-1])
+    return [
+        [int(offsets[x]) + a for x, a in enumerate(strat)] + [sum(counts)]
+        for strat in itertools.product(*[range(c) for c in counts])
+    ]
+
+
+def assert_separates_on_ball(c, b, touch):
+    """c.b < 0, and c is nonnegative on every column (1, n) with |n| <= 1
+    of every strategy: the trace part alpha_l of c over the strategy's
+    blocks is at least the length of the Pauli part beta_l."""
+    c = np.asarray(c, dtype=float)
+    assert c.shape == b.shape
+    assert c @ b < 0
+    per_block = c.reshape(-1, 4)
+    for blocks in touch:
+        summed = per_block[blocks].sum(axis=0)
+        assert summed[0] - np.linalg.norm(summed[1:]) >= 0.0
+
+
+def assert_parents_rebuild(parents, povms, tol=1e-8):
+    """Parent effects are PSD, sum to the identity and marginalize onto
+    every effect through the lexicographic strategies."""
+    counts = [p.num_outcomes for p in povms]
+    strategies = list(itertools.product(*[range(c) for c in counts]))
+    assert len(parents) == len(strategies)
+    for g in parents:
+        assert np.linalg.eigvalsh((g + g.conj().T) / 2).min() >= -tol
+    assert np.max(np.abs(sum(parents) - np.eye(2))) <= tol
+    for x, povm in enumerate(povms):
+        for a, effect in enumerate(povm.effects):
+            got = sum(g for g, s in zip(parents, strategies) if s[x] == a)
+            assert np.max(np.abs(got - effect)) <= tol
+
+
+def sandwich_verdict(b, touch, coeff: float, mesh: int = 162) -> str:
+    """The mesh sandwich the engine once used, as a reference.
+
+    The inner LP takes columns coeff * (1, n) over a Fibonacci mesh of
+    unit vectors n; the outer LP inflates the mesh by 1/cos of its
+    covering angle, the largest angle from any direction to the mesh,
+    read off the facets of its convex hull.  Inner feasible proves a
+    model, outer infeasible proves none exists; HiGHS decides both.
+    """
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull
+
+    i = np.arange(mesh)
+    z = 1.0 - 2.0 * (i + 0.5) / mesh
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    verts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    inflate = (1.0 + 1e-9) / float(-ConvexHull(verts).equations[:, 3].min())
+    for scale, decided, status in ((1.0, "feasible", 0), (inflate, "infeasible", 2)):
+        a = np.zeros((len(b), len(touch) * mesh))
+        for li, blocks in enumerate(touch):
+            cols = slice(li * mesh, (li + 1) * mesh)
+            for blk in blocks:
+                a[4 * blk, cols] += coeff
+                a[4 * blk + 1 : 4 * blk + 4, cols] += coeff * scale * verts.T
+        res = linprog(np.zeros(a.shape[1]), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        if res.status == status:
+            return decided
+    return "undecided"
+
+
+def random_qubit_assemblage(rng, settings: int):
+    """A noisy random pure two-qubit state steered by random two-outcome
+    measurements, half of them projective."""
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    v = rng.uniform(0.5, 1.0)
+    rho = v * np.outer(psi, psi.conj()) + (1.0 - v) * np.eye(4) / 4.0
+    povms = [
+        scenario.pauli_povm(random_unit_vector(rng))
+        if rng.random() < 0.5
+        else scenario.Povm(label=f"M{x}", effects=random_povm_pair(rng), dim=2)
+        for x in range(settings)
+    ]
+    return scenario.assemblage_from_povms(rho, povms)
+
+
+def random_noisy_povms(rng, count: int) -> list:
+    """``count`` random two-outcome qubit POVMs, half of them projective,
+    each smeared toward the trivial measurement by its own visibility."""
+    out = []
+    for x in range(count):
+        eta = rng.uniform(0.5, 1.0)
+        if rng.random() < 0.5:
+            out.append(scenario.noisy_pauli_povm(random_unit_vector(rng), eta))
+            continue
+        effects = tuple(
+            eta * e + (1.0 - eta) * np.trace(e).real / 2.0 * np.eye(2) for e in random_povm_pair(rng)
+        )
+        out.append(scenario.Povm(label=f"N{x}", effects=effects, dim=2))
+    return out

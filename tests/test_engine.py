@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steercert import linalg
+from steercert import engine, linalg
 from steercert.boxworld import (
     GptAssemblage,
     mix_assemblages,
@@ -34,7 +34,17 @@ from steercert.scenario import (
     singlet,
     werner_state,
 )
-from helpers import assert_box_verdict_exact, lifted_prbox, random_unit_vector
+from helpers import (
+    assert_box_verdict_exact,
+    assert_parents_rebuild,
+    assert_separates_on_ball,
+    jm_rows,
+    jm_touch,
+    lhs_rows,
+    lhs_touch,
+    lifted_prbox,
+    random_unit_vector,
+)
 
 RNG = np.random.default_rng(55101)
 
@@ -99,22 +109,63 @@ def test_singlet_matched_paulis_is_infeasible_with_witness_certificate():
             assert c @ rows_for(blocks) >= -1e-9
 
 
-def test_mesh_ladder_verdicts():
-    coarse = lhs_feasibility_qubit(werner_assemblage(0.72), mesh=12)
-    assert coarse.is_undecided
-    assert coarse.gap is not None
-    fine = lhs_feasibility_qubit(werner_assemblage(0.72), mesh=642)
-    assert fine.is_infeasible
+@pytest.mark.parametrize("p, feasible", [(0.4, True), (0.72, False), (0.85, False)])
+def test_every_seed_size_gives_the_same_verdict(p, feasible):
+    # the seed mesh only sets where column generation starts
+    for mesh in (12, 42, 162, 642):
+        verdict = lhs_feasibility_qubit(werner_assemblage(p), mesh=mesh)
+        assert verdict.is_feasible is feasible and not verdict.is_undecided
+        assert verdict.meta["mesh_size"] == mesh
 
 
-def test_inner_feasibility_is_monotone_in_mesh():
-    for mesh in (12, 42, 162):
-        assert lhs_feasibility_qubit(werner_assemblage(0.4), mesh=mesh).is_feasible
+@pytest.mark.parametrize("settings", [2, 3])
+@pytest.mark.parametrize("offset", [-1e-4, 1e-4])
+def test_verdicts_a_hair_from_the_threshold_are_decided(settings, offset):
+    axes = ("x", "z") if settings == 2 else ("x", "y", "z")
+    p = 1.0 / math.sqrt(settings) + offset
+    asm = werner_assemblage(p, axes)
+    lhs = lhs_feasibility_qubit(asm)
+    povms = [noisy_pauli_povm(ax, p) for ax in axes]
+    jm = joint_measurability(povms)
+    if offset < 0:
+        assert lhs.is_feasible and jm.is_feasible
+        assert lhs.lhs_model.max_deviation(asm) <= 1e-8
+        assert_parents_rebuild(jm.parent_effects, povms)
+    else:
+        assert lhs.is_infeasible and jm.is_infeasible
+        assert_separates_on_ball(lhs.certificate, lhs_rows(asm), lhs_touch(asm.settings, asm.outcomes))
+        assert_separates_on_ball(jm.certificate, jm_rows(povms), jm_touch(povms))
+    # the seed mesh alone cannot decide this close: pricing added columns
+    assert lhs.meta["rounds"] > 1 and jm.meta["rounds"] > 1
 
 
-def test_outer_infeasibility_persists_on_finer_meshes():
-    for mesh in (42, 162, 642):
-        assert lhs_feasibility_qubit(werner_assemblage(0.85), mesh=mesh).is_infeasible
+@pytest.mark.parametrize(
+    "mesh",
+    [3, 0, -12, 12.0, "162", True, (12, 42)],
+    ids=["three", "zero", "negative", "float", "string", "bool", "pair"],
+)
+def test_mesh_must_be_an_integer_seed_size(mesh):
+    with pytest.raises(InputError):
+        lhs_feasibility_qubit(werner_assemblage(0.4), mesh=mesh)
+    with pytest.raises(InputError):
+        joint_measurability(XZ, mesh=mesh)
+
+
+def test_certificate_that_fails_the_exact_ball_check_is_undecided(monkeypatch):
+    verdict = lhs_feasibility_qubit(werner_assemblage(0.85))
+    assert verdict.is_infeasible and verdict.meta["margin"] > 0
+    assert "float64" in verdict.meta["certified"]
+    monkeypatch.setattr(engine, "_ball_check", lambda *args: False)
+    verdict = lhs_feasibility_qubit(werner_assemblage(0.85))
+    assert verdict.is_undecided
+    assert verdict.meta["reason"] == "certificate failed ball check"
+
+
+def test_round_limit_is_a_named_undecided(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_ROUNDS", 1)
+    verdict = joint_measurability([noisy_pauli_povm(ax, 0.7072) for ax in ("x", "z")], mesh=12)
+    assert verdict.is_undecided
+    assert verdict.meta["reason"] == "round limit" and verdict.meta["rounds"] == 1
 
 
 def test_feasible_set_is_convex():
@@ -142,7 +193,9 @@ def test_verdict_serialization():
     doc = verdict.to_dict()
     json.dumps(doc)
     assert doc["status"] == "feasible" and "lhs_model" in doc
-    assert doc["meta"]["mesh_size"] >= 42
+    assert doc["meta"]["mesh_size"] == 42
+    assert {"rounds", "columns", "margin"} <= doc["meta"].keys()
+    assert not {"inflate", "inner", "outer"} & doc["meta"].keys()
 
 
 # ---------------------------------------------------------------------------

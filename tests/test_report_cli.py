@@ -57,6 +57,8 @@ def test_cmd_singlet_cjwr_values():
     assert statuses["lhs"] == "infeasible"
     assert statuses["pv[all tests]"] == "infeasible"
     assert len(report.details["certain_contexts"]) == 4
+    lhs_meta = report.verdicts[0]["meta"]
+    assert lhs_meta["rounds"] >= 1 and lhs_meta["columns"] > 0 and lhs_meta["margin"] > 0
 
     report = cli.cmd_singlet_cjwr(settings=3)
     assert abs(report.witness_values["F"] - math.sqrt(3.0)) < 1e-12
