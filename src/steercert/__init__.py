@@ -22,7 +22,6 @@ from .lp import (  # noqa: E402
     UNDECIDED,
     FeasibilityProblem,
     FeasibilityVerdict,
-    solve_feasibility,
 )
 from .scenario import (  # noqa: E402
     Assemblage,

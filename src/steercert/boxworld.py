@@ -116,10 +116,6 @@ class GptAssemblage:
     def state(self, x: int, a: int) -> GptState:
         return self.entries[(x, a)][1]
 
-    def marginal_table(self) -> dict:
-        """The setting-independent map (y, b) -> p(b|y)."""
-        return self._marginal(self.entries, 0)
-
     @property
     def y_settings(self) -> int:
         return self.entries[(0, 0)][1].y_settings

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import boxworld, engine, gaussian, scenario, witnesses
 from .errors import InputError, InternalCheckError, SteercertError
+from .lp import DEFAULT_TOL
 from .report import RunReport, write_csv
 
 _AXES = {2: ("x", "z"), 3: ("x", "y", "z")}
@@ -62,7 +63,7 @@ def cmd_singlet_cjwr(
     settings: int = 2,
     werner_p: float | None = None,
     mesh: int = engine.DEFAULT_MESH,
-    tol: float = engine.DEFAULT_LP_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> RunReport:
     """Matched-Pauli correlation witness plus local-model and pinned-value
     feasibility for the singlet (or a Werner state via ``werner_p``)."""
@@ -103,7 +104,7 @@ def cmd_werner_scan(
     grid: tuple = (0.5, 0.9, 0.05),
     mesh: int = engine.DEFAULT_MESH,
     bracket_tol: float = 0.01,
-    tol: float = engine.DEFAULT_LP_TOL,
+    tol: float = DEFAULT_TOL,
     witness_only: bool = False,
 ) -> RunReport:
     """Scan Werner weight p: per-point witness value and LHS verdict, plus
@@ -210,8 +211,7 @@ def cmd_reid(
 def cmd_check(
     path,
     mesh: int = engine.DEFAULT_MESH,
-    tol: float = engine.DEFAULT_LP_TOL,
-    mode: str = "float",
+    tol: float = DEFAULT_TOL,
 ) -> RunReport:
     """Validate a scenario file and run the applicable checks: exactness of
     no-signalling, predictability scan, feasibility, and witnesses."""
@@ -227,7 +227,7 @@ def cmd_check(
     if isinstance(doc, dict) and "x_settings" in doc:
         return _check_box(path, doc, t0)
     if isinstance(doc, dict) and "dimA" in doc:
-        return _check_quantum(path, doc, mesh, tol, mode, t0)
+        return _check_quantum(path, doc, mesh, tol, t0)
     raise InputError(
         f"{path}: unrecognized scenario schema; expected quantum fields "
         "(dimA, dimB, state, alice_povms) or box fields (x_settings, a_outcomes, ...)"
@@ -247,13 +247,11 @@ def _check_box(path, doc, t0) -> RunReport:
         chsh = boxworld.chsh_value(boxworld.joint_from_assemblage(asm))
         witness_values["chsh"] = float(chsh)
         details["chsh_exact"] = str(chsh)
-    inputs = {"file": str(path), "mode": "exact"}
+    inputs = {"file": str(path)}
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
 
-def _check_quantum(path, doc, mesh, tol, mode, t0) -> RunReport:
-    if mode == "exact":
-        raise InputError("exact mode is only available for box-world scenarios")
+def _check_quantum(path, doc, mesh, tol, t0) -> RunReport:
     sc = scenario.load_scenario(doc)
     asm = scenario.assemblage_from_povms(sc["rho"], sc["alice"], dim_b=sc["dims"][1])
     ns = scenario.check_no_signalling(asm)
@@ -287,7 +285,7 @@ def _check_quantum(path, doc, mesh, tol, mode, t0) -> RunReport:
                 witness_values["F"] = cj.F
                 witness_values["s_m"] = witnesses.s_m(corr)
                 details["violated"] = cj.violated
-    inputs = {"file": str(path), "mesh": mesh, "tol": tol, "mode": mode}
+    inputs = {"file": str(path), "mesh": mesh, "tol": tol}
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
 
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="report.json", help="write the RunReport as JSON")
     lp = argparse.ArgumentParser(add_help=False)
     lp.add_argument("--mesh", type=int, default=engine.DEFAULT_MESH, help="seed mesh size of the qubit engine (default %(default)s)")
-    lp.add_argument("--tol", type=float, default=engine.DEFAULT_LP_TOL, help="LP feasibility tolerance (default %(default)s)")
+    lp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="LP feasibility tolerance (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -339,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common, lp], help="validate a scenario file and run the applicable checks")
     p.add_argument("file", help="scenario JSON (quantum or box-world schema)")
-    p.add_argument("--mode", choices=["exact", "float"], default="float", help="LP arithmetic (box scenarios are always exact)")
 
     return parser
 
@@ -365,7 +362,7 @@ def _dispatch(args) -> RunReport:
         sweep = _parse_range(args.sweep, "--sweep") if args.sweep else None
         return cmd_reid(r=args.r, sweep=sweep, eta=args.eta)
     if args.command == "check":
-        return cmd_check(args.file, mesh=args.mesh, tol=args.tol, mode=args.mode)
+        return cmd_check(args.file, mesh=args.mesh, tol=args.tol)
     raise InputError(f"unknown command {args.command!r}")
 
 

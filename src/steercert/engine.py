@@ -17,7 +17,9 @@ The same machinery answers two sharper questions: whether hidden states
 can be predetermined (deterministic on a named family of Bob tests, a
 strictly stronger demand than a local model) and whether a collection of
 Alice measurements is jointly measurable (a parent measurement with
-deterministic post-processing reproduces them).
+deterministic post-processing reproduces them).  Predetermined values
+restrict the hidden states to a finite set, which the column generation
+takes in whole, so its certificates are checked exactly on that set.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from . import linalg
 from .boxworld import GptAssemblage, GptState
 from .errors import InputError, InternalCheckError, NonMonotoneFamilyError
 from .lp import (
+    DEFAULT_TOL,
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
@@ -41,11 +44,11 @@ from .lp import (
     solve_feasibility_exact,
     solve_feasibility_float,
 )
+from .lp.exact import separates
 from .scenario import Assemblage, Povm
 
 ENUMERATION_CAP = 4096
 MODEL_TOL = 1e-8
-DEFAULT_LP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -269,32 +272,43 @@ def _ball_check(touch: np.ndarray, coeff: float, c, b) -> bool:
     return True
 
 
-def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild) -> SteeringVerdict:
+def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild, finite=None) -> SteeringVerdict:
     """Decide whether rhs lies in the cone of the columns coeff * (1, n)
     over every strategy l (in the blocks ``touch[l]`` marks) and every
-    unit vector n, i.e. the whole Bloch ball.
+    admissible Bloch vector n: the whole Bloch ball when ``finite`` is
+    None, otherwise the unit vectors listed in the (k, 3) array ``finite``.
 
     A master LP holds finitely many columns (l, n), starting from every
-    strategy on every seed direction: a Fibonacci mesh of ``mesh`` points
-    plus the Bloch directions of the blocks of ``rhs``.  A feasible
-    master is a genuine model; ``rebuild(mass, vec)`` turns it into
-    (verdict fields, deviation), and the deviation must stay within
-    MODEL_TOL.  Otherwise the master
-    certificate c prices each strategy over the ball in closed form:
+    strategy on every seed direction.  On the ball the seed is a
+    Fibonacci mesh of ``mesh`` points plus the Bloch directions of the
+    blocks of ``rhs``; a finite set is its own seed, so the first master
+    already holds every column.  A feasible master is a genuine model;
+    ``rebuild(mass, vec)`` turns it into (verdict fields, deviation), and
+    the deviation must stay within MODEL_TOL.  Otherwise the master
+    certificate c is priced: on the ball in closed form, since
     alpha_l + beta_l.n is smallest at n = -beta_l/|beta_l|, where it is
-    alpha_l - |beta_l|, with mu the minimum over l.  Raising every trace
-    row of c by -mu/k, where k is the trace weight of one column, makes c
-    nonnegative on the whole ball and lowers c.b by |mu|; if c.b stays
-    negative the certificate is exact-checked and returned.  If not, the
-    strategies with a negative minimum enter with their best direction
-    and the master is solved again from scratch.
+    alpha_l - |beta_l|; on a finite set as c.A over the master's columns.
+    mu is the minimum (+inf with no columns).  Raising every trace row of
+    c by -mu/k, where k is the trace weight of one column, makes c
+    nonnegative on the admissible set and lowers c.b by |mu|; if c.b
+    stays negative the certificate is checked exactly, by ``_ball_check``
+    on the ball and by ``separates`` on the master as stored for a finite
+    set, and returned.  If not, the strategies with a negative ball
+    minimum enter with their best direction and the master is solved
+    again from scratch; when no column can enter, which is always the
+    case for a finite set, the verdict is Undecided.
     """
-    seed = _seed_directions(mesh, rhs.reshape(-1, 4)[:, 1:])
+    ball = finite is None
+    meta = {"question": question, "tol": tol}
+    if ball:
+        seed = _seed_directions(mesh, rhs.reshape(-1, 4)[:, 1:])
+        meta["mesh_size"] = int(mesh)
+    else:
+        seed = finite
     num_strategies = touch.shape[0]
     k = coeff * touch.sum(axis=1)[0]  # every strategy fills the same number of blocks
     lam = np.repeat(np.arange(num_strategies), len(seed))
     dirs = np.tile(seed, (num_strategies, 1))
-    meta = {"question": question, "mesh_size": int(mesh), "tol": tol}
 
     def undecided(reason, **extra):
         z = meta["master"].get("z", float("nan"))
@@ -315,28 +329,43 @@ def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild) -> Steer
             return SteeringVerdict(FEASIBLE, model=master.model, meta={**meta, "model_deviation": dev}, **fields)
 
         c = np.asarray(master.certificate, dtype=float)
-        per_block = c.reshape(-1, 4)
-        alpha = coeff * (touch @ per_block[:, 0])
-        beta = coeff * (touch @ per_block[:, 1:])
-        beta_norm = np.linalg.norm(beta, axis=1)
-        slack = alpha - beta_norm
-        mu = float(slack.min())
+        if ball:
+            per_block = c.reshape(-1, 4)
+            alpha = coeff * (touch @ per_block[:, 0])
+            beta = coeff * (touch @ per_block[:, 1:])
+            beta_norm = np.linalg.norm(beta, axis=1)
+            slack = alpha - beta_norm
+            mu = float(slack.min())
+        else:
+            mu = float((c @ a).min(initial=np.inf))
         cert = c.copy()
         cert[0::4] += (max(-mu, 0.0) + _SHIFT_PAD) / k
         meta["margin"] = -float(cert @ rhs)
         if meta["margin"] > 0.0:
-            if not _ball_check(touch, coeff, cert, rhs):
+            if ball and not _ball_check(touch, coeff, cert, rhs):
                 return undecided("certificate failed ball check")
+            if not ball and not _master_check(cert, a, rhs):
+                return undecided("certificate failed exact check")
             return SteeringVerdict(
                 INFEASIBLE,
                 certificate=cert,
                 meta={**meta, "certified": "exactly, for the input as stored in float64"},
             )
 
-        enter = np.flatnonzero((slack < 0.0) & (beta_norm > 0.0))
+        enter = np.flatnonzero((slack < 0.0) & (beta_norm > 0.0)) if ball else []
+        if len(enter) == 0:
+            return undecided("shifted certificate does not separate and no column can enter")
         lam = np.concatenate([lam, enter])
         dirs = np.vstack([dirs, -beta[enter] / beta_norm[enter, None]])
     return undecided("round limit")
+
+
+def _master_check(cert, a, b) -> bool:
+    """Exact test, on the float64 values as stored, that cert separates b
+    from every column of the master a."""
+    rows = [[Fraction(v) if v else 0 for v in row] for row in a.tolist()]
+    c_frac, b_frac = ([Fraction(v) for v in vec.tolist()] for vec in (cert, b))
+    return separates(c_frac, rows, b_frac, a.shape[1])
 
 
 def _block_rows(mats) -> np.ndarray:
@@ -350,18 +379,30 @@ def _assemblage_rhs(asm: Assemblage) -> np.ndarray:
     return _block_rows(asm.block(x, a) for x in range(asm.settings) for a in range(asm.outcomes))
 
 
-def _lhs_model(mass: np.ndarray, vec: np.ndarray, strategies) -> LhsModel:
-    states = [
-        linalg.bloch_state(v / p) if p > 0.0 else np.eye(2, dtype=complex) / 2.0
-        for p, v in zip(mass, vec)
-    ]
-    return LhsModel(weights=mass, hidden_states=tuple(states), strategies=tuple(strategies))
+def _local_models(question, asm: Assemblage, mesh, tol, cap, finite=None) -> SteeringVerdict:
+    """Local-model membership of a qubit assemblage by ``_column_generation``,
+    with hidden states on the whole Bloch ball or on the ``finite`` set."""
+    if asm.dim_b != 2:
+        raise InputError(f"qubit engine needs a qubit on Bob's side, got dim {asm.dim_b}")
+    strategies = enumerate_strategies(asm.settings, asm.outcomes, cap=cap)
+    touch = _touch_matrix(strategies, [asm.outcomes] * asm.settings)
+
+    def rebuild(mass, vec):
+        states = [
+            linalg.bloch_state(v / p) if p > 0.0 else np.eye(2, dtype=complex) / 2.0
+            for p, v in zip(mass, vec)
+        ]
+        model = LhsModel(weights=mass, hidden_states=tuple(states), strategies=tuple(strategies))
+        dev = max(model.max_deviation(asm), abs(model.total_weight() - 1.0))
+        return {"lhs_model": model}, dev
+
+    return _column_generation(question, touch, 1.0, _assemblage_rhs(asm), mesh, tol, rebuild, finite)
 
 
 def lhs_feasibility_qubit(
     asm: Assemblage,
     mesh: int = DEFAULT_MESH,
-    tol: float = DEFAULT_LP_TOL,
+    tol: float = DEFAULT_TOL,
     cap: int = ENUMERATION_CAP,
 ) -> SteeringVerdict:
     """Decide local-model membership over the exact qubit state space.
@@ -375,17 +416,7 @@ def lhs_feasibility_qubit(
     mesh; it changes the work done, and a decided verdict does not
     depend on it.  Undecided names its reason in ``meta["reason"]``.
     """
-    if asm.dim_b != 2:
-        raise InputError(f"qubit engine needs a qubit on Bob's side, got dim {asm.dim_b}")
-    strategies = enumerate_strategies(asm.settings, asm.outcomes, cap=cap)
-    touch = _touch_matrix(strategies, [asm.outcomes] * asm.settings)
-
-    def rebuild(mass, vec):
-        model = _lhs_model(mass, vec, strategies)
-        dev = max(model.max_deviation(asm), abs(model.total_weight() - 1.0))
-        return {"lhs_model": model}, dev
-
-    return _column_generation("lhs", touch, 1.0, _assemblage_rhs(asm), mesh, tol, rebuild)
+    return _local_models("lhs", asm, mesh, tol, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +469,9 @@ def lhs_feasibility_boxworld(asm: GptAssemblage, cap: int = ENUMERATION_CAP) -> 
         if model.max_deviation(asm) != 0:
             raise InternalCheckError("exact local model failed reconstruction")
         return SteeringVerdict(FEASIBLE, model=verdict.model, lhs_model=model, meta=meta)
-    return SteeringVerdict(INFEASIBLE, certificate=verdict.certificate, meta=meta)
+    return SteeringVerdict(
+        INFEASIBLE, certificate=verdict.certificate, meta={**meta, "certified": "exactly, in rational arithmetic"}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,79 +544,36 @@ def pv_feasibility(
     asm,
     bob_tests=None,
     mesh=DEFAULT_MESH,
-    tol: float = DEFAULT_LP_TOL,
+    tol: float = DEFAULT_TOL,
     cap: int = ENUMERATION_CAP,
 ) -> SteeringVerdict:
     """Local-model membership with hidden states pinned to the test family.
 
     Hidden states must answer every test deterministically, so the qubit
-    states collapse to the finitely many analytic deterministic states
-    (often none for incompatible tests), and one LP over them decides.
-    When no test constrains the states this is the plain qubit local-model
-    question, and ``mesh`` seeds its column generation.  Box-world vertices are already deterministic tables,
-    so there the answer coincides with plain local-model membership.
+    states collapse to the finitely many analytic deterministic states of
+    ``deterministic_bloch_set`` (often none for incompatible tests).  The
+    same column generation as ``lhs_feasibility_qubit`` decides it over
+    that finite set: every column is in the first master, Feasible ships
+    the model, and Infeasible ships a certificate c with c.A >= 0 and
+    c.b < 0 checked exactly on the master as stored in float64.  When no
+    test constrains the states this is the plain qubit local-model
+    question, and ``mesh`` seeds its column generation over the Bloch
+    ball.  Box-world vertices are already deterministic tables, so there
+    the answer coincides with plain local-model membership.
     """
     if isinstance(asm, GptAssemblage):
         verdict = lhs_feasibility_boxworld(asm, cap=cap)
-        meta = {**verdict.meta, "question": "pv", "note": "deterministic tables span the state polytope"}
-        return SteeringVerdict(
-            verdict.status,
-            model=verdict.model,
-            certificate=verdict.certificate,
-            gap=verdict.gap,
-            meta=meta,
-            lhs_model=verdict.lhs_model,
-        )
-
+        return verdict.with_meta(question="pv", note="deterministic tables span the state polytope")
     if not isinstance(asm, Assemblage):
         raise InputError("expected an Assemblage or a GptAssemblage")
-    if asm.dim_b != 2:
-        raise InputError(f"qubit engine needs a qubit on Bob's side, got dim {asm.dim_b}")
     if bob_tests is None:
         raise InputError("the predetermined-value question needs Bob's test family")
 
-    det = deterministic_bloch_set(bob_tests, tol=tol if tol > 1e-12 else 1e-9)
+    det = deterministic_bloch_set(bob_tests)
+    verdict = _local_models("pv", asm, mesh, tol, cap, finite=det)
     if det is None:
-        verdict = lhs_feasibility_qubit(asm, mesh=mesh, tol=tol, cap=cap)
-        return SteeringVerdict(
-            verdict.status,
-            model=verdict.model,
-            certificate=verdict.certificate,
-            gap=verdict.gap,
-            meta={**verdict.meta, "question": "pv", "note": "no test constrains the hidden states"},
-            lhs_model=verdict.lhs_model,
-        )
-
-    strategies = enumerate_strategies(asm.settings, asm.outcomes, cap=cap)
-    touch = _touch_matrix(strategies, [asm.outcomes] * asm.settings)
-    lam = np.repeat(np.arange(len(strategies)), len(det))
-    dirs = np.tile(det, (len(strategies), 1))
-    a_mat = _columns(touch, 1.0, lam, dirs)
-    verdict = solve_feasibility_float(
-        FeasibilityProblem(a=a_mat, b=_assemblage_rhs(asm), num_vars=a_mat.shape[1]), tol=tol
-    )
-    meta = {
-        "question": "pv",
-        "deterministic_vertices": int(len(det)),
-        "tol": tol,
-        "solve": verdict.meta,
-    }
-    if verdict.status == FEASIBLE:
-        model = _lhs_model(*_per_strategy(touch, lam, dirs, verdict.model), strategies)
-        dev = model.max_deviation(asm)
-        if dev <= MODEL_TOL and abs(model.total_weight() - 1.0) <= MODEL_TOL:
-            return SteeringVerdict(
-                FEASIBLE, model=verdict.model, lhs_model=model, meta={**meta, "model_deviation": dev}
-            )
-        return SteeringVerdict(
-            UNDECIDED,
-            gap=verdict.gap or (0.0, 0.0),
-            meta={**meta, "reason": "reconstruction exceeded the model tolerance"},
-        )
-    if verdict.status == INFEASIBLE:
-        return SteeringVerdict(INFEASIBLE, certificate=verdict.certificate, meta=meta)
-    reason = verdict.meta.get("reason", "z inside the undecided band")
-    return SteeringVerdict(UNDECIDED, gap=verdict.gap, meta={**meta, "reason": reason})
+        return verdict.with_meta(note="no test constrains the hidden states")
+    return verdict.with_meta(deterministic_vertices=int(len(det)))
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +632,7 @@ def check_value_assignment(effect_groups, assignment, coarse_grainings=None) -> 
 def joint_measurability(
     povms,
     mesh: int = DEFAULT_MESH,
-    tol: float = DEFAULT_LP_TOL,
+    tol: float = DEFAULT_TOL,
     cap: int = ENUMERATION_CAP,
 ) -> SteeringVerdict:
     """Does one parent measurement reproduce all given ones?

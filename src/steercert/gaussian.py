@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import InputError
 
 SYMMETRY_TOL = 1e-10
@@ -38,12 +37,14 @@ class CovarianceMatrix:
         m = np.array(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise InputError(f"covariance matrix must be 4x4, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InputError("covariance matrix has non-finite entries (NaN or infinity)")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise InputError("covariance matrix is not symmetric")
         m = (m + m.T) / 2.0
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        eigs = linalg.jacobi_eigenvalues(m + 0.5j * OMEGA)
+        eigs = np.linalg.eigvalsh(m + 0.5j * OMEGA)
         if float(np.min(eigs)) < -BONA_FIDE_TOL:
             raise InputError(
                 f"matrix violates the uncertainty bound: min eig(cm + (i/2)Omega) = {np.min(eigs):.3e}"
@@ -53,8 +54,8 @@ class CovarianceMatrix:
 def tmsv_covariance(r: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum with squeezing parameter r >= 0."""
     r = float(r)
-    if r < 0:
-        raise InputError(f"squeezing parameter must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise InputError(f"squeezing parameter must be finite and >= 0, got {r}")
     try:
         c = math.cosh(2 * r) / 2.0
         s = math.sinh(2 * r) / 2.0

@@ -1,15 +1,12 @@
 """Dense complex linear algebra for small-dimension quantum objects.
 
-Everything in this toolkit lives in dimension <= 8, so the solvers here
-favor robustness and verifiability over asymptotics: eigenvalues come
-from a cyclic Jacobi iteration rather than a packed LAPACK path, and the
-positivity test is a thin wrapper over it.  Matrices are plain
-``numpy.ndarray`` objects with ``complex128`` entries.
+Everything in this toolkit lives in dimension <= 8.  Matrices are plain
+``numpy.ndarray`` objects with ``complex128`` entries; eigenvalues come
+from ``numpy.linalg.eigvalsh``, which reads one triangle only, so the
+positivity test first checks that its input is Hermitian.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -35,13 +32,6 @@ def dag(m: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with (i,j),(k,l) block structure; dims multiply."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return float(np.max(np.abs(m - dag(m)))) <= tol
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
@@ -70,72 +60,13 @@ def partial_trace_A(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ijil->jl", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
-def jacobi_eigenvalues(m: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each (p, q) pivot strips the phase of the off-diagonal entry and then
-    applies the classic symmetric rotation, so complex Hermitian input is
-    handled directly.  Returns eigenvalues sorted ascending.
-    """
-    a = require_hermitian(m)
-    a = (a + dag(a)) / 2.0
-    d = a.shape[0]
-    if d == 1:
-        return np.array([a[0, 0].real])
-
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(abs(a[p, q]) ** 2 for p in range(d) for q in range(p + 1, d)))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                rho = a[p, q]
-                r = abs(rho)
-                if r <= 1e-18 * scale:
-                    continue
-                phase = rho / r
-                alpha = a[p, p].real
-                beta = a[q, q].real
-                tau = (beta - alpha) / (2.0 * r)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # plane unitary: column q carries the conjugate phase so the
-                # rotated off-diagonal entry is exactly real before zeroing
-                u = np.eye(d, dtype=complex)
-                u[p, p] = c
-                u[p, q] = s
-                u[q, p] = -s * np.conj(phase)
-                u[q, q] = c * np.conj(phase)
-                a = dag(u) @ a @ u
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(a.diagonal().real)
-
-
 def psd_check(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff the Hermitian matrix m has min eigenvalue >= -tol.
 
     Raises ``ValueError`` for non-Hermitian input.
     """
-    eigs = jacobi_eigenvalues(m)
+    eigs = np.linalg.eigvalsh(require_hermitian(m))
     return bool(eigs[0] >= -tol)
-
-
-def psd_sqrt_2x2(m: np.ndarray) -> np.ndarray:
-    """Closed-form PSD square root of a 2x2 PSD Hermitian matrix."""
-    m = require_hermitian(m)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-    t = m.trace().real
-    det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-    det = max(det, 0.0)
-    s = math.sqrt(det)
-    denom = t + 2.0 * s
-    if denom <= 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    return (m + s * I2) / math.sqrt(denom)
 
 
 def bloch_components(m: np.ndarray) -> tuple[float, float, float, float]:

@@ -104,9 +104,9 @@ def _model(a, b, n, basis, values):
     return w
 
 
-def _certificate(a, b, n, sign, y):
-    """c = -(y * sign) if c.A >= 0 and c.b < 0 hold exactly, else None."""
-    cert = [-(yk * s) for yk, s in zip(y, sign)]
+def separates(cert, a, b, n) -> bool:
+    """True when cert.A >= 0 and cert.b < 0 hold exactly for the n columns
+    of the rows ``a``; every entry must be a Fraction or an int."""
     ca = [Fraction(0)] * n
     for c, row in zip(cert, a):
         if c:
@@ -114,10 +114,14 @@ def _certificate(a, b, n, sign, y):
                 if v:
                     ca[j] += c * v
     if any(v < 0 for v in ca):
-        return None
-    if sum(c * bi for c, bi in zip(cert, b)) >= 0:
-        return None
-    return cert
+        return False
+    return sum(c * bi for c, bi in zip(cert, b)) < 0
+
+
+def _certificate(a, b, n, sign, y):
+    """c = -(y * sign) if c separates b from the columns of a, else None."""
+    cert = [-(yk * s) for yk, s in zip(y, sign)]
+    return cert if separates(cert, a, b, n) else None
 
 
 def _float_basis(a_pos, b_pos, n):

@@ -43,10 +43,6 @@ class FeasibilityProblem:
             if len(row) != self.num_vars:
                 raise InputError(f"row {i} has length {len(row)}, expected {self.num_vars}")
 
-    @property
-    def num_constraints(self) -> int:
-        return len(self.b)
-
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:

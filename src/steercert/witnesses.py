@@ -63,7 +63,7 @@ def correlators_from_assemblage(asm: Assemblage, bob_obs: Sequence) -> Correlato
             linalg.require_hermitian(b, what=f"observable {x}")
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        eigs = linalg.jacobi_eigenvalues(b)
+        eigs = np.linalg.eigvalsh(b)
         if np.max(np.abs(np.abs(eigs) - 1.0)) > 1e-9:
             raise InputError(f"observable {x} does not have a +-1 spectrum")
         corr = 0.0

@@ -4,6 +4,7 @@ and boxes, and exact checks of box-world verdicts."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,11 +47,24 @@ def random_povm_pair(rng, dim: int = 2):
     return tuple(inv_sqrt @ m @ inv_sqrt for m in mats)
 
 
+def psd_sqrt_2x2(m: np.ndarray) -> np.ndarray:
+    """Closed-form PSD square root of a 2x2 PSD Hermitian matrix."""
+    m = linalg.require_hermitian(m)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
+    t = m.trace().real
+    s = math.sqrt(max((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real, 0.0))
+    denom = t + 2.0 * s
+    if denom <= 0.0:
+        return np.zeros((2, 2), dtype=complex)
+    return (m + s * linalg.I2) / math.sqrt(denom)
+
+
 def random_kraus_split(rng, effect: np.ndarray, pieces: int):
     """Kraus operators K_mu = W_mu sqrt(M) with sum W^dag W = identity:
     the W_mu are the stacked 2x2 blocks of the first two columns of a
     random (2*pieces)-dimensional unitary."""
-    root = linalg.psd_sqrt_2x2(effect)
+    root = psd_sqrt_2x2(effect)
     u = random_unitary(rng, 2 * pieces)
     cols = u[:, :2]
     return tuple(cols[2 * i : 2 * i + 2, :] @ root for i in range(pieces))
@@ -122,13 +136,12 @@ def deterministic_box(alice, bob, a_outcomes: int = 2, b_outcomes: int = 2) -> b
     return boxworld.GptAssemblage(len(alice), a_outcomes, entries)
 
 
-def assert_box_verdict_exact(asm, verdict):
-    """Re-substitute a box-world LHS verdict in Fractions.
+def box_lp(asm) -> FeasibilityProblem:
+    """The box-world LHS LP, rebuilt here rather than taken from the engine.
 
-    The LP is rebuilt here, not taken from the engine: rows (x, a, y, b)
-    hold weight(x, a) * p(b | y; x, a), and columns are the pairs (Alice
-    strategy, Bob strategy) in lexicographic order, where a column has
-    a 1 in every row it answers.
+    Rows (x, a, y, b) hold weight(x, a) * p(b | y; x, a), and columns are
+    the pairs (Alice strategy, Bob strategy) in lexicographic order, where
+    a column has a 1 in every row it answers.  Entries are Fractions.
     """
     nx, na, ny, nb = asm.x_settings, asm.a_outcomes, asm.y_settings, asm.b_outcomes
     keys = list(itertools.product(range(nx), range(na), range(ny), range(nb)))
@@ -138,30 +151,29 @@ def assert_box_verdict_exact(asm, verdict):
             itertools.product(range(na), repeat=nx), itertools.product(range(nb), repeat=ny)
         )
     )
+    rows = [[Fraction(int(la[x] == a and lb[y] == b)) for la, lb in cols] for x, a, y, b in keys]
+    return FeasibilityProblem(a=rows, b=rhs, num_vars=len(cols))
 
-    def hits(col):
-        la, lb = col
-        return [i for i, (x, a, y, b) in enumerate(keys) if la[x] == a and lb[y] == b]
 
+def assert_box_verdict_exact(asm, verdict):
+    """Re-substitute a box-world LHS verdict in Fractions on ``box_lp``."""
+    problem = box_lp(asm)
+    a, b, n = problem.a, problem.b, problem.num_vars
     if verdict.is_feasible:
         w = verdict.model
-        assert len(w) == len(cols)
+        assert len(w) == n
         assert all(isinstance(v, Fraction) and v >= 0 for v in w)
-        rebuilt = [Fraction(0)] * len(keys)
-        for wj, col in zip(w, cols):
-            if wj:
-                for i in hits(col):
-                    rebuilt[i] += wj
-        assert rebuilt == rhs
+        support = [j for j in range(n) if w[j]]
+        assert [sum(row[j] * w[j] for j in support) for row in a] == b
         assert verdict.lhs_model.max_deviation(asm) == 0
     else:
         assert verdict.is_infeasible
         c = verdict.certificate
-        assert len(c) == len(keys)
+        assert len(c) == len(b)
         assert all(isinstance(v, Fraction) for v in c)
-        assert sum(ci * ri for ci, ri in zip(c, rhs)) < 0
-        for col in cols:
-            assert sum(c[i] for i in hits(col)) >= 0
+        assert sum(ci * bi for ci, bi in zip(c, b)) < 0
+        for j in range(n):
+            assert sum(ci * row[j] for ci, row in zip(c, a) if ci) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +227,50 @@ def assert_separates_on_ball(c, b, touch):
     for blocks in touch:
         summed = per_block[blocks].sum(axis=0)
         assert summed[0] - np.linalg.norm(summed[1:]) >= 0.0
+
+
+def deterministic_points(tests, tol=1e-9):
+    """Unit Bloch vectors on which every test has 0/1 outcome probabilities.
+
+    Candidates are the eigenbases of the tests' effects; None when no
+    effect depends on the state, so every state qualifies.
+    """
+    def certain(n):
+        rho = linalg.bloch_state(n)
+        probs = [np.trace(e @ rho).real for povm in tests for e in povm.effects]
+        return all(min(abs(q), abs(q - 1.0)) <= tol for q in probs)
+
+    axes = [np.array(_components(e)[1:]) for povm in tests for e in povm.effects]
+    axes = [r / np.linalg.norm(r) for r in axes if np.linalg.norm(r) > tol]
+    if not axes:
+        return None if certain(np.zeros(3)) else []
+    points = []
+    for n in (s * r for r in axes for s in (1.0, -1.0)):
+        if certain(n) and all(np.linalg.norm(n - q) > tol for q in points):
+            points.append(n)
+    return points
+
+
+def assert_pv_certificate(verdict, asm, tests):
+    """A predetermined-value Infeasible verdict is certified, and its c has
+    c.b < 0 and c.A >= 0 in Fractions, where the columns (1, n) run over
+    every strategy and every deterministic state n of the tests (the
+    whole ball when no test constrains the states)."""
+    assert verdict.is_infeasible and "certified" in verdict.meta
+    b = lhs_rows(asm)
+    touch = lhs_touch(asm.settings, asm.outcomes)
+    points = deterministic_points(tests)
+    if points is None:
+        assert_separates_on_ball(verdict.certificate, b, touch)
+        return
+    c = [Fraction(float(v)) for v in verdict.certificate]
+    assert len(c) == len(b)
+    assert sum(ci * Fraction(float(bi)) for ci, bi in zip(c, b)) < 0
+    for blocks in touch:
+        alpha = sum(c[4 * k] for k in blocks)
+        beta = [sum(c[4 * k + i] for k in blocks) for i in (1, 2, 3)]
+        for n in points:
+            assert alpha + sum(bi * Fraction(float(ni)) for bi, ni in zip(beta, n)) >= 0
 
 
 def assert_parents_rebuild(parents, povms, tol=1e-8):

@@ -42,7 +42,14 @@ from steercert.scenario import (
     werner_state,
 )
 from steercert.witnesses import cjwr, correlators_from_assemblage
-from helpers import random_kraus_split, random_povm_pair, random_state, random_unit_vector
+from helpers import (
+    assert_box_verdict_exact,
+    assert_pv_certificate,
+    random_kraus_split,
+    random_povm_pair,
+    random_state,
+    random_unit_vector,
+)
 
 AXES = {2: ("x", "z"), 3: ("x", "y", "z")}
 
@@ -95,7 +102,9 @@ def test_criterion_3_singlet_counterexample_pipeline():
     assert abs(f - math.sqrt(2.0)) <= 1e-12
 
     assert lhs_feasibility_qubit(asm, mesh=162).is_infeasible
-    assert pv_feasibility(asm, matched, mesh=162).is_infeasible
+    pv = pv_feasibility(asm, matched, mesh=162)
+    assert pv.is_infeasible
+    assert_pv_certificate(pv, asm, matched)
 
     single = assemblage_from_povms(singlet(), [pauli_povm("z")])
     assert pv_feasibility(single, [pauli_povm("z")], mesh=162).is_feasible
@@ -141,6 +150,8 @@ def test_criterion_4_prbox():
     pv = pv_feasibility(asm)
     assert pv.is_infeasible
     reverify(pv.certificate)
+    assert "certified" in pv.meta
+    assert_box_verdict_exact(asm, pv)
 
     report = cli.cmd_prbox()
     assert report.witness_values["chsh"] == 4.0
@@ -192,16 +203,21 @@ def test_criterion_7_pv_never_beats_lhs():
         (werner_assemblage(0.5, m=3), [pauli_povm("y")]),
     ]
 
-    def no_contradiction(pv, lhs):
+    def no_contradiction(pv, lhs, asm, tests=None):
         assert not (pv.is_feasible and lhs.is_infeasible)
+        if pv.is_infeasible and tests is None:
+            assert "certified" in pv.meta
+            assert_box_verdict_exact(asm, pv)
+        elif pv.is_infeasible:
+            assert_pv_certificate(pv, asm, tests)
 
     for asm, tests in shipped:
         no_contradiction(
-            pv_feasibility(asm, tests, mesh=162), lhs_feasibility_qubit(asm, mesh=162)
+            pv_feasibility(asm, tests, mesh=162), lhs_feasibility_qubit(asm, mesh=162), asm, tests
         )
     for box in (prbox_assemblage(), uniform_assemblage(),
                 mix_assemblages(Fraction(1, 2), prbox_assemblage(), uniform_assemblage())):
-        no_contradiction(pv_feasibility(box), lhs_feasibility_boxworld(box))
+        no_contradiction(pv_feasibility(box), lhs_feasibility_boxworld(box), box)
 
     rng = np.random.default_rng(71)
     for _ in range(50):
@@ -212,7 +228,7 @@ def test_criterion_7_pv_never_beats_lhs():
         k = int(rng.integers(1, 3))
         tests = [pauli_povm(tuple(u)), pauli_povm(tuple(v))][:k]
         no_contradiction(
-            pv_feasibility(asm, tests, mesh=162), lhs_feasibility_qubit(asm, mesh=162)
+            pv_feasibility(asm, tests, mesh=162), lhs_feasibility_qubit(asm, mesh=162), asm, tests
         )
     finish(7, t0, 60)
 

@@ -37,6 +37,7 @@ from steercert.scenario import (
 from helpers import (
     assert_box_verdict_exact,
     assert_parents_rebuild,
+    assert_pv_certificate,
     assert_separates_on_ball,
     jm_rows,
     jm_touch,
@@ -318,6 +319,59 @@ def test_pv_incompatible_tests_are_infeasible():
     assert verdict.is_infeasible
     # empty deterministic set and a nonzero assemblage: exact, not mesh-limited
     assert verdict.meta["deterministic_vertices"] == 0
+    assert_pv_certificate(verdict, asm, XZ)
+
+
+def test_pv_single_test_on_other_settings_is_infeasible_with_columns():
+    # the z-deterministic states cannot rebuild Alice's x and y contexts,
+    # so the certificate must be nonnegative on 16 genuine columns
+    asm = werner_assemblage(0.5, axes=("x", "y", "z"))
+    verdict = pv_feasibility(asm, [pauli_povm("z")])
+    assert verdict.meta["deterministic_vertices"] == 2 and verdict.meta["columns"] == 16
+    assert_pv_certificate(verdict, asm, [pauli_povm("z")])
+    assert verdict.meta["rounds"] == 1 and "mesh_size" not in verdict.meta
+
+
+def test_pv_certificate_that_fails_the_exact_check_is_undecided(monkeypatch):
+    asm = werner_assemblage(0.5)
+    assert pv_feasibility(asm, [pauli_povm("z")]).is_infeasible
+    monkeypatch.setattr(engine, "separates", lambda *args: False)
+    verdict = pv_feasibility(asm, [pauli_povm("z")])
+    assert verdict.is_undecided
+    assert verdict.meta["reason"] == "certificate failed exact check"
+
+
+def test_pv_certificate_that_cannot_separate_is_a_named_undecided(monkeypatch):
+    # a shift pad this large leaves c.b >= 0, and on a finite set every
+    # column is already in the master, so no second round can help
+    monkeypatch.setattr(engine, "_SHIFT_PAD", 1e3)
+    verdict = pv_feasibility(werner_assemblage(0.5), [pauli_povm("z")])
+    assert verdict.is_undecided and verdict.meta["rounds"] == 1
+    assert verdict.meta["reason"] == "shifted certificate does not separate and no column can enter"
+
+
+def test_pv_random_frame_single_test_stays_feasible():
+    # Bob's conditional states lie on Alice's axis, so the two states that
+    # answer the matched test deterministically rebuild them.  In float64
+    # those directions match the blocks only up to rounding: an exact LP
+    # on the same data calls this infeasible, the float master must not
+    for _ in range(10):
+        u = random_unit_vector(RNG)
+        asm = assemblage_from_povms(werner_state(0.6), [pauli_povm(tuple(u))])
+        verdict = pv_feasibility(asm, [pauli_povm(tuple(u))])
+        assert verdict.is_feasible
+        assert verdict.meta["deterministic_vertices"] == 2
+        assert verdict.lhs_model.max_deviation(asm) <= 1e-8
+
+
+def test_lp_tolerance_does_not_widen_the_deterministic_states():
+    # a noisy test answers no state deterministically, whatever the LP tolerance
+    asm = assemblage_from_povms(singlet(), [pauli_povm("z")])
+    noisy = [noisy_pauli_povm("z", 1 - 1e-4)]
+    for tol in (1e-9, 1e-6, 1e-3):
+        verdict = pv_feasibility(asm, noisy, tol=tol)
+        assert verdict.is_infeasible and verdict.meta["deterministic_vertices"] == 0
+        assert_pv_certificate(verdict, asm, noisy)
 
 
 def test_pv_requires_test_family_for_quantum_input():
@@ -329,6 +383,8 @@ def test_pv_box_matches_lhs():
     v1 = pv_feasibility(prbox_assemblage())
     v2 = lhs_feasibility_boxworld(prbox_assemblage())
     assert v1.status == v2.status == "infeasible"
+    assert "certified" in v1.meta and v1.meta["question"] == "pv"
+    assert_box_verdict_exact(prbox_assemblage(), v1)
 
 
 def test_pv_feasible_implies_lhs_feasible_on_samples():
@@ -339,6 +395,8 @@ def test_pv_feasible_implies_lhs_feasible_on_samples():
             pv = pv_feasibility(asm, tests, mesh=162)
             if pv.is_feasible:
                 assert not lhs_feasibility_qubit(asm, mesh=162).is_infeasible
+            elif pv.is_infeasible:
+                assert_pv_certificate(pv, asm, tests)
 
 
 def test_check_value_assignment_rules():

@@ -46,6 +46,13 @@ def test_covariance_matrix_validation():
         tmsv_covariance(-0.2)
     with pytest.raises(InputError):
         tmsv_covariance(400.0)  # cosh overflows; must surface as an input error
+    for r in (float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            tmsv_covariance(r)
+    m = np.eye(4)
+    m[2, 2] = np.nan
+    with pytest.raises(InputError):
+        CovarianceMatrix(m)  # non-finite entries never reach the eigenvalue solver
 
 
 def test_inferred_variance_identity_over_squeezing():

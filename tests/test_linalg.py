@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from steercert import linalg
-from helpers import random_hermitian, random_state, random_unit_vector
+from helpers import (
+    psd_sqrt_2x2,
+    random_hermitian,
+    random_state,
+    random_unit_vector,
+    random_unitary,
+)
 
 RNG = np.random.default_rng(20260817)
 
@@ -77,37 +83,11 @@ def test_partial_trace_shape_error():
         linalg.partial_trace_A(np.eye(5), 2, 2)
 
 
-def test_jacobi_matches_2x2_closed_form():
-    for _ in range(50):
-        m = random_hermitian(RNG, 2)
-        np.testing.assert_allclose(linalg.jacobi_eigenvalues(m), eig2_oracle(m), atol=1e-12)
-
-
-def test_jacobi_matches_lapack_up_to_dim_8():
-    for dim in (2, 3, 4, 6, 8):
-        for _ in range(10):
-            m = random_hermitian(RNG, dim)
-            np.testing.assert_allclose(
-                linalg.jacobi_eigenvalues(m), np.sort(np.linalg.eigvalsh(m)), atol=1e-10
-            )
-
-
-def test_jacobi_diagonal_and_identity():
-    np.testing.assert_allclose(linalg.jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1, 2, 3])
-    np.testing.assert_allclose(linalg.jacobi_eigenvalues(np.eye(4)), np.ones(4))
-
-
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        linalg.jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_is_hermitian_and_require():
-    assert linalg.is_hermitian(linalg.SIGMA_Y)
-    assert not linalg.is_hermitian(np.array([[0, 1], [2, 0]]))
-    assert not linalg.is_hermitian(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        linalg.require_hermitian(np.zeros((2, 3)), what="effect")
+    np.testing.assert_array_equal(linalg.require_hermitian(linalg.SIGMA_Y), linalg.SIGMA_Y)
+    for bad in (np.zeros((2, 3)), np.array([[0, 1], [2, 0]]), np.array([[np.nan, 0], [0, 1]])):
+        with pytest.raises(ValueError):
+            linalg.require_hermitian(bad, what="effect")
 
 
 def test_psd_check():
@@ -118,16 +98,55 @@ def test_psd_check():
     assert linalg.psd_check(np.diag([1.0, -1e-12]))
 
 
+def test_jacobi_matches_2x2_closed_form():
+    # at the PSD boundary the verdict follows the closed-form eigenvalues:
+    # shift a random Hermitian so its smaller eigenvalue is +-2 * PSD_TOL
+    for _ in range(50):
+        m = random_hermitian(RNG, 2)
+        low = eig2_oracle(m)[0]
+        for target, expected in ((2 * linalg.PSD_TOL, True), (-2 * linalg.PSD_TOL, False)):
+            shifted = m + (target - low) * linalg.I2
+            assert abs(eig2_oracle(shifted)[0] - target) <= 1e-12
+            assert linalg.psd_check(shifted) is expected
+
+
+def test_jacobi_matches_lapack_up_to_dim_8():
+    # a known spectrum U diag(lam) U^dag with its smallest eigenvalue at
+    # +-2 * PSD_TOL; the verdict must follow lam, not the rotation
+    for dim in (2, 3, 4, 6, 8):
+        for _ in range(10):
+            u = random_unitary(RNG, dim)
+            lam = np.concatenate([[0.0], RNG.uniform(0.1, 2.0, size=dim - 1)])
+            for target, expected in ((2 * linalg.PSD_TOL, True), (-2 * linalg.PSD_TOL, False)):
+                m = u @ np.diag(lam + target) @ linalg.dag(u)
+                m = (m + linalg.dag(m)) / 2.0
+                assert linalg.psd_check(m) is expected
+
+
+def test_jacobi_diagonal_and_identity():
+    assert not linalg.psd_check(np.diag([3.0, -1.0, 2.0]))
+    assert linalg.psd_check(np.diag([3.0, 0.0, 2.0]))
+    assert linalg.psd_check(np.eye(4))
+    assert not linalg.psd_check(-np.eye(4))
+
+
+def test_jacobi_rejects_non_hermitian():
+    # the solver reads one triangle only, so non-Hermitian input must be refused
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1j], [1j, 1.0]])):
+        with pytest.raises(ValueError):
+            linalg.psd_check(bad)
+
+
 def test_psd_sqrt_2x2_squares_back():
     for _ in range(50):
         m = random_state(RNG, 2) * RNG.uniform(0.1, 3.0)
-        r = linalg.psd_sqrt_2x2(m)
+        r = psd_sqrt_2x2(m)
         np.testing.assert_allclose(r @ r, m, atol=1e-12)
         assert linalg.psd_check(r)
     # rank-one and zero corner cases
     proj = linalg.bloch_state((0.0, 0.0, 1.0))
-    np.testing.assert_allclose(linalg.psd_sqrt_2x2(proj) @ linalg.psd_sqrt_2x2(proj), proj, atol=1e-13)
-    np.testing.assert_allclose(linalg.psd_sqrt_2x2(np.zeros((2, 2))), np.zeros((2, 2)))
+    np.testing.assert_allclose(psd_sqrt_2x2(proj) @ psd_sqrt_2x2(proj), proj, atol=1e-13)
+    np.testing.assert_allclose(psd_sqrt_2x2(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 def test_bloch_round_trip():
@@ -139,7 +158,7 @@ def test_bloch_round_trip():
 
 def test_bloch_state_positivity_boundary():
     assert linalg.psd_check(linalg.bloch_state((1.0, 0.0, 0.0)))
-    eigs = linalg.jacobi_eigenvalues(linalg.bloch_state((0.0, 1.0, 0.0)))
+    eigs = np.linalg.eigvalsh(linalg.bloch_state((0.0, 1.0, 0.0)))
     np.testing.assert_allclose(eigs, [0.0, 1.0], atol=1e-12)
 
 

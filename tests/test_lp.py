@@ -14,7 +14,6 @@ from steercert.lp import (
     FeasibilityProblem,
     FeasibilityVerdict,
     parse_rational,
-    solve_feasibility,
     solve_feasibility_exact,
     solve_feasibility_float,
 )
@@ -99,16 +98,6 @@ def test_exact_and_float_verdicts_match_on_decided_instances():
         e = solve_feasibility_exact(FeasibilityProblem(a=a, b=b, num_vars=problem.num_vars))
         if f.status != UNDECIDED:
             assert f.status == e.status
-
-
-def test_solve_feasibility_mode_dispatch():
-    problem, _ = feasible_instance(RNG, 2, 3)
-    assert solve_feasibility(problem, mode="float").status == FEASIBLE
-    a = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    exact_problem = FeasibilityProblem(a=a, b=[Fraction(1), Fraction(2)], num_vars=2)
-    assert solve_feasibility(exact_problem, mode="exact").status == FEASIBLE
-    with pytest.raises(ValueError):
-        solve_feasibility(problem, mode="interval")
 
 
 def test_problem_validation():

@@ -22,13 +22,12 @@ from steercert.lp import (
     FeasibilityProblem,
     _pivot,
     exact,
-    solve_feasibility,
     solve_feasibility_exact,
     solve_feasibility_float,
 )
 from steercert.lp._pivot import OPTIMAL
 from steercert.report import RunReport
-from helpers import assert_box_verdict_exact, deterministic_box
+from helpers import assert_box_verdict_exact, box_lp, deterministic_box
 
 HUGE = Fraction(10**400)
 TINY = Fraction(1, 10**400)
@@ -120,6 +119,20 @@ def test_guided_and_bland_agree_on_random_box_mixtures(asm):
     for verdict in (guided, bland):
         assert_box_verdict_exact(asm, verdict)
         assert_exact_meta(verdict)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(box_mixtures())
+def test_float_verdicts_on_box_lps_agree_with_exact(asm):
+    problem = box_lp(asm)
+    exact_verdict = solve_feasibility_exact(problem)
+    assert exact_verdict.status == lhs_feasibility_boxworld(asm).status
+    float_copy = FeasibilityProblem(
+        a=np.array(problem.a, dtype=float), b=np.array(problem.b, dtype=float), num_vars=problem.num_vars
+    )
+    float_verdict = solve_feasibility_float(float_copy)
+    if not float_verdict.is_undecided:
+        assert float_verdict.status == exact_verdict.status
 
 
 def test_engine_box_verdicts_are_guided():
@@ -285,10 +298,4 @@ def test_float_mode_rejects_non_finite_entries():
     for a, b in (([[np.nan]], [1.0]), ([[1.0]], [np.inf])):
         with pytest.raises(InputError):
             solve_feasibility_float(FeasibilityProblem(a=a, b=b, num_vars=1))
-
-
-def test_unknown_mode_is_an_input_error():
-    problem = FeasibilityProblem(a=[[1.0]], b=[1.0], num_vars=1)
-    with pytest.raises(InputError):
-        solve_feasibility(problem, mode="interval")
     assert issubclass(InputError, ValueError)

@@ -173,11 +173,15 @@ def test_main_input_error_exit_codes(tmp_path, capsys):
     assert cli.main(["check", str(weird)]) == 1
     q = tmp_path / "q.json"
     q.write_text(json.dumps(quantum_doc()))
-    assert cli.main(["check", str(q), "--mode", "exact"]) == 1
+    capsys.readouterr()
+    assert cli.main(["check", str(q), "--mode", "exact"]) == 1  # --mode is gone: unknown flag
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
     assert cli.main(["reid", "--r", "-2"]) == 1
     assert cli.main(["singlet-cjwr", "--csv", "x.csv"]) == 1  # unknown flag for this command
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+    assert cli.main(["check", "--help"]) == 0
+    assert "--mode" not in capsys.readouterr().out
 
 
 def test_main_rejects_non_positive_or_non_finite_tol(capsys):
