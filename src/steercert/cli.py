@@ -19,30 +19,25 @@ import numpy as np
 from . import boxworld, engine, gaussian, scenario, witnesses
 from .errors import InputError, InternalCheckError, SteercertError
 from .lp import DEFAULT_TOL
+from .lp.problem import jsonify
 from .report import RunReport, write_csv
 
 _AXES = {2: ("x", "z"), 3: ("x", "y", "z")}
 
 
-def _jsonsafe(obj):
-    # Force JSON-native types so RunReport round-trips losslessly.
-    return json.loads(json.dumps(obj))
-
-
 def _verdict_entry(name: str, verdict) -> dict:
-    entry = {"name": name}
-    entry.update(_jsonsafe(verdict.to_dict()))
-    return entry
+    return {"name": name, **verdict.to_dict()}
 
 
 def _report(command, inputs, verdicts, witness_values, details, t0) -> RunReport:
+    # JSON-native values throughout, so RunReport round-trips losslessly
     return RunReport(
         command=command,
-        inputs=_jsonsafe(inputs),
+        inputs=jsonify(inputs),
         verdicts=verdicts,
-        witness_values=_jsonsafe(witness_values),
+        witness_values=jsonify(witness_values),
         timing_ms=(time.perf_counter() - t0) * 1000.0,
-        details=_jsonsafe(details),
+        details=jsonify(details),
     )
 
 
@@ -300,6 +295,8 @@ def _parse_range(text: str, what: str) -> tuple:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise InputError(f"{what} must be numeric lo:hi:step, got {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise InputError(f"{what} must be finite lo:hi:step, got {text!r}")
     return lo, hi, step
 
 

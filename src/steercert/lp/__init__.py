@@ -1,8 +1,9 @@
 """Linear feasibility core: does A w = b admit w >= 0?
 
-Two solvers share one numpy phase-one kernel.  ``solve_feasibility_float``
-runs a tolerance-banded phase-one simplex on a float tableau and may
-answer undecided near the boundary.  ``solve_feasibility_exact`` takes
+Two solvers share one numpy phase-one kernel, a revised simplex that
+factorizes every basis from the original data.  ``solve_feasibility_float``
+judges the kernel's final basis within tolerance bands and may answer
+undecided near the boundary.  ``solve_feasibility_exact`` takes
 the final basis of the same float phase one and confirms it in rational
 arithmetic; when the basis fails an exact check it falls back to Bland's
 rule on a Fraction tableau, so it always decides.  Every verdict carries

@@ -1,4 +1,11 @@
-"""Phase-one simplex kernel on a dense numpy tableau.
+"""Revised phase-one simplex kernel.
+
+Every iteration factorizes the basis matrix B = [A | I][:, basis] of the
+original data and takes from that one factorization the basic solution
+x_B = B^-1 b, the dual prices y = c_B B^-1 and the structural reduced
+costs c_j - y.A_j.  No updated tableau is carried from pivot to pivot,
+so roundoff cannot build up, and the numbers the last iteration priced
+with are the ones the caller judges.
 
 Pricing is Dantzig's rule (most negative reduced cost), which needs far
 fewer pivots than Bland's rule on the engine's wide LPs.  Dantzig's rule
@@ -12,6 +19,8 @@ levels, so the kernel terminates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 OPTIMAL = 0
@@ -19,61 +28,38 @@ ITERATION_LIMIT = 1
 STALLED = 2
 
 
-def run_phase1(t, basis, n_struct, eps_cost, eps_pivot, max_iter):
-    """Drive the phase-one tableau ``t`` to structural optimality in place.
+def run_phase1(full, b, cost, basis, eps_cost, eps_pivot, max_iter):
+    """Pivot ``basis`` in place until no structural column improves z = c.w.
 
-    t:        (m+1) x (n_struct + m + 1) float64 tableau.  Rows 0..m-1 hold
-              [A | I | b] with b >= 0; row m holds the priced-out reduced
-              costs with t[m, -1] = -z.
-    basis:    length-m int64 array, basis[i] = column basic in row i.
-    n_struct: number of structural columns; columns n_struct..n_struct+m-1
-              are artificials and never re-enter the basis.
+    full:  m x (n + m) float64 matrix [A | I]; the identity columns
+           n..n+m-1 (the artificials) may leave the basis but never enter.
+    b:     length-m right-hand side; the start basis must have x_B >= 0.
+    cost:  length n + m costs c, data like A and b.
+    basis: length-m int array, basis[i] = the column basic in row i.
 
     The entering column has reduced cost below -eps_cost; the leaving row
     minimizes the ratio over entries above eps_pivot, ties broken by the
-    lowest basic-variable index.  Returns (status, pivots).
+    lowest basic-variable index.  Returns (status, pivots, clean): clean
+    is (x_B, z, y, min structural reduced cost) of the final basis, or
+    None when a basis matrix was singular.
     """
-    if n_struct == 0:
-        return OPTIMAL, 0  # nothing can enter: the all-artificial basis is optimal
-    m = basis.shape[0]
-    rhs = t.shape[1] - 1
-    obj = t[m]
-    costs = obj[:n_struct]
-    best_z = -obj[rhs]
+    m = len(b)
+    n = full.shape[1] - m
+    a, c = full[:, :n], cost[:n]
+    best_z = math.inf
     seen = set()  # bases visited by Dantzig pivots since z last fell
     bland = False
-    for it in range(max_iter):
-        if not bland:
-            entering = int(np.argmin(costs))
-            if costs[entering] >= -eps_cost:
-                return OPTIMAL, it
-        else:
-            improving = np.flatnonzero(costs < -eps_cost)
-            if improving.size == 0:
-                return OPTIMAL, it
-            entering = int(improving[0])
-
-        col = t[:m, entering]
-        pos = col > eps_pivot
-        if not pos.any():
-            return STALLED, it
-        ratios = np.full(m, np.inf)
-        ratios[pos] = t[:m, rhs][pos] / col[pos]
-        best = ratios.min()
-        tied = np.nonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-        leave = tied[np.argmin(basis[tied])]
-
-        piv = t[leave, entering]
-        t[leave] /= piv
-        scale = t[:, entering].copy()
-        scale[leave] = 0.0
-        t -= np.outer(scale, t[leave])
-        t[:, entering] = 0.0
-        t[leave, entering] = 1.0
-        basis[leave] = entering
-
-        z = -obj[rhs]
-        if z < best_z - 1e-12 * (1.0 + abs(best_z)):
+    for it in range(max_iter + 1):
+        bmat = full[:, basis]
+        try:
+            binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError:
+            return STALLED, it, None
+        cb = cost[basis]
+        xb = binv @ b
+        y = cb @ binv
+        z = float(cb @ xb)
+        if z < best_z - 1e-12 * (1.0 + abs(z)):
             best_z = z
             seen.clear()
             bland = False
@@ -81,4 +67,22 @@ def run_phase1(t, basis, n_struct, eps_cost, eps_pivot, max_iter):
             key = np.sort(basis).tobytes()
             bland = key in seen
             seen.add(key)
-    return ITERATION_LIMIT, max_iter
+
+        rc = c - y @ a
+        entering = int(np.argmin(rc)) if n else -1
+        clean = (xb, z, y, float(rc[entering]) if n else 0.0)
+        if n == 0 or rc[entering] >= -eps_cost:
+            return OPTIMAL, it, clean
+        if it == max_iter:
+            return ITERATION_LIMIT, it, clean
+        if bland:
+            entering = int(np.flatnonzero(rc < -eps_cost)[0])
+
+        col = binv @ full[:, entering]
+        rows = np.nonzero(col > eps_pivot)[0]
+        if rows.size == 0:
+            return STALLED, it, clean
+        ratios = xb[rows] / col[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        basis[tied[np.argmin(basis[tied])]] = entering

@@ -84,26 +84,28 @@ class FeasibilityVerdict:
         """JSON-safe summary; exact rationals become "num/den" strings."""
         return {
             "status": self.status,
-            "model": _jsonify(self.model),
-            "certificate": _jsonify(self.certificate),
-            "gap": _jsonify(self.gap),
-            "meta": _jsonify(self.meta),
+            "model": jsonify(self.model),
+            "certificate": jsonify(self.certificate),
+            "gap": jsonify(self.gap),
+            "meta": jsonify(self.meta),
         }
 
 
-def _jsonify(value):
+def jsonify(value):
+    """``value`` with JSON-native types only: lists, str keys, python scalars;
+    exact rationals become "num/den" strings."""
     if value is None or isinstance(value, (str, int, bool)):
         return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
-        return value
+        return float(value)
     if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
+        return {str(k): jsonify(v) for k, v in value.items()}
     if hasattr(value, "tolist"):
-        return _jsonify(value.tolist())
+        return jsonify(value.tolist())
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+        return [jsonify(v) for v in value]
     return float(value)
 
 

@@ -29,7 +29,7 @@ class RunReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

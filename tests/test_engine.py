@@ -14,6 +14,7 @@ from steercert.boxworld import (
     uniform_assemblage,
 )
 from steercert.engine import (
+    DEFAULT_MESH,
     DeterministicStrategy,
     check_value_assignment,
     deterministic_bloch_set,
@@ -119,15 +120,26 @@ def test_every_seed_size_gives_the_same_verdict(p, feasible):
         assert verdict.meta["mesh_size"] == mesh
 
 
-@pytest.mark.parametrize("settings", [2, 3])
-@pytest.mark.parametrize("offset", [-1e-4, 1e-4])
-def test_verdicts_a_hair_from_the_threshold_are_decided(settings, offset):
+@pytest.mark.parametrize(
+    "settings, offset, mesh",
+    [
+        *(
+            pytest.param(settings, offset, DEFAULT_MESH, id=f"{offset}-{settings}")
+            for offset in (-1e-4, 1e-4)
+            for settings in (2, 3)
+        ),
+        # its 11th master is nearly degenerate: every basic weight must still
+        # come out nonnegative
+        pytest.param(3, -1e-6, 642, id="-1e-06-3-mesh642"),
+    ],
+)
+def test_verdicts_a_hair_from_the_threshold_are_decided(settings, offset, mesh):
     axes = ("x", "z") if settings == 2 else ("x", "y", "z")
     p = 1.0 / math.sqrt(settings) + offset
     asm = werner_assemblage(p, axes)
-    lhs = lhs_feasibility_qubit(asm)
+    lhs = lhs_feasibility_qubit(asm, mesh=mesh)
     povms = [noisy_pauli_povm(ax, p) for ax in axes]
-    jm = joint_measurability(povms)
+    jm = joint_measurability(povms, mesh=mesh)
     if offset < 0:
         assert lhs.is_feasible and jm.is_feasible
         assert lhs.lhs_model.max_deviation(asm) <= 1e-8

@@ -146,9 +146,9 @@ def test_engine_box_verdicts_are_guided():
 def _kernel_setting(columns):
     """A stand-in kernel that leaves ``columns`` as the final basis."""
 
-    def kernel(t, basis, n_struct, eps_cost, eps_pivot, max_iter):
+    def kernel(full, b, cost, basis, eps_cost, eps_pivot, max_iter):
         basis[:] = columns
-        return OPTIMAL, 0
+        return OPTIMAL, 0, None
 
     return kernel
 
@@ -269,6 +269,8 @@ def test_zero_column_and_zero_rhs_problems():
     zero = FeasibilityProblem(a=[[Fraction(1), Fraction(-1)]], b=[Fraction(0)], num_vars=2)
     verdict = solve_feasibility_exact(zero)
     assert verdict.status == FEASIBLE and verdict.model == [0, 0]
+    verdict = solve_feasibility_exact(FeasibilityProblem(a=[], b=[], num_vars=0))
+    assert verdict.status == FEASIBLE and verdict.model == []
 
 
 def test_exact_meta_reaches_the_run_report(tmp_path):

@@ -103,6 +103,9 @@ def test_zero_column_lps_agree_with_highs(monkeypatch):
 
     empty = FeasibilityProblem(a=np.zeros((3, 0)), b=np.zeros(3), num_vars=0)
     assert_agrees_with_highs(empty, solve_feasibility_float(empty))
+    # no rows either: w = () solves the empty system
+    verdict = solve_feasibility_float(FeasibilityProblem(a=[], b=[], num_vars=0))
+    assert verdict.status == FEASIBLE and len(verdict.model) == 0
 
 
 def test_degenerate_lps_agree_with_highs():
@@ -139,19 +142,15 @@ def test_kernel_leaves_dantzig_cycle_through_bland_fallback(monkeypatch):
     b = np.array([0.0, 0.0, 1.0])
     cost = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
     m, n = a.shape
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t[:m, n : n + m] = np.eye(m)  # barred columns, as artificials are
-    t[:m, -1] = b
-    t[m, :n] = cost
+    full = np.hstack([a, np.eye(m)])  # barred columns, as artificials are
     basis = np.arange(m, dtype=np.intp)
 
     counting = _CountingNumpy()
     monkeypatch.setattr(_pivot, "np", counting)
-    status, pivots = _pivot.run_phase1(t, basis, n, 1e-9, 1e-9, 200)
+    status, pivots, clean = _pivot.run_phase1(full, b, np.r_[cost, np.zeros(m)], basis, 1e-9, 1e-9, 200)
     assert status == _pivot.OPTIMAL
     assert counting.bland > 0 and pivots < 50
 
     reference = linprog(cost, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-    assert -t[m, -1] == pytest.approx(reference.fun, abs=1e-12)
+    assert clean[1] == pytest.approx(reference.fun, abs=1e-12)
     assert sorted(basis) == [0, 3, 5]

@@ -33,12 +33,26 @@ def quantum_doc(p=0.75, with_bob=True, bob_eta=None):
     return doc
 
 
-def test_run_report_round_trip():
-    report = cli.cmd_prbox()
-    assert report.version == steercert.__version__
-    clone = RunReport.from_json(report.to_json())
-    assert clone == report
-    assert clone.to_json() == report.to_json()
+def test_run_report_round_trip(tmp_path):
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps(box_to_json(prbox_assemblage())))
+    quantum = tmp_path / "q.json"
+    quantum.write_text(json.dumps(quantum_doc()))
+    reports = [
+        cli.cmd_prbox(),
+        cli.cmd_singlet_cjwr(settings=2),
+        cli.cmd_werner_scan(grid=(0.5, 0.9, 0.2), bracket_tol=0.1),
+        cli.cmd_werner_scan(grid=(0.5, 0.9, 0.2), witness_only=True),
+        cli.cmd_reid(r=0.5),
+        cli.cmd_reid(r=0.0, sweep=(0.0, 1.0, 0.5)),
+        cli.cmd_check(box),
+        cli.cmd_check(quantum),
+    ]
+    for report in reports:
+        assert report.version == steercert.__version__
+        clone = RunReport.from_json(report.to_json())
+        assert clone == report, report.command
+        assert clone.to_json() == report.to_json()
     with pytest.raises(InputError):
         RunReport.from_dict({"command": "x"})
 
@@ -177,6 +191,8 @@ def test_main_input_error_exit_codes(tmp_path, capsys):
     assert cli.main(["check", str(q), "--mode", "exact"]) == 1  # --mode is gone: unknown flag
     assert "unrecognized arguments: --mode" in capsys.readouterr().err
     assert cli.main(["reid", "--r", "-2"]) == 1
+    assert cli.main(["werner-scan", "--grid", "0.5:0.9:inf"]) == 1
+    assert cli.main(["reid", "--r", "1", "--sweep", "0:inf:1"]) == 1
     assert cli.main(["singlet-cjwr", "--csv", "x.csv"]) == 1  # unknown flag for this command
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
