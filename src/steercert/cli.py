@@ -29,6 +29,14 @@ def _verdict_entry(name: str, verdict) -> dict:
     return {"name": name, **verdict.to_dict()}
 
 
+def _certain_contexts(asm, tests) -> list:
+    """The report entry for every (context, test) pair answered with certainty."""
+    return [
+        {"context": list(r.context), "test": list(r.test), "probability": r.probability}
+        for r in scenario.scan_predictability(asm, tests)
+    ]
+
+
 def _report(command, inputs, verdicts, witness_values, details, t0) -> RunReport:
     # JSON-native values throughout, so RunReport round-trips losslessly
     return RunReport(
@@ -73,17 +81,13 @@ def cmd_singlet_cjwr(
     for y, povm in enumerate(bob_povms):
         pv = engine.pv_feasibility(asm, [povm], mesh=mesh, tol=tol)
         verdicts.append(_verdict_entry(f"pv[test {y}]", pv))
-    records = scenario.scan_predictability(asm, bob_povms)
 
     witness_values = {"F": cj.F, "s_m": witnesses.s_m(corr)}
     for x, v in enumerate(corr.values):
         witness_values[f"correlator[{x}]"] = v
     details = {
         "violated": cj.violated,
-        "certain_contexts": [
-            {"context": list(r.context), "test": list(r.test), "probability": r.probability}
-            for r in records
-        ],
+        "certain_contexts": _certain_contexts(asm, bob_povms),
     }
     inputs = {
         "settings": settings,
@@ -260,11 +264,7 @@ def _check_quantum(path, doc, mesh, tol, t0) -> RunReport:
     }
     bob = sc["bob"]
     if bob:
-        records = scenario.scan_predictability(asm, bob)
-        details["certain_contexts"] = [
-            {"context": list(r.context), "test": list(r.test), "probability": r.probability}
-            for r in records
-        ]
+        details["certain_contexts"] = _certain_contexts(asm, bob)
         verdicts.append(
             _verdict_entry("pv[all tests]", engine.pv_feasibility(asm, bob, mesh=mesh, tol=tol))
         )

@@ -45,7 +45,7 @@ from .lp import (
     solve_feasibility_float,
 )
 from .lp.exact import separates
-from .scenario import Assemblage, Povm
+from .scenario import Assemblage
 
 ENUMERATION_CAP = 4096
 MODEL_TOL = 1e-8
@@ -488,56 +488,33 @@ def deterministic_bloch_set(tests, tol: float = 1e-9):
 
     Returns None when no test constrains the states (all effects are
     trivially 0 or identity), otherwise an (n, 3) array, possibly empty.
-    A valid qubit effect alpha*I + beta.sigma takes value 1 only where
-    beta-aligned states make alpha + |beta| reach 1, and value 0 only at
-    the antipode when alpha = |beta|; anything else rules the state out.
+    A valid qubit effect alpha*I + beta.sigma with beta != 0 takes value 1
+    only at beta/|beta| and value 0 only at -beta/|beta|, so those two
+    directions of every such effect are the only candidates.  A candidate
+    is kept, once, when it lies within ``tol`` of +-beta/|beta| for every
+    such effect and every effect is within ``tol`` of 0 or 1 there; the
+    direction test keeps nearly parallel axes apart, since a value test
+    alone would admit an angle of about sqrt(tol).
     """
-    current = None
+    effects = []
     for povm in tests:
         if povm.dim != 2:
             raise InputError("deterministic state sets are defined for qubit tests")
-        test_set = None  # None = unconstrained by this test so far
-        for effect in povm.effects:
-            alpha, beta = _effect_components(effect)
-            blen = float(np.linalg.norm(beta))
-            if blen <= tol:
-                if min(abs(alpha), abs(alpha - 1.0)) <= tol:
-                    continue  # trivial effect, deterministic everywhere
-                test_set = np.zeros((0, 3))
-                break
-            points = []
-            if abs(alpha + blen - 1.0) <= tol:
-                points.append(beta / blen)
-            if abs(alpha - blen) <= tol:
-                points.append(-beta / blen)
-            pts = np.asarray(points).reshape(-1, 3)
-            test_set = pts if test_set is None else _intersect_points(test_set, pts)
-            if len(test_set) == 0:
-                break
-        if test_set is None:
-            continue
-        # keep only points where every effect of this test is deterministic
-        keep = []
-        for n in test_set:
-            ok = True
-            for effect in povm.effects:
-                alpha, beta = _effect_components(effect)
-                val = alpha + float(beta @ n)
-                if min(abs(val), abs(val - 1.0)) > 10 * tol:
-                    ok = False
-                    break
-            if ok:
-                keep.append(n)
-        test_set = np.asarray(keep).reshape(-1, 3)
-        current = test_set if current is None else _intersect_points(current, test_set)
-    return current
+        effects += [_effect_components(effect) for effect in povm.effects]
+    axes = [beta / np.linalg.norm(beta) for _, beta in effects if np.linalg.norm(beta) > tol]
+    if not axes and all(min(abs(alpha), abs(alpha - 1.0)) <= tol for alpha, _ in effects):
+        return None
 
+    def certain(n) -> bool:
+        aligned = all(min(np.linalg.norm(n - a), np.linalg.norm(n + a)) <= tol for a in axes)
+        values = (alpha + beta @ n for alpha, beta in effects)
+        return aligned and all(min(abs(v), abs(v - 1.0)) <= tol for v in values)
 
-def _intersect_points(first: np.ndarray, second: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    if len(first) == 0 or len(second) == 0:
-        return np.zeros((0, 3))
-    keep = [p for p in first if np.min(np.linalg.norm(second - p, axis=1)) <= tol]
-    return np.asarray(keep).reshape(-1, 3)
+    points = []
+    for n in (sign * a for a in axes for sign in (1.0, -1.0)):
+        if certain(n) and all(np.linalg.norm(n - p) > tol for p in points):
+            points.append(n)
+    return np.asarray(points).reshape(-1, 3)
 
 
 def pv_feasibility(

@@ -3,11 +3,12 @@
 Two solvers share one numpy phase-one kernel, a revised simplex that
 factorizes every basis from the original data.  ``solve_feasibility_float``
 judges the kernel's final basis within tolerance bands and may answer
-undecided near the boundary.  ``solve_feasibility_exact`` takes
-the final basis of the same float phase one and confirms it in rational
-arithmetic; when the basis fails an exact check it falls back to Bland's
-rule on a Fraction tableau, so it always decides.  Every verdict carries
-a witness that was re-verified by substitution before being returned.
+undecided near the boundary.  ``solve_feasibility_exact`` runs one
+revised simplex loop under Bland's rule in rational arithmetic, started
+from the final basis of the same float phase one; that basis is usually
+already optimal, so the loop only confirms it, and it always decides.
+Every verdict carries a witness that was re-verified by substitution
+before being returned.
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
 """Exact rational feasibility solver.
 
 The same phase-one question as the float path, decided in
-``fractions.Fraction`` arithmetic.  The float kernel only proposes a
-basis: ``floating.phase_one`` runs on a float64 copy of the data, and
-its final basis B is then confirmed exactly.  Integer Gauss-Jordan
-solves B x_B = b; with x_B >= 0, z = c_B . x_B == 0 yields an exact
-model, and z > 0 yields a separating certificate from B^T y = c_B.
+``fractions.Fraction`` arithmetic by one revised simplex loop under
+Bland's rule.  Each iteration prices its basis B from the original data
+by integer Gauss-Jordan: with z = c_B.x_B == 0 the basic solution is a
+model; otherwise B^T y = c_B gives a candidate certificate, returned
+when it separates b from every column, and else the lowest-index
+improving column enters.
 
-When that basis is singular, has a negative basic value, or gives a
-witness that fails its exact check, Bland's rule on the dense Fraction
-tableau decides instead.  It starts from the float basis when x_B >= 0
-(then a valid phase-one start) and from the all-artificial basis
-otherwise.  Bland's rule cannot cycle, so exact mode terminates and
-never answers undecided.  Every witness is re-checked by exact
-substitution; a failure on the Bland path is an internal bug, not an
-input property.
+The loop starts from the final basis of ``floating.phase_one``, run on
+a float64 copy of the data, when B x_B = b has an exact solution with
+x_B >= 0.  That basis is usually optimal, so confirming it is the
+loop's iteration 0 and no exact pivot follows; when it is not, the loop
+pivots on from it.  A singular float basis, a negative basic value, or
+data outside float64 range start the loop from the all-artificial basis
+instead.  Bland's rule cannot cycle, so exact mode terminates and never
+answers undecided.  Every witness is re-checked by exact substitution,
+and a failed check is an internal bug, not an input property.
 """
 
 from __future__ import annotations
@@ -104,24 +106,24 @@ def _model(a, b, n, basis, values):
     return w
 
 
-def separates(cert, a, b, n) -> bool:
-    """True when cert.A >= 0 and cert.b < 0 hold exactly for the n columns
-    of the rows ``a``; every entry must be a Fraction or an int."""
+def _column_products(cert, a, n) -> list:
+    """The exact cert.A_j for each of the n columns of the rows ``a``;
+    every entry must be a Fraction or an int."""
     ca = [Fraction(0)] * n
     for c, row in zip(cert, a):
         if c:
             for j, v in enumerate(row):
                 if v:
                     ca[j] += c * v
-    if any(v < 0 for v in ca):
+    return ca
+
+
+def separates(cert, a, b, n) -> bool:
+    """True when cert.A >= 0 and cert.b < 0 hold exactly for the n columns
+    of the rows ``a``; every entry must be a Fraction or an int."""
+    if any(v < 0 for v in _column_products(cert, a, n)):
         return False
     return sum(c * bi for c, bi in zip(cert, b)) < 0
-
-
-def _certificate(a, b, n, sign, y):
-    """c = -(y * sign) if c separates b from the columns of a, else None."""
-    cert = [-(yk * s) for yk, s in zip(y, sign)]
-    return cert if separates(cert, a, b, n) else None
 
 
 def _float_basis(a_pos, b_pos, n):
@@ -143,117 +145,56 @@ def _float_basis(a_pos, b_pos, n):
     return [int(j) for j in basis], pivots
 
 
-def _pivot_on(rows, obj, leave, entering):
-    piv = rows[leave][entering]
-    rows[leave] = [v / piv for v in rows[leave]]
-    pivot_row = rows[leave]
-    for i in range(len(rows)):
-        if i == leave:
-            continue
-        factor = rows[i][entering]
-        if factor != 0:
-            rows[i] = [v - factor * p for v, p in zip(rows[i], pivot_row)]
-    factor = obj[entering]
-    if factor != 0:
-        obj[:] = [v - factor * p for v, p in zip(obj, pivot_row)]
+def _basis_matrix(a_pos, n, basis):
+    """B = [A_pos | I][:, basis] as rows."""
+    return [[row[j] if j < n else int(j - n == i) for j in basis] for i, row in enumerate(a_pos)]
 
 
-def _bland(a, b, n, sign, a_pos, b_pos, start):
-    """Phase one on the dense Fraction tableau under Bland's rule.
+def _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb):
+    """Revised phase one under Bland's rule from ``basis``, whose basic
+    solution ``xb`` is nonnegative.
 
-    ``start`` is None for the all-artificial basis, or a basis whose basic
-    solution is nonnegative; its structural columns are pivoted in first.
-    Returns (verdict, pivots); the verdict's witness is re-checked, and a
-    failed check raises.
+    With z = c_B.x_B == 0 the basis is a model.  Otherwise each iteration
+    solves B^T y = c_B for B = [A_pos | I][:, basis], built afresh from
+    the data, and c = -(y * sign) is a certificate when c.A >= 0.  Else
+    the lowest-index column with c.A_j < 0 enters, the ratio test on
+    B d = A_j removes the row with the smallest x_i / d_i, ties going to
+    the lowest basic index, and x_B takes that exact step along d.
+    Returns (verdict, pivots); the witness is re-checked, and a failed
+    check raises.
     """
     m = len(b_pos)
-    zero = Fraction(0)
-    rows = []
-    for i in range(m):
-        row = list(a_pos[i])
-        row += [Fraction(1) if k == i else zero for k in range(m)]
-        row.append(b_pos[i])
-        rows.append(row)
-    obj = [-sum(rows[i][j] for i in range(m)) for j in range(n)]
-    obj += [zero] * m
-    obj.append(-sum(rows[i][-1] for i in range(m)))
-    basis = list(range(n, n + m))
-
     pivots = 0
-    if start is not None:
-        keep = set(start)
-        for entering in (j for j in start if j < n):
-            leave = next(
-                (i for i in range(m) if basis[i] not in keep and rows[i][entering] != 0), -1
-            )
-            if leave < 0:
-                raise InternalCheckError("guided start basis is singular")
-            _pivot_on(rows, obj, leave, entering)
-            basis[leave] = entering
-            pivots += 1
-
     while True:
-        entering = -1
-        for j in range(n):
-            if obj[j] < 0:
-                entering = j
-                break
+        z = sum((v for v, j in zip(xb, basis) if j >= n), Fraction(0))
+        if z == 0:
+            w = _model(a, b, n, basis, xb)
+            if w is None:
+                raise InternalCheckError("exact model failed re-substitution")
+            return FeasibilityVerdict(FEASIBLE, model=w, meta={"z": z}), pivots
+        mat = _basis_matrix(a_pos, n, basis)
+        y = _solve([list(col) for col in zip(*mat)], [int(j >= n) for j in basis])
+        cert = [-(yk * s) for yk, s in zip(y, sign)]
+        ca = _column_products(cert, a, n)
+        entering = next((j for j in range(n) if ca[j] < 0), -1)
         if entering < 0:
-            break
+            if sum(c * bi for c, bi in zip(cert, b)) >= 0:
+                raise InternalCheckError("exact certificate failed re-substitution")
+            return FeasibilityVerdict(INFEASIBLE, certificate=cert, meta={"z": z}), pivots
+        d = _solve(mat, [row[entering] for row in a_pos])
         leave = -1
-        best = zero
         for i in range(m):
-            coeff = rows[i][entering]
-            if coeff > 0:
-                ratio = rows[i][-1] / coeff
+            if d[i] > 0:
+                ratio = xb[i] / d[i]
                 if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave = i
-                    best = ratio
+                    leave, best = i, ratio
         if leave < 0:
             raise InternalCheckError("phase one claims an unbounded artificial objective")
-        _pivot_on(rows, obj, leave, entering)
+        xb = [best if i == leave else v - best * di for i, (v, di) in enumerate(zip(xb, d))]
         basis[leave] = entering
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise InternalCheckError("pivot budget exhausted under an anti-cycling rule")
-
-    z = -obj[-1]
-    if z == 0:
-        w = _model(a, b, n, basis, [row[-1] for row in rows])
-        if w is None:
-            raise InternalCheckError("exact model failed re-substitution")
-        return FeasibilityVerdict(FEASIBLE, model=w, meta={"z": z}), pivots
-    cert = _certificate(a, b, n, sign, [Fraction(1) - obj[n + k] for k in range(m)])
-    if cert is None:
-        raise InternalCheckError("exact certificate failed re-substitution")
-    return FeasibilityVerdict(INFEASIBLE, certificate=cert, meta={"z": z}), pivots
-
-
-def _guided(a, b, n, sign, a_pos, b_pos, basis):
-    """Confirm the float basis exactly.
-
-    Returns (verdict, None, None) when it passes, else (None, reason,
-    start): ``start`` is the basis itself when its basic solution is
-    nonnegative, so Bland's rule can start there, and None otherwise.
-    """
-    m = len(b)
-    mat = [[a_pos[i][j] if j < n else int(j - n == i) for j in basis] for i in range(m)]
-    xb = _solve(mat, b_pos)
-    if xb is None:
-        return None, "singular basis", None
-    if any(v < 0 for v in xb):
-        return None, "negative basic value", None
-    z = sum((v for v, j in zip(xb, basis) if j >= n), Fraction(0))
-    if z == 0:
-        w = _model(a, b, n, basis, xb)
-        if w is None:
-            return None, "model check", basis
-        return FeasibilityVerdict(FEASIBLE, model=w, meta={"z": z}), None, None
-    y = _solve([list(col) for col in zip(*mat)], [int(j >= n) for j in basis])
-    cert = _certificate(a, b, n, sign, y)
-    if cert is None:
-        return None, "certificate check", basis
-    return FeasibilityVerdict(INFEASIBLE, certificate=cert, meta={"z": z}), None, None
 
 
 def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
@@ -265,14 +206,21 @@ def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
     b_pos = [s * bi for s, bi in zip(sign, b)]
 
     guess = _float_basis(a_pos, b_pos, n)
-    if guess is None:
-        verdict, fallback, start, float_pivots = None, "float overflow", None, 0
-    else:
+    fallback, float_pivots = "float overflow", 0
+    if guess is not None:
         basis, float_pivots = guess
-        verdict, fallback, start = _guided(a, b, n, sign, a_pos, b_pos, basis)
-    bland_pivots = 0
-    if verdict is None:
-        verdict, bland_pivots = _bland(a, b, n, sign, a_pos, b_pos, start)
+        xb = _solve(_basis_matrix(a_pos, n, basis), b_pos)
+        if xb is None:
+            fallback = "singular basis"
+        elif any(v < 0 for v in xb):
+            fallback = "negative basic value"
+        else:
+            fallback = None
+    if fallback:
+        basis, xb = list(range(n, n + len(b))), b_pos
+    verdict, bland_pivots = _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb)
+    if bland_pivots and fallback is None:
+        fallback = "certificate check"
     return verdict.with_meta(
         mode="exact",
         pivots=float_pivots + bland_pivots,

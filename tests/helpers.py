@@ -96,8 +96,9 @@ def infeasible_instance(rng, rows, cols):
 def assert_model_valid(problem, verdict, tol=1e-7):
     w = np.asarray(verdict.model, dtype=float)
     assert w.min(initial=0.0) >= -tol
-    residual = np.asarray(problem.a, dtype=float) @ w - np.asarray(problem.b, dtype=float)
-    assert np.max(np.abs(residual)) <= tol * max(1.0, np.max(np.abs(problem.b)))
+    b = np.asarray(problem.b, dtype=float)
+    residual = np.asarray(problem.a, dtype=float).reshape(len(b), problem.num_vars) @ w - b
+    assert np.abs(residual).max(initial=0.0) <= tol * max(1.0, np.abs(b).max(initial=0.0))
 
 
 def assert_certificate_valid(problem, verdict, tol=1e-7):

@@ -317,6 +317,22 @@ def test_deterministic_bloch_set_shapes():
     trivial = Povm(label="coin", effects=(linalg.I2, np.zeros((2, 2))), dim=2)
     assert deterministic_bloch_set([trivial]) is None  # unconstrained
 
+    # antiparallel axes pose the same question: both poles, each listed once
+    det = deterministic_bloch_set([pauli_povm("z"), pauli_povm([0.0, 0.0, -1.0])])
+    assert det.shape == (2, 3)
+    np.testing.assert_allclose(np.sort(det[:, 2]), [-1.0, 1.0], atol=1e-12)
+
+    # a visibility within tol of 1 still counts as certain at the poles
+    det = deterministic_bloch_set([noisy_pauli_povm("z", 1.0 - 1e-10)])
+    assert det.shape == (2, 3)
+
+    # axes 1e-5 rad apart: each pole scores within 1e-9 of certain on the
+    # other test, but no state answers both tests with certainty
+    near = [pauli_povm("z"), pauli_povm([1e-5, 0.0, 1.0])]
+    assert deterministic_bloch_set(near).shape == (0, 3)
+    asm = assemblage_from_povms(singlet(), near)
+    assert pv_feasibility(asm, near, mesh=162).is_infeasible
+
 
 def test_pv_single_matched_test_is_feasible():
     asm = assemblage_from_povms(singlet(), [pauli_povm("z")])

@@ -1,4 +1,5 @@
-"""Exact mode: the float-guided basis, its Bland fallback, and their agreement."""
+"""Exact mode: one revised Bland loop, started from the float basis or
+from the all-artificial basis, and the agreement of the two starts."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from steercert import cli
 from steercert.boxworld import box_to_json, mix_assemblages, prbox_assemblage, uniform_assemblage
 from steercert.engine import lhs_feasibility_boxworld
-from steercert.errors import InputError
+from steercert.errors import InputError, InternalCheckError
 from steercert.lp import (
     FEASIBLE,
     INFEASIBLE,
@@ -180,22 +181,21 @@ def test_wrong_float_basis_falls_back_to_bland(monkeypatch, problem, columns, re
     assert_exact_meta(verdict)
 
 
-def test_failed_model_check_falls_back_from_the_guided_basis(monkeypatch):
+def test_failed_model_check_raises(monkeypatch):
+    # a basis whose exact solve gives z = 0 rebuilds A w = b by construction,
+    # so a model failing re-substitution can only be a bug, and it raises
     problem = FeasibilityProblem(a=[[Fraction(1), Fraction(1)]], b=[Fraction(1)], num_vars=2)
     monkeypatch.setattr(_pivot, "run_phase1", _kernel_setting([0]))
     monkeypatch.setattr(exact, "_solve", lambda mat, rhs: [Fraction(2)])  # not B^-1 b
-    verdict = solve_feasibility_exact(problem)
-    assert verdict.status == FEASIBLE and verdict.model == [Fraction(1), Fraction(0)]
-    assert verdict.meta["fallback"] == "model check"
-    # Bland starts from the float basis: one pivot installs column 0, none improve it
-    assert verdict.meta["bland_pivots"] == 1
+    with pytest.raises(InternalCheckError, match="model failed re-substitution"):
+        solve_feasibility_exact(problem)
 
 
 def test_bland_starts_from_a_mixed_float_basis(monkeypatch):
     # float basis: artificial 0 in row 0, w_0 in row 1, so x_B = (1, 1) >= 0;
-    # it is not optimal (w_1 improves it), so its certificate fails.  Bland's
-    # rule must install w_0 in row 1, keeping artificial 0 basic; putting
-    # w_0 in row 0 instead would give the basic value 1 - 2 = -1.
+    # it is not optimal (w_1 improves it), so its certificate fails.  The
+    # loop keeps pivoting from that basis: w_1 enters and replaces
+    # artificial 0 in row 0, the only row with d_i > 0.
     problem = FeasibilityProblem(
         a=[[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]],
         b=[Fraction(2), Fraction(1)],
@@ -205,7 +205,7 @@ def test_bland_starts_from_a_mixed_float_basis(monkeypatch):
     verdict = solve_feasibility_exact(problem)
     assert verdict.status == FEASIBLE and verdict.model == [Fraction(1), Fraction(1)]
     assert verdict.meta["fallback"] == "certificate check"
-    assert verdict.meta["bland_pivots"] == 2  # one installs w_0, one brings in w_1
+    assert verdict.meta["bland_pivots"] == 1  # w_1 enters; w_0 is already basic
 
 
 def test_forced_fallback_decides_the_prbox(monkeypatch):

@@ -31,7 +31,7 @@ AXES = {2: ("x", "z"), 3: ("x", "y", "z")}
 
 
 def highs_status(problem) -> str:
-    a = np.asarray(problem.a, dtype=float).reshape(len(problem.b), -1)
+    a = np.asarray(problem.a, dtype=float).reshape(len(problem.b), problem.num_vars)
     b = np.asarray(problem.b, dtype=float)
     if a.shape[1] == 0:
         a = np.zeros((len(b), 1))  # linprog needs a column; a zero one changes nothing
@@ -104,8 +104,8 @@ def test_zero_column_lps_agree_with_highs(monkeypatch):
     empty = FeasibilityProblem(a=np.zeros((3, 0)), b=np.zeros(3), num_vars=0)
     assert_agrees_with_highs(empty, solve_feasibility_float(empty))
     # no rows either: w = () solves the empty system
-    verdict = solve_feasibility_float(FeasibilityProblem(a=[], b=[], num_vars=0))
-    assert verdict.status == FEASIBLE and len(verdict.model) == 0
+    nothing = FeasibilityProblem(a=[], b=[], num_vars=0)
+    assert_agrees_with_highs(nothing, solve_feasibility_float(nothing))
 
 
 def test_degenerate_lps_agree_with_highs():
