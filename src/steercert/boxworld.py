@@ -10,12 +10,12 @@ point would blur feasible into infeasible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .lp.problem import parse_rational
+from .scenario import NoSignallingReport, positive_int
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -74,6 +74,8 @@ class GptAssemblage:
     entries: dict
 
     def __post_init__(self):
+        positive_int(self.x_settings, "x_settings")
+        positive_int(self.a_outcomes, "a_outcomes")
         clean = {}
         ref = None
         for x in range(self.x_settings):
@@ -127,8 +129,6 @@ class GptAssemblage:
 
 def check_no_signalling_exact(asm: GptAssemblage):
     """Exact marginal comparison across settings; returns (passed, max_dev)."""
-    from .scenario import NoSignallingReport
-
     ref = asm._marginal(asm.entries, 0)
     dev = ZERO
     for x in range(1, asm.x_settings):
@@ -287,23 +287,20 @@ def box_to_json(asm: GptAssemblage) -> dict:
     }
 
 
-def load_box(source) -> GptAssemblage:
-    """Read a box file (path, file object, or parsed dict)."""
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
-    try:
-        nx = int(doc["x_settings"])
-        na = int(doc["a_outcomes"])
-        ny = int(doc["y_settings"])
-        nb = int(doc["b_outcomes"])
-        raw = doc["entries"]
-    except KeyError as exc:
-        raise InputError(f"box file is missing required field {exc.args[0]!r}") from None
+def load_box(doc: dict) -> GptAssemblage:
+    """Build a box-world assemblage from a parsed box file.
+
+    ``doc`` holds the counts x_settings, a_outcomes, y_settings and
+    b_outcomes, and ``entries[x][a]`` = {"weight": p(a|x), "table":
+    p(b|y) as rows over y}, every probability a "num/den" string or an
+    integer.  Malformed fields raise InputError.
+    """
+    keys = ("x_settings", "a_outcomes", "y_settings", "b_outcomes", "entries")
+    for key in keys:
+        if key not in doc:
+            raise InputError(f"box file is missing required field {key!r}")
+    nx, na, ny, nb = (positive_int(doc[key], f"box file field {key!r}") for key in keys[:4])
+    raw = doc["entries"]
     entries = {}
     for x in range(nx):
         for a in range(na):
@@ -317,7 +314,5 @@ def load_box(source) -> GptAssemblage:
                 }
             except (IndexError, KeyError, TypeError) as exc:
                 raise InputError(f"box entry (x={x}, a={a}) is malformed") from exc
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
             entries[(x, a)] = (weight, GptState(ny, nb, table))
     return GptAssemblage(nx, na, entries)

@@ -50,16 +50,46 @@ def _report(command, inputs, verdicts, witness_values, details, t0) -> RunReport
 
 
 def _matched_setup(settings: int, werner_p: float | None):
-    """Assemblage plus matched Bob tests/observables for the standard axes."""
+    """Assemblage of Pauli measurements on the standard axes, and the
+    matched Pauli tests for Bob."""
     if settings not in _AXES:
         raise InputError(f"settings must be 2 or 3, got {settings}")
-    axes = _AXES[settings]
+    povms = [scenario.pauli_povm(ax) for ax in _AXES[settings]]
     rho = scenario.singlet() if werner_p is None else scenario.werner_state(werner_p)
-    alice = [scenario.pauli_povm(ax) for ax in axes]
-    asm = scenario.assemblage_from_povms(rho, alice)
-    bob_povms = [scenario.pauli_povm(ax) for ax in axes]
-    bob_obs = [scenario.pauli_observable(ax) for ax in axes]
-    return asm, bob_povms, bob_obs
+    return scenario.assemblage_from_povms(rho, povms), povms
+
+
+def _correlators(asm, bob):
+    """Matched correlators with Bob's binary test y read as the observable
+    E_0 - E_1."""
+    return witnesses.correlators_from_assemblage(asm, [p.effects[0] - p.effects[1] for p in bob])
+
+
+def _quantum_checks(asm, bob, mesh, tol) -> tuple:
+    """(verdicts, witness_values, details) of a qubit assemblage: the LHS
+    verdict and, given Bob's tests, the PV verdict over all of them, the
+    certain contexts, and the CJWR witness when the tests are one +-1
+    observable per setting."""
+    verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol))]
+    witness_values, details = {}, {}
+    if not bob:
+        return verdicts, witness_values, details
+    pv = engine.pv_feasibility(asm, bob, mesh=mesh, tol=tol)
+    verdicts.append(_verdict_entry("pv[all tests]", pv))
+    details["certain_contexts"] = _certain_contexts(asm, bob)
+    if len(bob) == asm.settings and all(p.num_outcomes == 2 for p in bob):
+        try:
+            corr = _correlators(asm, bob)
+        except InputError:
+            details["witness_skipped"] = "Bob tests are not +-1 observables"
+        else:
+            cj = witnesses.cjwr(corr)
+            witness_values["F"] = cj.F
+            witness_values["s_m"] = witnesses.s_m(corr)
+            for x, v in enumerate(corr.values):
+                witness_values[f"correlator[{x}]"] = v
+            details["violated"] = cj.violated
+    return verdicts, witness_values, details
 
 
 def cmd_singlet_cjwr(
@@ -71,24 +101,11 @@ def cmd_singlet_cjwr(
     """Matched-Pauli correlation witness plus local-model and pinned-value
     feasibility for the singlet (or a Werner state via ``werner_p``)."""
     t0 = time.perf_counter()
-    asm, bob_povms, bob_obs = _matched_setup(settings, werner_p)
-
-    corr = witnesses.correlators_from_assemblage(asm, bob_obs)
-    cj = witnesses.cjwr(corr)
-    lhs = engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol)
-    verdicts = [_verdict_entry("lhs", lhs)]
-    verdicts.append(_verdict_entry("pv[all tests]", engine.pv_feasibility(asm, bob_povms, mesh=mesh, tol=tol)))
-    for y, povm in enumerate(bob_povms):
+    asm, bob = _matched_setup(settings, werner_p)
+    verdicts, witness_values, details = _quantum_checks(asm, bob, mesh, tol)
+    for y, povm in enumerate(bob):
         pv = engine.pv_feasibility(asm, [povm], mesh=mesh, tol=tol)
         verdicts.append(_verdict_entry(f"pv[test {y}]", pv))
-
-    witness_values = {"F": cj.F, "s_m": witnesses.s_m(corr)}
-    for x, v in enumerate(corr.values):
-        witness_values[f"correlator[{x}]"] = v
-    details = {
-        "violated": cj.violated,
-        "certain_contexts": _certain_contexts(asm, bob_povms),
-    }
     inputs = {
         "settings": settings,
         "state": "singlet" if werner_p is None else f"werner(p={werner_p})",
@@ -110,36 +127,28 @@ def cmd_werner_scan(
     the feasible/infeasible threshold bracket (or, with ``witness_only``,
     the exact witness crossing 1/sqrt(m) and no LP calls)."""
     t0 = time.perf_counter()
-    if settings not in _AXES:
-        raise InputError(f"settings must be 2 or 3, got {settings}")
     lo, hi, step = grid
     if not (0.0 <= lo < hi <= 1.0 and step > 0):
         raise InputError(f"grid must satisfy 0 <= lo < hi <= 1 with step > 0, got {grid}")
-    axes = _AXES[settings]
-    bob_obs = [scenario.pauli_observable(ax) for ax in axes]
-
-    def build(p):
-        rho = scenario.werner_state(float(p))
-        return scenario.assemblage_from_povms(rho, [scenario.pauli_povm(ax) for ax in axes])
+    build = lambda p: _matched_setup(settings, float(p))[0]
+    checker = lambda asm: engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol)
 
     rows = []
     for p in np.arange(lo, hi + step / 2, step):
         p = float(round(p, 12))
-        asm = build(p)
-        f_val = witnesses.cjwr(witnesses.correlators_from_assemblage(asm, bob_obs)).F
+        asm, bob = _matched_setup(settings, p)
+        f_val = witnesses.cjwr(_correlators(asm, bob)).F
         if witness_only:
             status = "infeasible" if f_val > 1.0 else "undecided"
         else:
-            status = engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol).status
+            status = checker(asm).status
         rows.append([p, f_val, status])
 
     witness_values = {}
     details = {"csv_header": ["p", "F", "verdict"], "csv_rows": rows}
-    verdicts = []
     if witness_only:
         witness_values["crossing_p"] = 1.0 / math.sqrt(settings)
     else:
-        checker = lambda a: engine.lhs_feasibility_qubit(a, mesh=mesh, tol=tol)
         p_feas, p_infeas = engine.threshold_scan(build, checker, 0.0, 1.0, bracket_tol)
         witness_values["p_feasible_max"] = p_feas
         if p_infeas is not None:
@@ -153,7 +162,7 @@ def cmd_werner_scan(
         "tol": tol,
         "witness_only": witness_only,
     }
-    return _report("werner-scan", inputs, verdicts, witness_values, details, t0)
+    return _report("werner-scan", inputs, [], witness_values, details, t0)
 
 
 def cmd_prbox() -> RunReport:
@@ -254,32 +263,8 @@ def _check_quantum(path, doc, mesh, tol, t0) -> RunReport:
     sc = scenario.load_scenario(doc)
     asm = scenario.assemblage_from_povms(sc["rho"], sc["alice"], dim_b=sc["dims"][1])
     ns = scenario.check_no_signalling(asm)
-    verdicts = [
-        _verdict_entry("lhs", engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol))
-    ]
-    witness_values = {}
-    details = {
-        "schema": "quantum",
-        "no_signalling": {"passed": ns.passed, "max_deviation": ns.max_deviation},
-    }
-    bob = sc["bob"]
-    if bob:
-        details["certain_contexts"] = _certain_contexts(asm, bob)
-        verdicts.append(
-            _verdict_entry("pv[all tests]", engine.pv_feasibility(asm, bob, mesh=mesh, tol=tol))
-        )
-        if len(bob) == asm.settings and all(p.num_outcomes == 2 for p in bob):
-            try:
-                corr = witnesses.correlators_from_assemblage(
-                    asm, [p.effects[0] - p.effects[1] for p in bob]
-                )
-            except InputError:
-                details["witness_skipped"] = "Bob tests are not +-1 observables"
-            else:
-                cj = witnesses.cjwr(corr)
-                witness_values["F"] = cj.F
-                witness_values["s_m"] = witnesses.s_m(corr)
-                details["violated"] = cj.violated
+    verdicts, witness_values, details = _quantum_checks(asm, sc["bob"], mesh, tol)
+    details.update(schema="quantum", no_signalling={"passed": ns.passed, "max_deviation": ns.max_deviation})
     inputs = {"file": str(path), "mesh": mesh, "tol": tol}
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
@@ -316,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singlet-cjwr", parents=[common, lp], help="matched-Pauli witness + feasibility for the singlet")
     p.add_argument("--settings", type=int, choices=[2, 3], default=2)
     p.add_argument("--werner-p", type=float, default=None, help="replace the singlet by a Werner state of this weight")
+    p.set_defaults(run=lambda a: cmd_singlet_cjwr(a.settings, a.werner_p, a.mesh, a.tol))
 
     p = sub.add_parser("werner-scan", parents=[common, lp], help="scan Werner weight: witness values, verdicts, threshold bracket")
     p.add_argument("--settings", type=int, choices=[2, 3], default=2)
@@ -323,17 +309,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket-tol", type=float, default=0.01, help="bisection halting width (default %(default)s)")
     p.add_argument("--witness-only", action="store_true", help="skip LPs; report the exact witness crossing 1/sqrt(m)")
     p.add_argument("--csv", metavar="table.csv", help="write the (p, F, verdict) table")
+    p.set_defaults(run=lambda a: cmd_werner_scan(
+        settings=a.settings, grid=_parse_range(a.grid, "--grid"), mesh=a.mesh,
+        bracket_tol=a.bracket_tol, tol=a.tol, witness_only=a.witness_only,
+    ))
 
-    sub.add_parser("prbox", parents=[common], help="exact PR-box analysis: no-signalling, CHSH, local-model verdicts")
+    p = sub.add_parser("prbox", parents=[common], help="exact PR-box analysis: no-signalling, CHSH, local-model verdicts")
+    p.set_defaults(run=lambda a: cmd_prbox())
 
     p = sub.add_parser("reid", parents=[common], help="Reid criterion for a two-mode squeezed vacuum")
     p.add_argument("--r", type=float, required=True, help="squeezing parameter (>= 0)")
     p.add_argument("--sweep", default=None, help="sweep r over lo:hi:step instead of a single point")
     p.add_argument("--eta", type=float, default=1.0, help="symmetric loss transmissivity (default 1.0)")
     p.add_argument("--csv", metavar="table.csv", help="write the sweep table")
+    p.set_defaults(run=lambda a: cmd_reid(a.r, _parse_range(a.sweep, "--sweep") if a.sweep else None, a.eta))
 
     p = sub.add_parser("check", parents=[common, lp], help="validate a scenario file and run the applicable checks")
     p.add_argument("file", help="scenario JSON (quantum or box-world schema)")
+    p.set_defaults(run=lambda a: cmd_check(a.file, mesh=a.mesh, tol=a.tol))
 
     return parser
 
@@ -342,25 +335,7 @@ def _dispatch(args) -> RunReport:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"--tol must be a positive finite number, got {tol}")
-    if args.command == "singlet-cjwr":
-        return cmd_singlet_cjwr(
-            settings=args.settings, werner_p=args.werner_p,
-            mesh=args.mesh, tol=args.tol,
-        )
-    if args.command == "werner-scan":
-        return cmd_werner_scan(
-            settings=args.settings, grid=_parse_range(args.grid, "--grid"),
-            mesh=args.mesh, bracket_tol=args.bracket_tol, tol=args.tol,
-            witness_only=args.witness_only,
-        )
-    if args.command == "prbox":
-        return cmd_prbox()
-    if args.command == "reid":
-        sweep = _parse_range(args.sweep, "--sweep") if args.sweep else None
-        return cmd_reid(r=args.r, sweep=sweep, eta=args.eta)
-    if args.command == "check":
-        return cmd_check(args.file, mesh=args.mesh, tol=args.tol)
-    raise InputError(f"unknown command {args.command!r}")
+    return args.run(args)
 
 
 def _print_summary(report: RunReport) -> None:

@@ -58,13 +58,12 @@ class DeterministicStrategy:
     responses: tuple
 
 
-def enumerate_strategies(
-    num_settings: int, num_outcomes, cap: int = ENUMERATION_CAP
-) -> list:
+def enumerate_strategies(num_settings: int, num_outcomes) -> list:
     """All response functions, lexicographic in the response tuple.
 
     ``num_outcomes`` is one count shared by every setting, or a sequence
-    giving each setting its own count.
+    giving each setting its own count.  More than ENUMERATION_CAP
+    strategies is an input error.
     """
     counts = (
         [num_outcomes] * num_settings if np.ndim(num_outcomes) == 0 else list(num_outcomes)
@@ -72,9 +71,9 @@ def enumerate_strategies(
     if num_settings < 1 or len(counts) != num_settings or min(counts) < 1:
         raise InputError("need at least one setting and one outcome per setting")
     count = math.prod(counts)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise InputError(
-            f"{count} deterministic strategies exceed the enumeration cap {cap}"
+            f"{count} deterministic strategies exceed the enumeration cap {ENUMERATION_CAP}"
         )
     return [
         DeterministicStrategy(responses=r)
@@ -311,8 +310,7 @@ def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild, finite=N
     dirs = np.tile(seed, (num_strategies, 1))
 
     def undecided(reason, **extra):
-        z = meta["master"].get("z", float("nan"))
-        return SteeringVerdict(UNDECIDED, gap=(z, z), meta={**meta, "reason": reason, **extra})
+        return SteeringVerdict(UNDECIDED, meta={**meta, "reason": reason, **extra})
 
     for rounds in range(1, MAX_ROUNDS + 1):
         a = _columns(touch, coeff, lam, dirs)
@@ -370,21 +368,19 @@ def _master_check(cert, a, b) -> bool:
 
 def _block_rows(mats) -> np.ndarray:
     """Trace and the three Pauli components of each 2x2 matrix, stacked."""
-    return np.array(
-        [[m.trace().real] + [(m @ pauli).trace().real for pauli in linalg.PAULIS] for m in mats]
-    ).ravel()
+    return np.array([linalg.bloch_components(m) for m in mats]).ravel()
 
 
 def _assemblage_rhs(asm: Assemblage) -> np.ndarray:
     return _block_rows(asm.block(x, a) for x in range(asm.settings) for a in range(asm.outcomes))
 
 
-def _local_models(question, asm: Assemblage, mesh, tol, cap, finite=None) -> SteeringVerdict:
+def _local_models(question, asm: Assemblage, mesh, tol, finite=None) -> SteeringVerdict:
     """Local-model membership of a qubit assemblage by ``_column_generation``,
     with hidden states on the whole Bloch ball or on the ``finite`` set."""
     if asm.dim_b != 2:
         raise InputError(f"qubit engine needs a qubit on Bob's side, got dim {asm.dim_b}")
-    strategies = enumerate_strategies(asm.settings, asm.outcomes, cap=cap)
+    strategies = enumerate_strategies(asm.settings, asm.outcomes)
     touch = _touch_matrix(strategies, [asm.outcomes] * asm.settings)
 
     def rebuild(mass, vec):
@@ -400,10 +396,7 @@ def _local_models(question, asm: Assemblage, mesh, tol, cap, finite=None) -> Ste
 
 
 def lhs_feasibility_qubit(
-    asm: Assemblage,
-    mesh: int = DEFAULT_MESH,
-    tol: float = DEFAULT_TOL,
-    cap: int = ENUMERATION_CAP,
+    asm: Assemblage, mesh: int = DEFAULT_MESH, tol: float = DEFAULT_TOL
 ) -> SteeringVerdict:
     """Decide local-model membership over the exact qubit state space.
 
@@ -416,18 +409,18 @@ def lhs_feasibility_qubit(
     mesh; it changes the work done, and a decided verdict does not
     depend on it.  Undecided names its reason in ``meta["reason"]``.
     """
-    return _local_models("lhs", asm, mesh, tol, cap)
+    return _local_models("lhs", asm, mesh, tol)
 
 
 # ---------------------------------------------------------------------------
 # box-world LHS membership (exact)
 
-def lhs_feasibility_boxworld(asm: GptAssemblage, cap: int = ENUMERATION_CAP) -> SteeringVerdict:
+def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
     """Exact local-model membership: deterministic tables span Bob's
     state polytope, so the rational LP decides with no undecided band."""
     ny, nb = asm.y_settings, asm.b_outcomes
-    alice = enumerate_strategies(asm.x_settings, asm.a_outcomes, cap=cap)
-    bob = enumerate_strategies(ny, nb, cap=cap)
+    alice = enumerate_strategies(asm.x_settings, asm.a_outcomes)
+    bob = enumerate_strategies(ny, nb)
 
     pairs = [(la, lb) for la in alice for lb in bob]
     one, zero = Fraction(1), Fraction(0)
@@ -477,13 +470,18 @@ def lhs_feasibility_boxworld(asm: GptAssemblage, cap: int = ENUMERATION_CAP) -> 
 # ---------------------------------------------------------------------------
 # predetermined-value membership
 
+# how far a deterministic state may sit from a test's axis, and its
+# outcome probabilities from 0 or 1
+CERTAINTY_TOL = 1e-9
+
+
 def _effect_components(effect: np.ndarray) -> tuple:
     """(alpha, beta) with effect = alpha * I + beta . sigma."""
     t, rx, ry, rz = linalg.bloch_components(effect)
     return t / 2.0, np.array([rx, ry, rz]) / 2.0
 
 
-def deterministic_bloch_set(tests, tol: float = 1e-9):
+def deterministic_bloch_set(tests):
     """Unit Bloch vectors answering every listed test deterministically.
 
     Returns None when no test constrains the states (all effects are
@@ -491,11 +489,12 @@ def deterministic_bloch_set(tests, tol: float = 1e-9):
     A valid qubit effect alpha*I + beta.sigma with beta != 0 takes value 1
     only at beta/|beta| and value 0 only at -beta/|beta|, so those two
     directions of every such effect are the only candidates.  A candidate
-    is kept, once, when it lies within ``tol`` of +-beta/|beta| for every
-    such effect and every effect is within ``tol`` of 0 or 1 there; the
-    direction test keeps nearly parallel axes apart, since a value test
-    alone would admit an angle of about sqrt(tol).
+    is kept, once, when it lies within CERTAINTY_TOL of +-beta/|beta| for
+    every such effect and every effect is within CERTAINTY_TOL of 0 or 1
+    there; the direction test keeps nearly parallel axes apart, since a
+    value test alone would admit an angle of about sqrt(CERTAINTY_TOL).
     """
+    tol = CERTAINTY_TOL
     effects = []
     for povm in tests:
         if povm.dim != 2:
@@ -518,11 +517,7 @@ def deterministic_bloch_set(tests, tol: float = 1e-9):
 
 
 def pv_feasibility(
-    asm,
-    bob_tests=None,
-    mesh=DEFAULT_MESH,
-    tol: float = DEFAULT_TOL,
-    cap: int = ENUMERATION_CAP,
+    asm, bob_tests=None, mesh=DEFAULT_MESH, tol: float = DEFAULT_TOL
 ) -> SteeringVerdict:
     """Local-model membership with hidden states pinned to the test family.
 
@@ -539,7 +534,7 @@ def pv_feasibility(
     the answer coincides with plain local-model membership.
     """
     if isinstance(asm, GptAssemblage):
-        verdict = lhs_feasibility_boxworld(asm, cap=cap)
+        verdict = lhs_feasibility_boxworld(asm)
         return verdict.with_meta(question="pv", note="deterministic tables span the state polytope")
     if not isinstance(asm, Assemblage):
         raise InputError("expected an Assemblage or a GptAssemblage")
@@ -547,7 +542,7 @@ def pv_feasibility(
         raise InputError("the predetermined-value question needs Bob's test family")
 
     det = deterministic_bloch_set(bob_tests)
-    verdict = _local_models("pv", asm, mesh, tol, cap, finite=det)
+    verdict = _local_models("pv", asm, mesh, tol, finite=det)
     if det is None:
         return verdict.with_meta(note="no test constrains the hidden states")
     return verdict.with_meta(deterministic_vertices=int(len(det)))
@@ -607,10 +602,7 @@ def check_value_assignment(effect_groups, assignment, coarse_grainings=None) -> 
 # joint measurability
 
 def joint_measurability(
-    povms,
-    mesh: int = DEFAULT_MESH,
-    tol: float = DEFAULT_TOL,
-    cap: int = ENUMERATION_CAP,
+    povms, mesh: int = DEFAULT_MESH, tol: float = DEFAULT_TOL
 ) -> SteeringVerdict:
     """Does one parent measurement reproduce all given ones?
 
@@ -631,7 +623,7 @@ def joint_measurability(
         if p.dim != 2:
             raise InputError("joint measurability engine handles qubit effects")
     counts = [p.num_outcomes for p in povms]
-    strategies = enumerate_strategies(len(povms), counts, cap=cap)
+    strategies = enumerate_strategies(len(povms), counts)
     touch = _touch_matrix(strategies, counts, anchor=True)
     rhs = np.concatenate([_block_rows(e for povm in povms for e in povm.effects), [2.0, 0.0, 0.0, 0.0]])
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 # Max-norm distance from M to its adjoint beyond which we refuse to treat
 # M as Hermitian.
 HERMITICITY_TOL = 1e-10
@@ -34,16 +36,17 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex array, raising ``ValueError`` if it is not Hermitian."""
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Return ``m`` as a complex array, raising ``InputError`` unless it is
+    a finite square matrix within HERMITICITY_TOL of its adjoint."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {m.shape}")
+        raise InputError(f"{what} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} has non-finite entries (NaN or infinity)")
+        raise InputError(f"{what} has non-finite entries (NaN or infinity)")
     dev = float(np.max(np.abs(m - dag(m))))
-    if dev > tol:
-        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
+    if dev > HERMITICITY_TOL:
+        raise InputError(f"{what} is not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.1e})")
     return m
 
 
@@ -63,7 +66,7 @@ def partial_trace_A(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 def psd_check(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff the Hermitian matrix m has min eigenvalue >= -tol.
 
-    Raises ``ValueError`` for non-Hermitian input.
+    Raises ``InputError`` for non-Hermitian input.
     """
     eigs = np.linalg.eigvalsh(require_hermitian(m))
     return bool(eigs[0] >= -tol)

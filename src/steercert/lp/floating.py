@@ -56,14 +56,15 @@ def certificate_quality(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[fl
     return viol, float(-(c @ b))
 
 
-def phase_one(a: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None = None):
+def phase_one(a: np.ndarray, b: np.ndarray, tol: float):
     """Float phase one on ``A w = b, w >= 0`` from the all-artificial basis.
 
     Rows with b_i < 0 are negated so that start is feasible, and the
     kernel runs on the one matrix [A_pos | I] built here.  Returns
     (status, basis, clean, pivots): ``clean`` is the final basis's
     (x_B, z, y, rc_min) with y pricing the rows of A as given, or None
-    when a basis turned out singular.
+    when a basis turned out singular.  The kernel stops after
+    1000 + 50 m + 2 n pivots on an m x n problem.
     """
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
@@ -73,10 +74,8 @@ def phase_one(a: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None = N
     cost = np.zeros(n + m)
     cost[n:] = 1.0
     basis = np.arange(n, n + m, dtype=np.intp)
-    if max_iter is None:
-        max_iter = 1000 + 50 * m + 2 * n
     status, pivots, clean = _pivot.run_phase1(
-        full, b * sign, cost, basis, tol, max(tol, PIVOT_EPS), max_iter
+        full, b * sign, cost, basis, tol, max(tol, PIVOT_EPS), 1000 + 50 * m + 2 * n
     )
     if clean is not None:
         xb, z, y, rc_min = clean
@@ -84,11 +83,7 @@ def phase_one(a: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None = N
     return status, basis, clean, pivots
 
 
-def solve_feasibility_float(
-    problem: FeasibilityProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> FeasibilityVerdict:
+def solve_feasibility_float(problem: FeasibilityProblem, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
     if not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"tolerance must be a positive finite number, got {tol}")
 
@@ -100,17 +95,15 @@ def solve_feasibility_float(
         raise InputError("constraint data contains non-finite entries")
     m, n = a.shape
 
-    status, basis, clean, pivots = phase_one(a, b, tol, max_iter)
+    status, basis, clean, pivots = phase_one(a, b, tol)
     meta = {"mode": "float", "tol": tol, "pivots": pivots}
     if clean is None:
-        return FeasibilityVerdict(
-            UNDECIDED, gap=(float("nan"),) * 2, meta={**meta, "reason": "singular basis"}
-        )
+        return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "singular basis"})
     xb, z, y, rc_min = clean
     meta["z"] = z
 
     if status == ITERATION_LIMIT:
-        return FeasibilityVerdict(UNDECIDED, gap=(z, z), meta={**meta, "reason": "iteration limit"})
+        return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "iteration limit"})
 
     if z <= tol:
         w = np.zeros(n)
@@ -118,20 +111,16 @@ def solve_feasibility_float(
             if basis[i] < n:
                 w[basis[i]] = xb[i]
         if w.min(initial=0.0) < -UNDECIDED_FACTOR * tol:
-            return FeasibilityVerdict(
-                UNDECIDED, gap=(z, z), meta={**meta, "reason": "negative basic value"}
-            )
+            return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "negative basic value"})
         w = np.clip(w, 0.0, None)
         res = residual_inf(a, b, w)
         meta["residual"] = res
         if res > UNDECIDED_FACTOR * tol * max(1.0, float(np.abs(b).max(initial=0.0))):
-            return FeasibilityVerdict(
-                UNDECIDED, gap=(z, z), meta={**meta, "reason": "model failed re-verification"}
-            )
+            return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "model failed re-verification"})
         return FeasibilityVerdict(FEASIBLE, model=w, meta=meta)
 
     if status == STALLED:
-        return FeasibilityVerdict(UNDECIDED, gap=(z, z), meta={**meta, "reason": "no admissible pivot"})
+        return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "no admissible pivot"})
 
     if z >= UNDECIDED_FACTOR * tol and rc_min >= -10.0 * tol:
         # positive objective with no improving column: y prices a Farkas split
@@ -144,8 +133,6 @@ def solve_feasibility_float(
         meta["cert_margin"] = margin
         if margin > max(10.0 * viol, tol):
             return FeasibilityVerdict(INFEASIBLE, certificate=c, meta=meta)
-        return FeasibilityVerdict(
-            UNDECIDED, gap=(z, z), meta={**meta, "reason": "certificate failed re-verification"}
-        )
+        return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "certificate failed re-verification"})
 
-    return FeasibilityVerdict(UNDECIDED, gap=(z, z), meta=meta)
+    return FeasibilityVerdict(UNDECIDED, meta=meta)

@@ -51,16 +51,14 @@ class FeasibilityVerdict:
     status:      one of FEASIBLE / INFEASIBLE / UNDECIDED.
     model:       variable assignment satisfying the constraints (FEASIBLE).
     certificate: dual vector c with c.A >= 0 and c.b < 0 (INFEASIBLE).
-    gap:         pair of phase-one infeasibility measures (UNDECIDED): both
-                 entries equal the phase-one objective of the last LP solved
-                 (NaN when it has none).
-    meta:        solver/engine context (mode, tolerance, mesh size, ...).
+    meta:        solver/engine context (mode, tolerance, mesh size, ...);
+                 float LPs record their phase-one objective as ``z``, and
+                 the engine the last master's as ``master["z"]``.
     """
 
     status: str
     model: Sequence | None = None
     certificate: Sequence | None = None
-    gap: tuple | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -86,7 +84,6 @@ class FeasibilityVerdict:
             "status": self.status,
             "model": jsonify(self.model),
             "certificate": jsonify(self.certificate),
-            "gap": jsonify(self.gap),
             "meta": jsonify(self.meta),
         }
 

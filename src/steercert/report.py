@@ -1,8 +1,10 @@
 """Run reports: a JSON-serializable record of one command invocation.
 
-Reports embed the inputs, seed mesh/tolerance settings, and the library
-version alongside every verdict so a certificate can be audited later
-without rerunning anything.
+A report holds the command's inputs (including the seed mesh and LP
+tolerance where they apply), every verdict with its witness and meta,
+the named witness values, the wall time and the library version, so a
+certificate can be audited later without rerunning anything.  Tables
+are written separately as CSV.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ class RunReport:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, doc: dict) -> RunReport:
@@ -60,25 +62,14 @@ class RunReport:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows to ``path`` (or a file-like object) with a header line.
+    """Write rows to the file at ``path`` with a header line.
 
     Booleans are lowered to true/false so the files parse the same way
     everywhere; everything else is written via str().
     """
     import csv
 
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return v
-
-    own = not hasattr(path, "write")
-    fh = open(path, "w", newline="") if own else path
-    try:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-    finally:
-        if own:
-            fh.close()
+        writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row] for row in rows)

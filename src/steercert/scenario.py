@@ -15,7 +15,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -142,7 +142,7 @@ class Assemblage:
             total = sum(blocks[(x, a)].trace().real for a in range(self.outcomes))
             if abs(total - 1.0) > TRACE_TOL:
                 raise InputError(f"setting x={x} has total probability {total}, expected 1")
-        report = check_no_signalling(self, tol=MARGINAL_TOL)
+        report = check_no_signalling(self)
         if not report.passed:
             raise InputError(
                 f"marginals depend on the setting (max deviation {report.max_deviation:.3e})"
@@ -181,13 +181,14 @@ class PredictabilityRecord:
     probability: float
 
 
-def check_no_signalling(asm: Assemblage, tol: float = MARGINAL_TOL) -> NoSignallingReport:
-    """Compare the outcome-summed marginal across all setting pairs."""
+def check_no_signalling(asm: Assemblage) -> NoSignallingReport:
+    """Compare the outcome-summed marginal across all setting pairs; it
+    passes within MARGINAL_TOL."""
     marginals = [asm.marginal(x) for x in range(asm.settings)]
     dev = 0.0
     for x in range(1, asm.settings):
         dev = max(dev, float(np.max(np.abs(marginals[x] - marginals[0]))))
-    return NoSignallingReport(passed=dev <= tol, max_deviation=dev)
+    return NoSignallingReport(passed=dev <= MARGINAL_TOL, max_deviation=dev)
 
 
 def _require_state(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
@@ -377,56 +378,64 @@ def matrix_from_json(rows) -> np.ndarray:
         arr = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in rows], dtype=complex
         )
-    except (TypeError, IndexError) as exc:
-        raise InputError("matrix entries must be [re, im] pairs") from exc
+    except (TypeError, IndexError, ValueError) as exc:
+        raise InputError("matrix entries must be [re, im] pairs in rows of equal length") from exc
     return _as_matrix(arr)
 
 
-def load_scenario(source) -> dict:
-    """Read a scenario description into state and measurement objects.
+def positive_int(value, what: str) -> int:
+    """``value`` if it is an integer of at least 1, else InputError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
 
-    ``source`` is a path, a file object, or an already-parsed dict with
-    fields {dimA, dimB, state, alice_povms, bob_povms?}.  Returns a dict
-    with keys rho, alice, bob (bob may be an empty list), dims.
+
+def load_scenario(doc: dict) -> dict:
+    """Build state and measurement objects from a parsed scenario file.
+
+    ``doc`` holds the fields {dimA, dimB, state, alice_povms, bob_povms?};
+    ``state`` is {"kind": "werner", "p": p}, {"kind": "singlet"} or
+    {"kind": "explicit", "matrix": rows}, and each POVM is a list of
+    effect matrices.  Returns a dict with keys rho, alice, bob (bob may
+    be an empty list), dims.  Malformed fields raise InputError.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
-
-    try:
-        dim_a = int(doc["dimA"])
-        dim_b = int(doc["dimB"])
-        state = doc["state"]
-        alice_raw = doc["alice_povms"]
-    except KeyError as exc:
-        raise InputError(f"scenario is missing required field {exc.args[0]!r}") from None
+    for key in ("dimA", "dimB", "state", "alice_povms"):
+        if key not in doc:
+            raise InputError(f"scenario is missing required field {key!r}")
+    dim_a, dim_b = (positive_int(doc[key], f"scenario field {key!r}") for key in ("dimA", "dimB"))
+    state = doc["state"]
+    if not isinstance(state, dict):
+        raise InputError(f"scenario field 'state' must be an object with a 'kind', got {state!r}")
 
     kind = state.get("kind")
     if kind == "werner":
         if (dim_a, dim_b) != (2, 2):
             raise InputError("werner scenarios are two-qubit")
-        rho = werner_state(float(state["p"]))
+        try:
+            p = float(state["p"])
+        except (KeyError, TypeError, ValueError):
+            raise InputError(f"werner state needs a numeric weight 'p', got {state.get('p')!r}") from None
+        rho = werner_state(p)
     elif kind == "singlet":
         if (dim_a, dim_b) != (2, 2):
             raise InputError("singlet scenarios are two-qubit")
         rho = singlet()
     elif kind == "explicit":
+        if "matrix" not in state:
+            raise InputError("explicit state needs a 'matrix'")
         rho = matrix_from_json(state["matrix"])
     else:
         raise InputError(f"unknown state kind {kind!r}")
 
-    def build(raw, who):
-        povms = []
-        for i, effect_rows in enumerate(raw):
-            effects = tuple(matrix_from_json(e) for e in effect_rows)
-            dim = dim_a if who == "alice" else dim_b
-            povms.append(Povm(label=f"{who}[{i}]", effects=effects, dim=dim))
-        return povms
+    def build(who, dim):
+        raw = doc.get(f"{who}_povms", [])
+        if not isinstance(raw, list) or not all(isinstance(e, list) for e in raw):
+            raise InputError(f"scenario field '{who}_povms' must be a list of POVMs, each a list of effects")
+        return [
+            Povm(label=f"{who}[{i}]", effects=tuple(matrix_from_json(e) for e in effects), dim=dim)
+            for i, effects in enumerate(raw)
+        ]
 
-    alice = build(alice_raw, "alice")
-    bob = build(doc.get("bob_povms", []), "bob")
+    alice = build("alice", dim_a)
+    bob = build("bob", dim_b)
     return {"rho": rho, "alice": alice, "bob": bob, "dims": (dim_a, dim_b)}

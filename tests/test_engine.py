@@ -61,7 +61,7 @@ def test_enumerate_strategies_lexicographic_and_cap():
     strategies = enumerate_strategies(2, 2)
     assert [s.responses for s in strategies] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     with pytest.raises(InputError):
-        enumerate_strategies(10, 4, cap=4096)
+        enumerate_strategies(10, 4)
     mixed = enumerate_strategies(2, [1, 3])
     assert [s.responses for s in mixed] == [(0, 0), (0, 1), (0, 2)]
     with pytest.raises(InputError):

@@ -200,6 +200,33 @@ def test_main_input_error_exit_codes(tmp_path, capsys):
     assert "--mode" not in capsys.readouterr().out
 
 
+_BOX = box_to_json(prbox_assemblage())
+_NON_HERMITIAN = np.array([[0, 0], [1, 0]])
+MALFORMED_DOCS = {
+    "box count not a number": dict(_BOX, x_settings="a"),
+    "box count zero": dict(_BOX, x_settings=0),
+    "box count negative": dict(_BOX, x_settings=-1),
+    "dimension not a number": dict(quantum_doc(), dimA="a"),
+    "state not an object": dict(quantum_doc(), state="werner"),
+    "werner weight not a number": dict(quantum_doc(), state={"kind": "werner", "p": "x"}),
+    "explicit state without matrix": dict(quantum_doc(), state={"kind": "explicit"}),
+    "povm list not a list": dict(quantum_doc(), alice_povms=5),
+    "non-Hermitian effect": dict(
+        quantum_doc(),
+        alice_povms=[[matrix_to_json(_NON_HERMITIAN), matrix_to_json(np.eye(2) - _NON_HERMITIAN)]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+def test_main_check_malformed_scenario_is_an_input_error(tmp_path, capsys, case):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_DOCS[case]))
+    assert cli.main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_main_rejects_non_positive_or_non_finite_tol(capsys):
     for tol in ("-1", "0", "nan", "inf"):
         assert cli.main(["singlet-cjwr", "--tol", tol]) == 1
