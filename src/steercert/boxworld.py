@@ -21,15 +21,18 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def _as_exact(value) -> Fraction:
+def _as_exact(value, what: str = "a box-world probability") -> Fraction:
+    """``value`` as a Fraction: a Fraction, an int or a "num/den" string.
+    Floats and booleans are not exact rationals and raise InputError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
     raise InputError(
-        f"box-world probabilities must be exact rationals, got {type(value).__name__}"
+        f'{what} must be an exact rational ("num/den" string or integer), '
+        f"got {type(value).__name__} {value!r}"
     )
 
 
@@ -293,7 +296,8 @@ def load_box(doc: dict) -> GptAssemblage:
     ``doc`` holds the counts x_settings, a_outcomes, y_settings and
     b_outcomes, and ``entries[x][a]`` = {"weight": p(a|x), "table":
     p(b|y) as rows over y}, every probability a "num/den" string or an
-    integer.  Malformed fields raise InputError.
+    integer.  Malformed fields raise InputError; so do floats and
+    booleans, which are not exact rationals.
     """
     keys = ("x_settings", "a_outcomes", "y_settings", "b_outcomes", "entries")
     for key in keys:
@@ -306,9 +310,10 @@ def load_box(doc: dict) -> GptAssemblage:
         for a in range(na):
             try:
                 cell = raw[x][a]
-                weight = parse_rational(cell["weight"])
+                where = f"box entry (x={x}, a={a}) field"
+                weight = _as_exact(cell["weight"], f"{where} 'weight'")
                 table = {
-                    (y, b): parse_rational(cell["table"][y][b])
+                    (y, b): _as_exact(cell["table"][y][b], f"{where} 'table[{y}][{b}]'")
                     for y in range(ny)
                     for b in range(nb)
                 }

@@ -9,6 +9,7 @@ error, 2 = internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -285,7 +286,11 @@ def _parse_range(text: str, what: str) -> tuple:
     return lo, hi, step
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The steercert parser, built once per process: parsing leaves it
+    unchanged, and each subcommand's ``run`` looks its ``cmd_*`` up when
+    called."""
     parser = argparse.ArgumentParser(
         prog="steercert",
         description="Certify steering: LP feasibility of local models, correlation witnesses, and the Reid criterion.",
@@ -358,9 +363,8 @@ def _print_summary(report: RunReport) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; those are input errors here
         return 0 if not exc.code else 1

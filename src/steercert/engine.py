@@ -145,23 +145,22 @@ class BoxLhsModel:
     hidden_states: tuple
     strategies: tuple
 
-    def reconstruct(self, x: int, a: int, y: int, b: int) -> Fraction:
-        total = Fraction(0)
-        for w, state, strat in zip(self.weights, self.hidden_states, self.strategies):
-            if w and strat.responses[x] == a:
-                total += w * state.prob(y, b)
-        return total
-
     def max_deviation(self, asm: GptAssemblage) -> Fraction:
+        """The largest |rebuilt - input| over every (x, a, y, b), with the
+        input rebuilt in one pass over the pairs of nonzero weight."""
+        rebuilt = {}
+        for w, state, strat in zip(self.weights, self.hidden_states, self.strategies):
+            if w:
+                for x, a in enumerate(strat.responses):
+                    for (y, b), p in state.table.items():
+                        if p:
+                            rebuilt[x, a, y, b] = rebuilt.get((x, a, y, b), 0) + w * p
         dev = Fraction(0)
-        for x in range(asm.x_settings):
-            for a in range(asm.a_outcomes):
-                weight, state = asm.entries[(x, a)]
-                for y in range(state.y_settings):
-                    for b in range(state.b_outcomes):
-                        d = abs(self.reconstruct(x, a, y, b) - weight * state.prob(y, b))
-                        if d > dev:
-                            dev = d
+        for (x, a), (weight, state) in asm.entries.items():
+            for (y, b), p in state.table.items():
+                d = abs(rebuilt.get((x, a, y, b), 0) - weight * p)
+                if d > dev:
+                    dev = d
         return dev
 
     def total_weight(self) -> Fraction:
@@ -423,7 +422,6 @@ def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
     bob = enumerate_strategies(ny, nb)
 
     pairs = [(la, lb) for la in alice for lb in bob]
-    one, zero = Fraction(1), Fraction(0)
     rows = []
     rhs = []
     for x in range(asm.x_settings):
@@ -432,10 +430,7 @@ def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
             for y in range(ny):
                 for b in range(nb):
                     rows.append(
-                        [
-                            one if la.responses[x] == a and lb.responses[y] == b else zero
-                            for la, lb in pairs
-                        ]
+                        [int(la.responses[x] == a and lb.responses[y] == b) for la, lb in pairs]
                     )
                     rhs.append(weight * state.prob(y, b))
     problem = FeasibilityProblem(a=rows, b=rhs, num_vars=len(pairs))

@@ -17,6 +17,11 @@ data outside float64 range start the loop from the all-artificial basis
 instead.  Bland's rule cannot cycle, so exact mode terminates and never
 answers undecided.  Every witness is re-checked by exact substitution,
 and a failed check is an internal bug, not an input property.
+
+Integer entries pass through as ints, so 0/1 constraint data are never
+boxed as Fractions; certificate products c.A are computed in integers,
+with c scaled by the common denominator of its entries.  Models and
+certificates are always Fractions.
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ from .problem import FEASIBLE, INFEASIBLE, FeasibilityProblem, FeasibilityVerdic
 _MAX_PIVOTS = 2_000_000
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_fraction(value):
+    """``value`` as an exact rational: a Fraction or an int passes through
+    unchanged, a "num/den" string or a finite float becomes a Fraction."""
+    if type(value) is int or type(value) is Fraction:
         return value
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -107,11 +114,19 @@ def _model(a, b, n, basis, values):
 
 
 def _column_products(cert, a, n) -> list:
-    """The exact cert.A_j for each of the n columns of the rows ``a``;
-    every entry must be a Fraction or an int."""
-    ca = [Fraction(0)] * n
+    """D * cert.A_j for each of the n columns of the rows ``a``, where
+    D > 0 is the common denominator of cert: exactly the signs of cert.A.
+
+    Every entry must be a Fraction or an int.  cert is scaled to the
+    integers D * c_i, so the sums stay in integers wherever ``a`` does.
+    """
+    if not n:
+        return []
+    scale = math.lcm(*(c.denominator for c in cert))
+    ca = [0] * n
     for c, row in zip(cert, a):
         if c:
+            c = c.numerator * (scale // c.denominator)
             for j, v in enumerate(row):
                 if v:
                     ca[j] += c * v

@@ -5,7 +5,7 @@ A :class:`FeasibilityProblem` is the standard-form question
     does there exist w >= 0 with  A w = b ?
 
 Entries may be floats (or numpy arrays) for the tolerance-based solver,
-or :class:`fractions.Fraction` values for the exact solver.  Verdicts
+or ints and :class:`fractions.Fraction` values for the exact solver.  Verdicts
 carry either a model (a witnessing w) or a separating certificate c with
 ``c . A >= 0`` componentwise and ``c . b < 0``, and are re-verified by
 substitution before being returned by the solvers.

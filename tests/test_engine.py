@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from helpers import (
     assert_parents_rebuild,
     assert_pv_certificate,
     assert_separates_on_ball,
+    deterministic_box,
     jm_rows,
     jm_touch,
     lhs_rows,
@@ -287,6 +289,39 @@ def test_lifted_prbox_mixture_threshold_on_4242(lam, feasible):
     verdict = lhs_feasibility_boxworld(asm)
     assert verdict.is_feasible is feasible
     assert_box_verdict_exact(asm, verdict)
+
+
+def _local_3322():
+    first = deterministic_box((0, 1, 2), (0, 1), a_outcomes=3)
+    second = deterministic_box((2, 2, 0), (1, 1), a_outcomes=3)
+    mixed = mix_assemblages(Fraction(1, 3), first, second)
+    return mix_assemblages(Fraction(2, 5), mixed, uniform_assemblage(3, 3, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "asm",
+    [
+        mix_assemblages(Fraction(1, 2), prbox_assemblage(), uniform_assemblage()),
+        mix_assemblages(Fraction(1, 2), lifted_prbox(3, 3), uniform_assemblage(3, 2, 3, 2)),
+        _local_3322(),
+    ],
+    ids=["2222", "3232", "3322"],
+)
+def test_box_model_deviation_catches_moved_weight(asm):
+    verdict = lhs_feasibility_boxworld(asm)
+    assert verdict.is_feasible
+    model = verdict.lhs_model
+    dev = model.max_deviation(asm)
+    assert dev == 0 and isinstance(dev, Fraction)
+    # distinct columns differ by 1 in some row, so moving d from one
+    # support pair to another leaves a deviation of exactly d
+    i, j = [k for k, w in enumerate(model.weights) if w][:2]
+    d = model.weights[i] / 2
+    weights = list(model.weights)
+    weights[i] -= d
+    weights[j] += d
+    moved = dataclasses.replace(model, weights=tuple(weights))
+    assert moved.max_deviation(asm) == d > 0
 
 
 def test_exact_box_threshold_bisection():

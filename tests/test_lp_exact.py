@@ -101,6 +101,38 @@ def test_guided_and_bland_agree_on_random_rational_lps(problem):
 
 
 @st.composite
+def zero_one_lps(draw):
+    """A 0/1 system with integer b, as ints; b is often inside the cone."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 7))
+    a = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(m)]
+    if n and draw(st.booleans()):
+        w = [draw(st.integers(0, 3)) for _ in range(n)]
+        b = [sum(row[j] * w[j] for j in range(n)) for row in a]
+    else:
+        b = [draw(st.integers(-2, 3)) for _ in range(m)]
+    return a, b, n
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(zero_one_lps())
+def test_int_and_fraction_entries_give_the_same_verdict(system):
+    a, b, n = system
+    problem = FeasibilityProblem(a=a, b=b, num_vars=n)
+    as_ints = solve_feasibility_exact(problem)
+    assert_exact_witness(problem, as_ints)
+    as_fractions = solve_feasibility_exact(
+        FeasibilityProblem(a=[[Fraction(v) for v in row] for row in a], b=[Fraction(v) for v in b], num_vars=n)
+    )
+    assert as_ints.status == as_fractions.status
+    assert as_ints.model == as_fractions.model
+    assert as_ints.certificate == as_fractions.certificate
+    for verdict in (as_ints, as_fractions):
+        witness = verdict.model if verdict.is_feasible else verdict.certificate
+        assert all(type(v) is Fraction for v in witness)
+
+
+@st.composite
 def box_mixtures(draw):
     """w_pr * PR box + w_det * one deterministic box + rest uniform noise."""
     weight = st.fractions(min_value=0, max_value=1, max_denominator=12)

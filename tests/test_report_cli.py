@@ -177,6 +177,42 @@ def test_main_check_box(tmp_path, capsys):
     assert "chsh = 4.0" in out and "lhs: infeasible" in out
 
 
+def test_main_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(box_to_json(prbox_assemblage())))
+    assert cli.main(["check", str(path), "--out", "a.json"]) == 0
+    written = (tmp_path / "a.json").read_text()
+    assert cli.main(["reid"]) == 1  # usage error: --r is required
+    assert cli.main(["prbox"]) == 0
+    assert "lhs: infeasible" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "box.json"]
+    assert (tmp_path / "a.json").read_text() == written
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("weight", 0.5), ("table", 1.0), ("weight", True)],
+    ids=["float-weight", "float-table-entry", "true-weight"],
+)
+def test_main_check_box_rejects_inexact_probabilities(tmp_path, capsys, field, value):
+    doc = box_to_json(prbox_assemblage())
+    cell = doc["entries"][1][0]
+    if field == "weight":
+        cell["weight"] = value
+        named = "'weight'"
+    else:
+        cell["table"][1][0] = value
+        named = "'table[1][0]'"
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: box entry (x=1, a=0) field " + named)
+    assert "Traceback" not in err
+
+
 def test_main_input_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
