@@ -13,20 +13,21 @@ certificate likes least.  Box-world assemblages get the exact treatment:
 Bob's state polytope has deterministic tables as vertices, so a rational
 LP decides membership outright.
 
-The same machinery answers two sharper questions: whether hidden states
-can be predetermined (deterministic on a named family of Bob tests, a
-strictly stronger demand than a local model) and whether a collection of
-Alice measurements is jointly measurable (a parent measurement with
-deterministic post-processing reproduces them).  Predetermined values
-restrict the hidden states to a finite set, which the column generation
-takes in whole, so its certificates are checked exactly on that set.
+The same machinery answers two more questions.  Predetermined values
+(hidden states deterministic on a named family of Bob tests, a strictly
+stronger demand than a local model) restrict the hidden states to a
+finite set, which the column generation takes in whole, so certificates
+are checked exactly on that set.  Qubit measurements {M_a|x} are jointly
+measurable exactly when the assemblage M_a|x / 2 has a local model, so
+joint measurability is that local-model question and has no encoding
+of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +46,7 @@ from .lp import (
     solve_feasibility_float,
 )
 from .lp.exact import separates
-from .scenario import Assemblage
+from .scenario import Assemblage, Povm
 
 ENUMERATION_CAP = 4096
 MODEL_TOL = 1e-8
@@ -220,25 +221,20 @@ def _seed_directions(mesh, directions) -> np.ndarray:
     return pool
 
 
-def _touch_matrix(strategies, counts, anchor: bool = False) -> np.ndarray:
-    """touch[l, r] = 1 when strategy l fills block r.
-
-    Block offsets[x] + a stands for context (x, a); with ``anchor`` one
-    more block, filled by every strategy, closes the list.
-    """
+def _touch_matrix(strategies, counts) -> np.ndarray:
+    """touch[l, r] = 1 when strategy l fills block r, where block
+    offsets[x] + a stands for context (x, a)."""
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
-    touch = np.zeros((len(strategies), int(np.sum(counts)) + anchor))
+    touch = np.zeros((len(strategies), int(np.sum(counts))))
     for li, strat in enumerate(strategies):
         touch[li, offsets + np.asarray(strat.responses, dtype=int)] = 1.0
-    if anchor:
-        touch[:, -1] = 1.0
     return touch
 
 
-def _columns(touch: np.ndarray, coeff: float, lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Constraint matrix whose column j is coeff * (1, dirs[j]) in the four
-    rows (trace, then Pauli components) of every block strategy lam[j] fills."""
-    t = coeff * touch[lam].T
+def _columns(touch: np.ndarray, lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Constraint matrix whose column j is (1, dirs[j]) in the four rows
+    (trace, then Pauli components) of every block strategy lam[j] fills."""
+    t = touch[lam].T
     a = np.empty((touch.shape[1], 4, len(lam)))
     a[:, 0] = t
     a[:, 1:] = t[:, None, :] * dirs.T[None]
@@ -254,27 +250,26 @@ def _per_strategy(touch: np.ndarray, lam: np.ndarray, dirs: np.ndarray, w) -> tu
     return mass, vec
 
 
-def _ball_check(touch: np.ndarray, coeff: float, c, b) -> bool:
+def _ball_check(touch: np.ndarray, c, b) -> bool:
     """Exact test, on the float64 values as stored, that c separates b
     from every column of the whole ball: c.b < 0, and each strategy's
     alpha_l + beta_l.n has alpha_l >= 0 and alpha_l^2 >= |beta_l|^2."""
     cf = [Fraction(float(v)) for v in c]
     if sum(ci * Fraction(float(bi)) for ci, bi in zip(cf, b) if ci) >= 0:
         return False
-    k = Fraction(coeff)
     for row in touch:
-        parts = [sum(cf[4 * r + i] for r in np.flatnonzero(row)) for i in range(4)]
-        alpha = k * parts[0]
-        if alpha < 0 or alpha * alpha < k * k * sum(p * p for p in parts[1:]):
+        alpha, *beta = (sum(cf[4 * r + i] for r in np.flatnonzero(row)) for i in range(4))
+        if alpha < 0 or alpha * alpha < sum(p * p for p in beta):
             return False
     return True
 
 
-def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild, finite=None) -> SteeringVerdict:
-    """Decide whether rhs lies in the cone of the columns coeff * (1, n)
-    over every strategy l (in the blocks ``touch[l]`` marks) and every
-    admissible Bloch vector n: the whole Bloch ball when ``finite`` is
-    None, otherwise the unit vectors listed in the (k, 3) array ``finite``.
+def _column_generation(question, touch, rhs, mesh, tol, rebuild, finite=None) -> SteeringVerdict:
+    """Decide whether rhs, the block rows of a qubit assemblage, lies in
+    the cone of the columns (1, n) over every strategy l (in the blocks
+    ``touch[l]`` marks) and every admissible Bloch vector n: the whole
+    Bloch ball when ``finite`` is None, otherwise the unit vectors listed
+    in the array ``finite``.  LHS, PV and joint measurability all ask it.
 
     A master LP holds finitely many columns (l, n), starting from every
     strategy on every seed direction.  On the ball the seed is a
@@ -287,14 +282,14 @@ def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild, finite=N
     alpha_l + beta_l.n is smallest at n = -beta_l/|beta_l|, where it is
     alpha_l - |beta_l|; on a finite set as c.A over the master's columns.
     mu is the minimum (+inf with no columns).  Raising every trace row of
-    c by -mu/k, where k is the trace weight of one column, makes c
-    nonnegative on the admissible set and lowers c.b by |mu|; if c.b
-    stays negative the certificate is checked exactly, by ``_ball_check``
-    on the ball and by ``separates`` on the master as stored for a finite
-    set, and returned.  If not, the strategies with a negative ball
-    minimum enter with their best direction and the master is solved
-    again from scratch; when no column can enter, which is always the
-    case for a finite set, the verdict is Undecided.
+    c by -mu/k, where k is the number of settings, makes c nonnegative on
+    the admissible set and lowers c.b by |mu|; if c.b stays negative the
+    certificate is checked exactly, by ``_ball_check`` on the ball and by
+    ``separates`` on the master as stored for a finite set, and returned.
+    If not, the strategies with a negative ball minimum enter with their
+    best direction and the master is solved again from scratch; when no
+    column can enter, which is always the case for a finite set, the
+    verdict is Undecided.
     """
     ball = finite is None
     meta = {"question": question, "tol": tol}
@@ -304,7 +299,7 @@ def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild, finite=N
     else:
         seed = finite
     num_strategies = touch.shape[0]
-    k = coeff * touch.sum(axis=1)[0]  # every strategy fills the same number of blocks
+    k = touch.sum(axis=1)[0]  # blocks per strategy: one per setting
     lam = np.repeat(np.arange(num_strategies), len(seed))
     dirs = np.tile(seed, (num_strategies, 1))
 
@@ -312,7 +307,7 @@ def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild, finite=N
         return SteeringVerdict(UNDECIDED, meta={**meta, "reason": reason, **extra})
 
     for rounds in range(1, MAX_ROUNDS + 1):
-        a = _columns(touch, coeff, lam, dirs)
+        a = _columns(touch, lam, dirs)
         master = solve_feasibility_float(FeasibilityProblem(a=a, b=rhs, num_vars=len(lam)), tol=tol)
         meta.update(rounds=rounds, columns=len(lam), master=master.meta)
         if master.status == UNDECIDED:
@@ -328,8 +323,8 @@ def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild, finite=N
         c = np.asarray(master.certificate, dtype=float)
         if ball:
             per_block = c.reshape(-1, 4)
-            alpha = coeff * (touch @ per_block[:, 0])
-            beta = coeff * (touch @ per_block[:, 1:])
+            alpha = touch @ per_block[:, 0]
+            beta = touch @ per_block[:, 1:]
             beta_norm = np.linalg.norm(beta, axis=1)
             slack = alpha - beta_norm
             mu = float(slack.min())
@@ -339,7 +334,7 @@ def _column_generation(question, touch, coeff, rhs, mesh, tol, rebuild, finite=N
         cert[0::4] += (max(-mu, 0.0) + _SHIFT_PAD) / k
         meta["margin"] = -float(cert @ rhs)
         if meta["margin"] > 0.0:
-            if ball and not _ball_check(touch, coeff, cert, rhs):
+            if ball and not _ball_check(touch, cert, rhs):
                 return undecided("certificate failed ball check")
             if not ball and not _master_check(cert, a, rhs):
                 return undecided("certificate failed exact check")
@@ -391,7 +386,7 @@ def _local_models(question, asm: Assemblage, mesh, tol, finite=None) -> Steering
         dev = max(model.max_deviation(asm), abs(model.total_weight() - 1.0))
         return {"lhs_model": model}, dev
 
-    return _column_generation(question, touch, 1.0, _assemblage_rhs(asm), mesh, tol, rebuild, finite)
+    return _column_generation(question, touch, _assemblage_rhs(asm), mesh, tol, rebuild, finite)
 
 
 def lhs_feasibility_qubit(
@@ -492,8 +487,8 @@ def deterministic_bloch_set(tests):
     tol = CERTAINTY_TOL
     effects = []
     for povm in tests:
-        if povm.dim != 2:
-            raise InputError("deterministic state sets are defined for qubit tests")
+        if not isinstance(povm, Povm) or povm.dim != 2:
+            raise InputError(f"Bob's tests must be qubit POVMs (dim 2 scenario.Povm), got {type(povm).__name__}")
         effects += [_effect_components(effect) for effect in povm.effects]
     axes = [beta / np.linalg.norm(beta) for _, beta in effects if np.linalg.norm(beta) > tol]
     if not axes and all(min(abs(alpha), abs(alpha - 1.0)) <= tol for alpha, _ in effects):
@@ -601,47 +596,45 @@ def joint_measurability(
 ) -> SteeringVerdict:
     """Does one parent measurement reproduce all given ones?
 
-    Parent effects are sought as G_lam = sum_n w_(lam,n) * 2 * state(n)
-    over the whole Bloch ball, so nonnegative weights make each G_lam
-    positive; the constraints marginalize the parent through the
-    strategies onto each target effect and pin sum_lam G_lam to the
-    identity (four rows after the effects' rows).  The same column
-    generation as ``lhs_feasibility_qubit`` decides it: Feasible ships
-    the parent effects, Infeasible an exactly ball-checked certificate.
-    The effects' own Bloch axes join the seed, so projective parents
-    (needed for commuting pairs) are in the first master.
+    Qubit POVMs {M_a|x} are jointly measurable exactly when the assemblage
+    sigma_a|x = M_a|x / 2 has a local hidden state model (Uola, Budroni,
+    Guehne & Pellonpaa, PRL 115, 230402 (2015); Quintino, Vertesi &
+    Brunner, PRL 113, 160402 (2014)), so ``_column_generation`` decides
+    it on the rows of M/2.  Feasible ships the parents G_lam = 2 sigma_lam.
+    Infeasible ships the exactly ball-checked certificate c' as c'/2 on
+    the effect rows, then 0.0 on four identity rows; both halvings are
+    exact, so c.b = c'.b' and c is nonnegative on every parent column
+    2(1, n).  The effects' Bloch axes join the seed, so projective
+    parents (needed for commuting pairs) are in the first master.
     """
     povms = list(povms)
     if not povms:
         raise InputError("need at least one measurement")
     for p in povms:
-        if p.dim != 2:
-            raise InputError("joint measurability engine handles qubit effects")
+        if not isinstance(p, Povm) or p.dim != 2:
+            raise InputError(f"joint measurability needs qubit POVMs (dim 2 scenario.Povm), got {type(p).__name__}")
     counts = [p.num_outcomes for p in povms]
-    strategies = enumerate_strategies(len(povms), counts)
-    touch = _touch_matrix(strategies, counts, anchor=True)
-    rhs = np.concatenate([_block_rows(e for povm in povms for e in povm.effects), [2.0, 0.0, 0.0, 0.0]])
+    touch = _touch_matrix(enumerate_strategies(len(povms), counts), counts)
+    rhs = _block_rows(e / 2 for povm in povms for e in povm.effects)
 
     def rebuild(mass, vec):
         parents = tuple(
             p * linalg.I2 + v[0] * linalg.SIGMA_X + v[1] * linalg.SIGMA_Y + v[2] * linalg.SIGMA_Z
             for p, v in zip(mass, vec)
         )
-        return {"parent_effects": parents}, _parent_deviation(parents, strategies, povms)
+        return {"parent_effects": parents}, _parent_deviation(parents, touch, povms)
 
-    return _column_generation("joint-measurability", touch, 2.0, rhs, mesh, tol, rebuild)
+    verdict = _column_generation("joint-measurability", touch, rhs, mesh, tol, rebuild)
+    if verdict.is_infeasible:
+        verdict = replace(verdict, certificate=np.concatenate([verdict.certificate / 2, np.zeros(4)]))
+    return verdict
 
 
-def _parent_deviation(parents, strategies, povms) -> float:
-    dev = float(np.max(np.abs(sum(parents) - np.eye(2))))
-    for x, povm in enumerate(povms):
-        for a, effect in enumerate(povm.effects):
-            got = np.zeros((2, 2), dtype=complex)
-            for g, strat in zip(parents, strategies):
-                if strat.responses[x] == a:
-                    got += g
-            dev = max(dev, float(np.max(np.abs(got - effect))))
-    return dev
+def _parent_deviation(parents, touch, povms) -> float:
+    """Largest entry of |sum G - I| and of |marginal - effect| over all effects."""
+    got = np.tensordot(touch, np.asarray(parents), axes=(0, 0))
+    want = np.asarray([e for povm in povms for e in povm.effects])
+    return float(max(np.abs(sum(parents) - np.eye(2)).max(), np.abs(got - want).max()))
 
 
 # ---------------------------------------------------------------------------

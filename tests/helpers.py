@@ -307,7 +307,9 @@ def sandwich_verdict(b, touch, coeff: float, mesh: int = 162) -> str:
     r = np.sqrt(1.0 - z * z)
     verts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    inflate = (1.0 + 1e-9) / float(-ConvexHull(verts).equations[:, 3].min())
+    # the nearest facet plane bounds the inscribed ball, so scaling by its
+    # inverse distance makes the outer hull contain the whole Bloch ball
+    inflate = (1.0 + 1e-9) / float((-ConvexHull(verts).equations[:, 3]).min())
     for scale, decided, status in ((1.0, "feasible", 0), (inflate, "infeasible", 2)):
         a = np.zeros((len(b), len(touch) * mesh))
         for li, blocks in enumerate(touch):

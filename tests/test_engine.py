@@ -47,7 +47,9 @@ from helpers import (
     lhs_rows,
     lhs_touch,
     lifted_prbox,
+    random_qubit_assemblage,
     random_unit_vector,
+    sandwich_verdict,
 )
 
 RNG = np.random.default_rng(55101)
@@ -174,6 +176,27 @@ def test_certificate_that_fails_the_exact_ball_check_is_undecided(monkeypatch):
     verdict = lhs_feasibility_qubit(werner_assemblage(0.85))
     assert verdict.is_undecided
     assert verdict.meta["reason"] == "certificate failed ball check"
+
+
+def test_jm_certificate_that_fails_the_exact_ball_check_is_undecided(monkeypatch):
+    # joint measurability goes through the same exact ball check as LHS
+    noisy = [noisy_pauli_povm(ax, 0.85) for ax in ("x", "z")]
+    verdict = joint_measurability(noisy)
+    assert verdict.is_infeasible and "float64" in verdict.meta["certified"]
+    monkeypatch.setattr(engine, "_ball_check", lambda *args: False)
+    verdict = joint_measurability(noisy)
+    assert verdict.is_undecided
+    assert verdict.meta["reason"] == "certificate failed ball check"
+
+
+def test_sandwich_does_not_refute_a_feasible_assemblage_near_the_boundary():
+    # a feasible assemblage the sandwich calls infeasible when its outer
+    # hull is scaled by the farthest facet, which leaves part of the ball out
+    asm = random_qubit_assemblage(np.random.default_rng(1017400), 3)
+    verdict = lhs_feasibility_qubit(asm, mesh=42)
+    assert verdict.is_feasible and verdict.lhs_model.max_deviation(asm) <= 1e-8
+    assert min(np.linalg.eigvalsh(s).min() for s in verdict.lhs_model.hidden_states) >= 0.0
+    assert sandwich_verdict(lhs_rows(asm), lhs_touch(3, 2), 1.0) != "infeasible"
 
 
 def test_round_limit_is_a_named_undecided(monkeypatch):
@@ -437,6 +460,20 @@ def test_lp_tolerance_does_not_widen_the_deterministic_states():
         assert_pv_certificate(verdict, asm, noisy)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[np.eye(2)], [None], [pauli_povm("z"), "x"]],
+    ids=["matrix", "none", "string"],
+)
+@pytest.mark.parametrize("question", ["jm", "pv"])
+def test_measurements_must_be_povms(question, entries):
+    with pytest.raises(InputError, match="scenario.Povm"):
+        if question == "jm":
+            joint_measurability(entries)
+        else:
+            pv_feasibility(werner_assemblage(0.4), bob_tests=entries)
+
+
 def test_pv_requires_test_family_for_quantum_input():
     with pytest.raises(InputError):
         pv_feasibility(werner_assemblage(0.4))
@@ -510,6 +547,56 @@ def test_noisy_x_and_z_compatibility_threshold():
     noisy = lambda eta: [noisy_pauli_povm("x", eta), noisy_pauli_povm("z", eta)]
     assert joint_measurability(noisy(0.5), mesh=162).is_feasible
     assert joint_measurability(noisy(0.9), mesh=162).is_infeasible
+
+
+def trine_povm(eta):
+    """Three effects (I + eta n_k.sigma)/3 along trine axes in the x-z plane."""
+    axes = [(math.sin(t), math.cos(t)) for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    effects = tuple((linalg.I2 + eta * (sx * linalg.SIGMA_X + sz * linalg.SIGMA_Z)) / 3 for sx, sz in axes)
+    return Povm(label="trine", effects=effects, dim=2)
+
+
+def assert_jm_margin_matches(jm, povms):
+    # the reported margin is -c.b in the JM row layout
+    assert jm.meta["margin"] == pytest.approx(-(jm.certificate @ jm_rows(povms)), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("offset", [-1e-2, -1e-4, 1e-4, 1e-2])
+@pytest.mark.parametrize("settings", [2, 3])
+def test_jm_is_lhs_of_half_the_effects(settings, offset):
+    axes = ("x", "z") if settings == 2 else ("x", "y", "z")
+    povms = [noisy_pauli_povm(ax, 1.0 / math.sqrt(settings) + offset) for ax in axes]
+    asm = Assemblage(
+        settings=settings,
+        outcomes=2,
+        dim_b=2,
+        sigma={(x, a): povm.effects[a] / 2 for x, povm in enumerate(povms) for a in range(2)},
+    )
+    jm = joint_measurability(povms)
+    lhs = lhs_feasibility_qubit(asm)
+    assert jm.status == lhs.status and not jm.is_undecided
+    assert jm.is_feasible is (offset < 0)
+    assert jm.meta["rounds"] == lhs.meta["rounds"]
+    if jm.is_feasible:
+        assert_parents_rebuild(jm.parent_effects, povms)
+        return
+    assert np.array_equal(2 * jm.certificate[:-4], lhs.certificate)
+    assert jm.certificate[-4:].tolist() == [0.0] * 4
+    assert_separates_on_ball(jm.certificate, jm_rows(povms), jm_touch(povms))
+    assert_jm_margin_matches(jm, povms)
+
+
+@pytest.mark.parametrize("eta, feasible", [(0.65, True), (0.76, False)])
+def test_trine_and_pauli_with_different_outcome_counts(eta, feasible):
+    # the compatibility threshold of this pair is about 1/sqrt(2)
+    povms = [trine_povm(eta), noisy_pauli_povm("y", eta)]
+    jm = joint_measurability(povms)
+    assert jm.is_feasible is feasible and not jm.is_undecided
+    if feasible:
+        assert_parents_rebuild(jm.parent_effects, povms)
+    else:
+        assert_separates_on_ball(jm.certificate, jm_rows(povms), jm_touch(povms))
+        assert_jm_margin_matches(jm, povms)
 
 
 # ---------------------------------------------------------------------------
