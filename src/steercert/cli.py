@@ -19,7 +19,6 @@ import numpy as np
 
 from . import boxworld, engine, gaussian, scenario, witnesses
 from .errors import InputError, InternalCheckError, SteercertError
-from .lp import DEFAULT_TOL
 from .lp.problem import jsonify
 from .report import RunReport, write_csv
 
@@ -66,16 +65,16 @@ def _correlators(asm, bob):
     return witnesses.correlators_from_assemblage(asm, [p.effects[0] - p.effects[1] for p in bob])
 
 
-def _quantum_checks(asm, bob, mesh, tol) -> tuple:
+def _quantum_checks(asm, bob, mesh) -> tuple:
     """(verdicts, witness_values, details) of a qubit assemblage: the LHS
     verdict and, given Bob's tests, the PV verdict over all of them, the
     certain contexts, and the CJWR witness when the tests are one +-1
     observable per setting."""
-    verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol))]
+    verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_qubit(asm, mesh=mesh))]
     witness_values, details = {}, {}
     if not bob:
         return verdicts, witness_values, details
-    pv = engine.pv_feasibility(asm, bob, mesh=mesh, tol=tol)
+    pv = engine.pv_feasibility(asm, bob, mesh=mesh)
     verdicts.append(_verdict_entry("pv[all tests]", pv))
     details["certain_contexts"] = _certain_contexts(asm, bob)
     if len(bob) == asm.settings and all(p.num_outcomes == 2 for p in bob):
@@ -97,21 +96,19 @@ def cmd_singlet_cjwr(
     settings: int = 2,
     werner_p: float | None = None,
     mesh: int = engine.DEFAULT_MESH,
-    tol: float = DEFAULT_TOL,
 ) -> RunReport:
     """Matched-Pauli correlation witness plus local-model and pinned-value
     feasibility for the singlet (or a Werner state via ``werner_p``)."""
     t0 = time.perf_counter()
     asm, bob = _matched_setup(settings, werner_p)
-    verdicts, witness_values, details = _quantum_checks(asm, bob, mesh, tol)
+    verdicts, witness_values, details = _quantum_checks(asm, bob, mesh)
     for y, povm in enumerate(bob):
-        pv = engine.pv_feasibility(asm, [povm], mesh=mesh, tol=tol)
+        pv = engine.pv_feasibility(asm, [povm], mesh=mesh)
         verdicts.append(_verdict_entry(f"pv[test {y}]", pv))
     inputs = {
         "settings": settings,
         "state": "singlet" if werner_p is None else f"werner(p={werner_p})",
         "mesh": mesh,
-        "tol": tol,
     }
     return _report("singlet-cjwr", inputs, verdicts, witness_values, details, t0)
 
@@ -121,7 +118,6 @@ def cmd_werner_scan(
     grid: tuple = (0.5, 0.9, 0.05),
     mesh: int = engine.DEFAULT_MESH,
     bracket_tol: float = 0.01,
-    tol: float = DEFAULT_TOL,
     witness_only: bool = False,
 ) -> RunReport:
     """Scan Werner weight p: per-point witness value and LHS verdict, plus
@@ -132,7 +128,7 @@ def cmd_werner_scan(
     if not (0.0 <= lo < hi <= 1.0 and step > 0):
         raise InputError(f"grid must satisfy 0 <= lo < hi <= 1 with step > 0, got {grid}")
     build = lambda p: _matched_setup(settings, float(p))[0]
-    checker = lambda asm: engine.lhs_feasibility_qubit(asm, mesh=mesh, tol=tol)
+    checker = lambda asm: engine.lhs_feasibility_qubit(asm, mesh=mesh)
 
     rows = []
     for p in np.arange(lo, hi + step / 2, step):
@@ -160,7 +156,6 @@ def cmd_werner_scan(
         "grid": list(grid),
         "mesh": mesh,
         "bracket_tol": bracket_tol,
-        "tol": tol,
         "witness_only": witness_only,
     }
     return _report("werner-scan", inputs, [], witness_values, details, t0)
@@ -217,11 +212,7 @@ def cmd_reid(
     return _report("reid", inputs, [], witness_values, details, t0)
 
 
-def cmd_check(
-    path,
-    mesh: int = engine.DEFAULT_MESH,
-    tol: float = DEFAULT_TOL,
-) -> RunReport:
+def cmd_check(path, mesh: int = engine.DEFAULT_MESH) -> RunReport:
     """Validate a scenario file and run the applicable checks: exactness of
     no-signalling, predictability scan, feasibility, and witnesses."""
     t0 = time.perf_counter()
@@ -236,7 +227,7 @@ def cmd_check(
     if isinstance(doc, dict) and "x_settings" in doc:
         return _check_box(path, doc, t0)
     if isinstance(doc, dict) and "dimA" in doc:
-        return _check_quantum(path, doc, mesh, tol, t0)
+        return _check_quantum(path, doc, mesh, t0)
     raise InputError(
         f"{path}: unrecognized scenario schema; expected quantum fields "
         "(dimA, dimB, state, alice_povms) or box fields (x_settings, a_outcomes, ...)"
@@ -260,13 +251,13 @@ def _check_box(path, doc, t0) -> RunReport:
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
 
-def _check_quantum(path, doc, mesh, tol, t0) -> RunReport:
+def _check_quantum(path, doc, mesh, t0) -> RunReport:
     sc = scenario.load_scenario(doc)
     asm = scenario.assemblage_from_povms(sc["rho"], sc["alice"], dim_b=sc["dims"][1])
     ns = scenario.check_no_signalling(asm)
-    verdicts, witness_values, details = _quantum_checks(asm, sc["bob"], mesh, tol)
+    verdicts, witness_values, details = _quantum_checks(asm, sc["bob"], mesh)
     details.update(schema="quantum", no_signalling={"passed": ns.passed, "max_deviation": ns.max_deviation})
-    inputs = {"file": str(path), "mesh": mesh, "tol": tol}
+    inputs = {"file": str(path), "mesh": mesh}
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
 
@@ -299,14 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="report.json", help="write the RunReport as JSON")
     lp = argparse.ArgumentParser(add_help=False)
     lp.add_argument("--mesh", type=int, default=engine.DEFAULT_MESH, help="seed mesh size of the qubit engine (default %(default)s)")
-    lp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="LP feasibility tolerance (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("singlet-cjwr", parents=[common, lp], help="matched-Pauli witness + feasibility for the singlet")
     p.add_argument("--settings", type=int, choices=[2, 3], default=2)
     p.add_argument("--werner-p", type=float, default=None, help="replace the singlet by a Werner state of this weight")
-    p.set_defaults(run=lambda a: cmd_singlet_cjwr(a.settings, a.werner_p, a.mesh, a.tol))
+    p.set_defaults(run=lambda a: cmd_singlet_cjwr(a.settings, a.werner_p, a.mesh))
 
     p = sub.add_parser("werner-scan", parents=[common, lp], help="scan Werner weight: witness values, verdicts, threshold bracket")
     p.add_argument("--settings", type=int, choices=[2, 3], default=2)
@@ -316,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="table.csv", help="write the (p, F, verdict) table")
     p.set_defaults(run=lambda a: cmd_werner_scan(
         settings=a.settings, grid=_parse_range(a.grid, "--grid"), mesh=a.mesh,
-        bracket_tol=a.bracket_tol, tol=a.tol, witness_only=a.witness_only,
+        bracket_tol=a.bracket_tol, witness_only=a.witness_only,
     ))
 
     p = sub.add_parser("prbox", parents=[common], help="exact PR-box analysis: no-signalling, CHSH, local-model verdicts")
@@ -331,16 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common, lp], help="validate a scenario file and run the applicable checks")
     p.add_argument("file", help="scenario JSON (quantum or box-world schema)")
-    p.set_defaults(run=lambda a: cmd_check(a.file, mesh=a.mesh, tol=a.tol))
+    p.set_defaults(run=lambda a: cmd_check(a.file, mesh=a.mesh))
 
     return parser
-
-
-def _dispatch(args) -> RunReport:
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"--tol must be a positive finite number, got {tol}")
-    return args.run(args)
 
 
 def _print_summary(report: RunReport) -> None:
@@ -369,7 +352,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; those are input errors here
         return 0 if not exc.code else 1
     try:
-        report = _dispatch(args)
+        report = args.run(args)
         csv_path = getattr(args, "csv", None)
         if csv_path:
             if "csv_rows" not in report.details:

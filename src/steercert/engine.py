@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ from . import linalg
 from .boxworld import GptAssemblage, GptState
 from .errors import InputError, InternalCheckError, NonMonotoneFamilyError
 from .lp import (
-    DEFAULT_TOL,
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
@@ -264,7 +264,7 @@ def _ball_check(touch: np.ndarray, c, b) -> bool:
     return True
 
 
-def _column_generation(question, touch, rhs, mesh, tol, rebuild, finite=None) -> SteeringVerdict:
+def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> SteeringVerdict:
     """Decide whether rhs, the block rows of a qubit assemblage, lies in
     the cone of the columns (1, n) over every strategy l (in the blocks
     ``touch[l]`` marks) and every admissible Bloch vector n: the whole
@@ -292,7 +292,7 @@ def _column_generation(question, touch, rhs, mesh, tol, rebuild, finite=None) ->
     verdict is Undecided.
     """
     ball = finite is None
-    meta = {"question": question, "tol": tol}
+    meta = {"question": question}
     if ball:
         seed = _seed_directions(mesh, rhs.reshape(-1, 4)[:, 1:])
         meta["mesh_size"] = int(mesh)
@@ -308,7 +308,7 @@ def _column_generation(question, touch, rhs, mesh, tol, rebuild, finite=None) ->
 
     for rounds in range(1, MAX_ROUNDS + 1):
         a = _columns(touch, lam, dirs)
-        master = solve_feasibility_float(FeasibilityProblem(a=a, b=rhs, num_vars=len(lam)), tol=tol)
+        master = solve_feasibility_float(FeasibilityProblem(a=a, b=rhs, num_vars=len(lam)))
         meta.update(rounds=rounds, columns=len(lam), master=master.meta)
         if master.status == UNDECIDED:
             reason = master.meta.get("reason", "z inside the undecided band")
@@ -369,7 +369,7 @@ def _assemblage_rhs(asm: Assemblage) -> np.ndarray:
     return _block_rows(asm.block(x, a) for x in range(asm.settings) for a in range(asm.outcomes))
 
 
-def _local_models(question, asm: Assemblage, mesh, tol, finite=None) -> SteeringVerdict:
+def _local_models(question, asm: Assemblage, mesh, finite=None) -> SteeringVerdict:
     """Local-model membership of a qubit assemblage by ``_column_generation``,
     with hidden states on the whole Bloch ball or on the ``finite`` set."""
     if asm.dim_b != 2:
@@ -386,12 +386,10 @@ def _local_models(question, asm: Assemblage, mesh, tol, finite=None) -> Steering
         dev = max(model.max_deviation(asm), abs(model.total_weight() - 1.0))
         return {"lhs_model": model}, dev
 
-    return _column_generation(question, touch, _assemblage_rhs(asm), mesh, tol, rebuild, finite)
+    return _column_generation(question, touch, _assemblage_rhs(asm), mesh, rebuild, finite)
 
 
-def lhs_feasibility_qubit(
-    asm: Assemblage, mesh: int = DEFAULT_MESH, tol: float = DEFAULT_TOL
-) -> SteeringVerdict:
+def lhs_feasibility_qubit(asm: Assemblage, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
     """Decide local-model membership over the exact qubit state space.
 
     Column (l, n) is strategy l paired with the pure state of Bloch
@@ -403,7 +401,7 @@ def lhs_feasibility_qubit(
     mesh; it changes the work done, and a decided verdict does not
     depend on it.  Undecided names its reason in ``meta["reason"]``.
     """
-    return _local_models("lhs", asm, mesh, tol)
+    return _local_models("lhs", asm, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +463,17 @@ def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
 CERTAINTY_TOL = 1e-9
 
 
+def _qubit_povms(povms, what: str) -> list:
+    """``povms`` as a list, each entry checked to be a qubit POVM."""
+    if not isinstance(povms, Iterable):
+        raise InputError(f"{what} must be a list of qubit POVMs (dim 2 scenario.Povm), got {type(povms).__name__}")
+    povms = list(povms)
+    for p in povms:
+        if not isinstance(p, Povm) or p.dim != 2:
+            raise InputError(f"{what} must be qubit POVMs (dim 2 scenario.Povm), got {type(p).__name__}")
+    return povms
+
+
 def _effect_components(effect: np.ndarray) -> tuple:
     """(alpha, beta) with effect = alpha * I + beta . sigma."""
     t, rx, ry, rz = linalg.bloch_components(effect)
@@ -485,11 +494,9 @@ def deterministic_bloch_set(tests):
     value test alone would admit an angle of about sqrt(CERTAINTY_TOL).
     """
     tol = CERTAINTY_TOL
-    effects = []
-    for povm in tests:
-        if not isinstance(povm, Povm) or povm.dim != 2:
-            raise InputError(f"Bob's tests must be qubit POVMs (dim 2 scenario.Povm), got {type(povm).__name__}")
-        effects += [_effect_components(effect) for effect in povm.effects]
+    effects = [
+        _effect_components(effect) for povm in _qubit_povms(tests, "Bob's tests") for effect in povm.effects
+    ]
     axes = [beta / np.linalg.norm(beta) for _, beta in effects if np.linalg.norm(beta) > tol]
     if not axes and all(min(abs(alpha), abs(alpha - 1.0)) <= tol for alpha, _ in effects):
         return None
@@ -506,9 +513,7 @@ def deterministic_bloch_set(tests):
     return np.asarray(points).reshape(-1, 3)
 
 
-def pv_feasibility(
-    asm, bob_tests=None, mesh=DEFAULT_MESH, tol: float = DEFAULT_TOL
-) -> SteeringVerdict:
+def pv_feasibility(asm, bob_tests=None, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
     """Local-model membership with hidden states pinned to the test family.
 
     Hidden states must answer every test deterministically, so the qubit
@@ -528,11 +533,9 @@ def pv_feasibility(
         return verdict.with_meta(question="pv", note="deterministic tables span the state polytope")
     if not isinstance(asm, Assemblage):
         raise InputError("expected an Assemblage or a GptAssemblage")
-    if bob_tests is None:
-        raise InputError("the predetermined-value question needs Bob's test family")
 
     det = deterministic_bloch_set(bob_tests)
-    verdict = _local_models("pv", asm, mesh, tol, finite=det)
+    verdict = _local_models("pv", asm, mesh, finite=det)
     if det is None:
         return verdict.with_meta(note="no test constrains the hidden states")
     return verdict.with_meta(deterministic_vertices=int(len(det)))
@@ -591,9 +594,7 @@ def check_value_assignment(effect_groups, assignment, coarse_grainings=None) -> 
 # ---------------------------------------------------------------------------
 # joint measurability
 
-def joint_measurability(
-    povms, mesh: int = DEFAULT_MESH, tol: float = DEFAULT_TOL
-) -> SteeringVerdict:
+def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
     """Does one parent measurement reproduce all given ones?
 
     Qubit POVMs {M_a|x} are jointly measurable exactly when the assemblage
@@ -607,12 +608,9 @@ def joint_measurability(
     2(1, n).  The effects' Bloch axes join the seed, so projective
     parents (needed for commuting pairs) are in the first master.
     """
-    povms = list(povms)
+    povms = _qubit_povms(povms, "the measurements")
     if not povms:
         raise InputError("need at least one measurement")
-    for p in povms:
-        if not isinstance(p, Povm) or p.dim != 2:
-            raise InputError(f"joint measurability needs qubit POVMs (dim 2 scenario.Povm), got {type(p).__name__}")
     counts = [p.num_outcomes for p in povms]
     touch = _touch_matrix(enumerate_strategies(len(povms), counts), counts)
     rhs = _block_rows(e / 2 for povm in povms for e in povm.effects)
@@ -624,7 +622,7 @@ def joint_measurability(
         )
         return {"parent_effects": parents}, _parent_deviation(parents, touch, povms)
 
-    verdict = _column_generation("joint-measurability", touch, rhs, mesh, tol, rebuild)
+    verdict = _column_generation("joint-measurability", touch, rhs, mesh, rebuild)
     if verdict.is_infeasible:
         verdict = replace(verdict, certificate=np.concatenate([verdict.certificate / 2, np.zeros(4)]))
     return verdict
@@ -640,8 +638,9 @@ def _parent_deviation(parents, touch, povms) -> float:
 # ---------------------------------------------------------------------------
 # threshold location
 
-def threshold_scan(family, checker, lo, hi, tol) -> tuple:
-    """Bracket a feasibility boundary with two shared-cache bisections.
+def threshold_scan(family, checker, lo, hi, width) -> tuple:
+    """Bracket a feasibility boundary with two shared-cache bisections,
+    each halted once its interval is at most ``width`` wide.
 
     The family must be feasible toward ``lo`` and infeasible toward
     ``hi``; a feasible verdict strictly above an infeasible one aborts
@@ -652,8 +651,8 @@ def threshold_scan(family, checker, lo, hi, tol) -> tuple:
     """
     if not lo < hi:
         raise InputError(f"need lo < hi, got [{lo}, {hi}]")
-    if not tol > 0:
-        raise InputError(f"bracket width must be positive, got {tol}")  # bisection would never halt
+    if not width > 0:
+        raise InputError(f"bracket width must be positive, got {width}")  # bisection would never halt
     cache = {}
     feasible_at = []
     infeasible_at = []
@@ -678,7 +677,7 @@ def threshold_scan(family, checker, lo, hi, tol) -> tuple:
 
     if status_lo == FEASIBLE and status_hi != FEASIBLE:
         a, b = lo, hi
-        while b - a > tol:
+        while b - a > width:
             mid = (a + b) / 2
             if probe(mid) == FEASIBLE:
                 a = mid
@@ -686,7 +685,7 @@ def threshold_scan(family, checker, lo, hi, tol) -> tuple:
                 b = mid
     if status_hi == INFEASIBLE and status_lo != INFEASIBLE:
         a, b = lo, hi
-        while b - a > tol:
+        while b - a > width:
             mid = (a + b) / 2
             if probe(mid) == INFEASIBLE:
                 b = mid

@@ -2,11 +2,12 @@
 
 Two solvers share one numpy phase-one kernel, a revised simplex that
 factorizes every basis from the original data.  ``solve_feasibility_float``
-judges the kernel's final basis within tolerance bands and may answer
-undecided near the boundary.  ``solve_feasibility_exact`` runs one
-revised simplex loop under Bland's rule in rational arithmetic, started
-from the final basis of the same float phase one; that basis is usually
-already optimal, so the loop only confirms it, and it always decides.
+judges the kernel's final basis within the fixed bands of one tolerance,
+``TOL``, and may answer undecided near the boundary.
+``solve_feasibility_exact`` runs one revised simplex loop under Bland's
+rule in rational arithmetic, started from the final basis of the same
+float phase one; that basis is usually already optimal, so the loop
+only confirms it, and it always decides.
 Every verdict carries a witness that was re-verified by substitution
 before being returned.
 """
@@ -21,7 +22,7 @@ from .problem import (
     FeasibilityVerdict,
     parse_rational,
 )
-from .floating import BACKEND, DEFAULT_TOL, solve_feasibility_float
+from .floating import BACKEND, TOL, solve_feasibility_float
 from .exact import solve_feasibility_exact
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
     "FeasibilityVerdict",
     "parse_rational",
     "BACKEND",
-    "DEFAULT_TOL",
+    "TOL",
     "solve_feasibility_float",
     "solve_feasibility_exact",
 ]

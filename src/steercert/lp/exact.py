@@ -156,7 +156,7 @@ def _float_basis(a_pos, b_pos, n):
     except OverflowError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        _, basis, _, pivots = floating.phase_one(a_f, b_f, floating.DEFAULT_TOL)
+        _, basis, _, pivots = floating.phase_one(a_f, b_f)
     return [int(j) for j in basis], pivots
 
 

@@ -1,11 +1,16 @@
 """Tolerance-based feasibility solver.
 
 Runs the revised phase-one kernel in ``_pivot`` on ``A w = b, w >= 0``
-and converts the phase-one optimum z* into a verdict:
+and converts the phase-one optimum z* into a verdict, with one fixed
+tolerance TOL:
 
-    z* <= tol              feasible, model re-verified by substitution
-    z* >= 100 * tol        infeasible, separating certificate re-verified
+    z* <= TOL              feasible, model re-verified by substitution
+    z* >= 100 * TOL        infeasible, separating certificate re-verified
     otherwise              undecided
+
+TOL is a constant, not a setting: the engine checks every witness
+again on its own terms, so a looser band would only turn decided
+verdicts into undecided ones.
 
 The kernel factorizes each basis from the original constraint data, so
 the numbers that feed a verdict (basic solution, objective, dual prices)
@@ -16,8 +21,6 @@ rather than trusting solver state.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -34,7 +37,8 @@ from ._pivot import ITERATION_LIMIT, STALLED
 
 BACKEND = "numpy"
 
-DEFAULT_TOL = 1e-9
+# feasibility band of z*, and the reduced cost a column must beat to enter
+TOL = 1e-9
 UNDECIDED_FACTOR = 100.0
 # pivots smaller than this amplify roundoff faster than they make progress
 PIVOT_EPS = 1e-8
@@ -56,7 +60,7 @@ def certificate_quality(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[fl
     return viol, float(-(c @ b))
 
 
-def phase_one(a: np.ndarray, b: np.ndarray, tol: float):
+def phase_one(a: np.ndarray, b: np.ndarray):
     """Float phase one on ``A w = b, w >= 0`` from the all-artificial basis.
 
     Rows with b_i < 0 are negated so that start is feasible, and the
@@ -75,7 +79,7 @@ def phase_one(a: np.ndarray, b: np.ndarray, tol: float):
     cost[n:] = 1.0
     basis = np.arange(n, n + m, dtype=np.intp)
     status, pivots, clean = _pivot.run_phase1(
-        full, b * sign, cost, basis, tol, max(tol, PIVOT_EPS), 1000 + 50 * m + 2 * n
+        full, b * sign, cost, basis, TOL, PIVOT_EPS, 1000 + 50 * m + 2 * n
     )
     if clean is not None:
         xb, z, y, rc_min = clean
@@ -83,10 +87,7 @@ def phase_one(a: np.ndarray, b: np.ndarray, tol: float):
     return status, basis, clean, pivots
 
 
-def solve_feasibility_float(problem: FeasibilityProblem, tol: float = DEFAULT_TOL) -> FeasibilityVerdict:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"tolerance must be a positive finite number, got {tol}")
-
+def solve_feasibility_float(problem: FeasibilityProblem) -> FeasibilityVerdict:
     a = np.asarray(problem.a, dtype=np.float64)
     b = np.asarray(problem.b, dtype=np.float64)
     if a.ndim != 2:
@@ -95,8 +96,8 @@ def solve_feasibility_float(problem: FeasibilityProblem, tol: float = DEFAULT_TO
         raise InputError("constraint data contains non-finite entries")
     m, n = a.shape
 
-    status, basis, clean, pivots = phase_one(a, b, tol)
-    meta = {"mode": "float", "tol": tol, "pivots": pivots}
+    status, basis, clean, pivots = phase_one(a, b)
+    meta = {"mode": "float", "pivots": pivots}
     if clean is None:
         return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "singular basis"})
     xb, z, y, rc_min = clean
@@ -105,24 +106,24 @@ def solve_feasibility_float(problem: FeasibilityProblem, tol: float = DEFAULT_TO
     if status == ITERATION_LIMIT:
         return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "iteration limit"})
 
-    if z <= tol:
+    if z <= TOL:
         w = np.zeros(n)
         for i in range(m):
             if basis[i] < n:
                 w[basis[i]] = xb[i]
-        if w.min(initial=0.0) < -UNDECIDED_FACTOR * tol:
+        if w.min(initial=0.0) < -UNDECIDED_FACTOR * TOL:
             return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "negative basic value"})
         w = np.clip(w, 0.0, None)
         res = residual_inf(a, b, w)
         meta["residual"] = res
-        if res > UNDECIDED_FACTOR * tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+        if res > UNDECIDED_FACTOR * TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
             return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "model failed re-verification"})
         return FeasibilityVerdict(FEASIBLE, model=w, meta=meta)
 
     if status == STALLED:
         return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "no admissible pivot"})
 
-    if z >= UNDECIDED_FACTOR * tol and rc_min >= -10.0 * tol:
+    if z >= UNDECIDED_FACTOR * TOL and rc_min >= -10.0 * TOL:
         # positive objective with no improving column: y prices a Farkas split
         c = -y
         scale = float(np.abs(c).max(initial=0.0))
@@ -131,7 +132,7 @@ def solve_feasibility_float(problem: FeasibilityProblem, tol: float = DEFAULT_TO
         viol, margin = certificate_quality(a, b, c)
         meta["cert_violation"] = viol
         meta["cert_margin"] = margin
-        if margin > max(10.0 * viol, tol):
+        if margin > max(10.0 * viol, TOL):
             return FeasibilityVerdict(INFEASIBLE, certificate=c, meta=meta)
         return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "certificate failed re-verification"})
 

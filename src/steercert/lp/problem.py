@@ -51,7 +51,7 @@ class FeasibilityVerdict:
     status:      one of FEASIBLE / INFEASIBLE / UNDECIDED.
     model:       variable assignment satisfying the constraints (FEASIBLE).
     certificate: dual vector c with c.A >= 0 and c.b < 0 (INFEASIBLE).
-    meta:        solver/engine context (mode, tolerance, mesh size, ...);
+    meta:        solver/engine context (mode, pivots, mesh size, ...);
                  float LPs record their phase-one objective as ``z``, and
                  the engine the last master's as ``master["z"]``.
     """

@@ -451,19 +451,19 @@ def test_pv_random_frame_single_test_stays_feasible():
 
 
 def test_lp_tolerance_does_not_widen_the_deterministic_states():
-    # a noisy test answers no state deterministically, whatever the LP tolerance
+    # a noisy test answers no state deterministically: CERTAINTY_TOL, not
+    # the LP tolerance, decides which states are deterministic
     asm = assemblage_from_povms(singlet(), [pauli_povm("z")])
     noisy = [noisy_pauli_povm("z", 1 - 1e-4)]
-    for tol in (1e-9, 1e-6, 1e-3):
-        verdict = pv_feasibility(asm, noisy, tol=tol)
-        assert verdict.is_infeasible and verdict.meta["deterministic_vertices"] == 0
-        assert_pv_certificate(verdict, asm, noisy)
+    verdict = pv_feasibility(asm, noisy)
+    assert verdict.is_infeasible and verdict.meta["deterministic_vertices"] == 0
+    assert_pv_certificate(verdict, asm, noisy)
 
 
 @pytest.mark.parametrize(
     "entries",
-    [[np.eye(2)], [None], [pauli_povm("z"), "x"]],
-    ids=["matrix", "none", "string"],
+    [[np.eye(2)], [None], [pauli_povm("z"), "x"], pauli_povm("z"), None, 3],
+    ids=["matrix", "none", "string", "bare-povm", "bare-none", "int"],
 )
 @pytest.mark.parametrize("question", ["jm", "pv"])
 def test_measurements_must_be_povms(question, entries):

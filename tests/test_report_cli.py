@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,12 +265,25 @@ def test_main_check_malformed_scenario_is_an_input_error(tmp_path, capsys, case)
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_main_rejects_non_positive_or_non_finite_tol(capsys):
-    for tol in ("-1", "0", "nan", "inf"):
-        assert cli.main(["singlet-cjwr", "--tol", tol]) == 1
-        assert "--tol must be a positive finite number" in capsys.readouterr().err
-    with pytest.raises(InputError):
-        cli.cmd_singlet_cjwr(tol=0.0)
+def test_main_rejects_the_removed_tol_flag(tmp_path, capsys):
+    # the LP tolerance is a constant, so --tol is an unknown flag everywhere
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(quantum_doc()))
+    for argv in (["singlet-cjwr"], ["werner-scan"], ["check", str(path)]):
+        assert cli.main([*argv, "--tol", "1e-9"]) == 1
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every `steercert ...` line of the README's "Command line" block runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("steercert ")]
+    assert lines
+    (tmp_path / "scenario.json").write_text(json.dumps(quantum_doc()))
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_main_internal_error_exit_code(monkeypatch, capsys):
