@@ -1,9 +1,11 @@
 """Linear feasibility core: does A w = b admit w >= 0?
 
 Two solvers share one numpy phase-one kernel, a revised simplex that
-factorizes every basis from the original data.  ``solve_feasibility_float``
-judges the kernel's final basis within the fixed bands of one tolerance,
-``TOL``, and may answer undecided near the boundary.
+updates the basis inverse pivot by pivot and factorizes it from the
+original data every ``REFACTOR`` pivots and again before it returns.
+``solve_feasibility_float`` judges the kernel's final basis within the
+fixed bands of one tolerance, ``TOL``, and may answer undecided near
+the boundary.
 ``solve_feasibility_exact`` runs one revised simplex loop under Bland's
 rule in rational arithmetic, started from the final basis of the same
 float phase one; that basis is usually already optimal, so the loop

@@ -12,12 +12,14 @@ TOL is a constant, not a setting: the engine checks every witness
 again on its own terms, so a looser band would only turn decided
 verdicts into undecided ones.
 
-The kernel factorizes each basis from the original constraint data, so
-the numbers that feed a verdict (basic solution, objective, dual prices)
-are those of its final basis, with no tableau to drift and nothing to
-restart.  A verdict is only reported after its witness survives
-re-substitution; any failure there degrades the answer to undecided
-rather than trusting solver state.
+The kernel updates the basis inverse by each pivot's rank-one step,
+factorizes it afresh from the original constraint data every
+``_pivot.REFACTOR`` pivots, and always does so before it returns, so
+the numbers that feed a verdict (basic solution, objective, dual
+prices) come from a fresh factorization of its final basis, with
+nothing to restart.  A verdict is only reported after its witness
+survives re-substitution; any failure there degrades the answer to
+undecided rather than trusting solver state.
 """
 
 from __future__ import annotations

@@ -135,6 +135,10 @@ def test_every_seed_size_gives_the_same_verdict(p, feasible):
         # its 11th master is nearly degenerate: every basic weight must still
         # come out nonnegative
         pytest.param(3, -1e-6, 642, id="-1e-06-3-mesh642"),
+        # its 15th master offers a pivot of 2e-8 in a column of size 1e6
+        # that is roundoff of the updated basis inverse; taken, it makes
+        # the basis singular
+        pytest.param(3, -1e-6, 162, id="-1e-06-3-mesh162"),
     ],
 )
 def test_verdicts_a_hair_from_the_threshold_are_decided(settings, offset, mesh):

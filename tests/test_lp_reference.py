@@ -11,13 +11,14 @@ stops above HiGHS's optimum while its Farkas certificate stays valid.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from steercert import engine
-from steercert.lp import FEASIBLE, INFEASIBLE, FeasibilityProblem, _pivot, solve_feasibility_float
+from steercert.lp import FEASIBLE, INFEASIBLE, FeasibilityProblem, _pivot, floating, solve_feasibility_float
 from steercert.scenario import assemblage_from_povms, noisy_pauli_povm, pauli_povm, werner_state
 from helpers import (
     assert_certificate_valid,
@@ -119,10 +120,13 @@ def test_degenerate_lps_agree_with_highs():
 
 
 class _CountingNumpy:
-    """numpy as the kernel sees it, counting Bland pricing calls."""
+    """numpy as the kernel sees it, counting Bland pricing calls and
+    factorizations of the basis."""
 
     def __init__(self):
         self.bland = 0
+        self.inverses = 0
+        self.linalg = SimpleNamespace(inv=self._inv, LinAlgError=np.linalg.LinAlgError)
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -130,6 +134,90 @@ class _CountingNumpy:
     def flatnonzero(self, a):
         self.bland += 1
         return np.flatnonzero(a)
+
+    def _inv(self, bmat):
+        self.inverses += 1
+        return np.linalg.inv(bmat)
+
+
+def run_kernel(a, b, max_iter=None):
+    """The kernel on ``A w = b`` as ``floating.phase_one`` sets it up.
+
+    Returns (full, b, cost, basis, status, pivots, clean) in the kernel's
+    own terms: rows with b_i < 0 negated, y not yet signed back."""
+    m, n = a.shape
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    full = np.hstack([a * sign[:, None], np.eye(m)])
+    b = b * sign
+    cost = np.r_[np.zeros(n), np.ones(m)]
+    basis = np.arange(n, n + m, dtype=np.intp)
+    if max_iter is None:
+        max_iter = 1000 + 50 * m + 2 * n
+    status, pivots, clean = _pivot.run_phase1(
+        full, b, cost, basis, floating.TOL, floating.PIVOT_EPS, max_iter
+    )
+    return full, b, cost, basis, status, pivots, clean
+
+
+def assert_fresh(full, b, cost, basis, clean):
+    """clean is, bit for bit, what one factorization of the returned basis gives."""
+    binv = np.linalg.inv(full[:, basis])
+    cb = cost[basis]
+    xb = binv @ b
+    y = cb @ binv
+    n = full.shape[1] - len(b)
+    np.testing.assert_array_equal(clean[0], xb)
+    assert clean[1] == float(cb @ xb)
+    np.testing.assert_array_equal(clean[2], y)
+    assert clean[3] == (float((cost[:n] - y @ full[:, :n]).min()) if n else 0.0)
+
+
+def test_kernel_returns_numbers_of_a_fresh_factorization():
+    for _ in range(10):
+        for problem in (
+            feasible_instance(RNG, RNG.integers(2, 12), RNG.integers(2, 40))[0],
+            infeasible_instance(RNG, RNG.integers(2, 12), RNG.integers(2, 40)),
+        ):
+            full, b, cost, basis, status, _, clean = run_kernel(problem.a, problem.b)
+            assert status == _pivot.OPTIMAL
+            assert_fresh(full, b, cost, basis, clean)
+    # degenerate: the solution has 3 nonzeros among 200 columns, and phase
+    # one takes hundreds of pivots, so many update windows pass
+    a = RNG.normal(size=(60, 200))
+    w = np.zeros(200)
+    w[RNG.choice(200, 3, replace=False)] = 1.0 + RNG.random(3)
+    full, b, cost, basis, status, pivots, clean = run_kernel(a, a @ w)
+    assert status == _pivot.OPTIMAL and pivots > 4 * _pivot.REFACTOR
+    assert clean[1] <= floating.TOL
+    assert_fresh(full, b, cost, basis, clean)
+
+
+def test_kernel_factorizes_once_per_window(monkeypatch):
+    # the m = 3, mesh-642 singlet master: 24 x 5184, 74 pivots, infeasible
+    asm = assemblage_from_povms(werner_state(1.0), [pauli_povm(ax) for ax in AXES[3]])
+    (problem, verdict), = engine_lps(monkeypatch, lambda: engine.lhs_feasibility_qubit(asm, mesh=642))
+    assert verdict.status == INFEASIBLE
+    counting = _CountingNumpy()
+    monkeypatch.setattr(_pivot, "np", counting)
+    a = np.asarray(problem.a).reshape(len(problem.b), problem.num_vars)
+    full, b, cost, basis, status, pivots, clean = run_kernel(a, np.asarray(problem.b))
+    monkeypatch.undo()
+    assert status == _pivot.OPTIMAL and pivots > _pivot.REFACTOR
+    assert 2 <= counting.inverses <= pivots // _pivot.REFACTOR + 2
+    assert_fresh(full, b, cost, basis, clean)
+
+
+@pytest.mark.parametrize("max_iter", [0, 7, _pivot.REFACTOR, _pivot.REFACTOR + 13])
+def test_kernel_stops_after_exactly_max_iter_pivots(monkeypatch, max_iter):
+    a = RNG.normal(size=(40, 120))
+    b = a @ (np.arange(120) < 2)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(_pivot, "np", counting)
+    full, b, cost, basis, status, pivots, clean = run_kernel(a, b, max_iter)
+    monkeypatch.undo()
+    assert (status, pivots) == (_pivot.ITERATION_LIMIT, max_iter)
+    assert counting.inverses <= pivots // _pivot.REFACTOR + 2
+    assert_fresh(full, b, cost, basis, clean)
 
 
 def test_kernel_leaves_dantzig_cycle_through_bland_fallback(monkeypatch):
