@@ -63,12 +63,12 @@ def partial_trace_A(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ijil->jl", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
-def psd_check(m: np.ndarray, tol: float = PSD_TOL) -> bool:
+def psd_check(m: np.ndarray, tol: float = PSD_TOL, what: str = "matrix") -> bool:
     """True iff the Hermitian matrix m has min eigenvalue >= -tol.
 
-    Raises ``InputError`` for non-Hermitian input.
+    Raises ``InputError`` for non-Hermitian input, naming it ``what``.
     """
-    eigs = np.linalg.eigvalsh(require_hermitian(m))
+    eigs = np.linalg.eigvalsh(require_hermitian(m, what=what))
     return bool(eigs[0] >= -tol)
 
 

@@ -6,10 +6,10 @@ original data every ``REFACTOR`` pivots and again before it returns.
 ``solve_feasibility_float`` judges the kernel's final basis within the
 fixed bands of one tolerance, ``TOL``, and may answer undecided near
 the boundary.
-``solve_feasibility_exact`` runs one revised simplex loop under Bland's
-rule in rational arithmetic, started from the final basis of the same
-float phase one; that basis is usually already optimal, so the loop
-only confirms it, and it always decides.
+``solve_feasibility_exact`` rounds the final x_B and y of the same
+float phase one to exact rationals by Cramer's rule and verifies them;
+only when that fails does it run one revised simplex loop under Bland's
+rule in rational arithmetic, so it always decides.
 Every verdict carries a witness that was re-verified by substitution
 before being returned.
 """

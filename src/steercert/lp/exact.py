@@ -1,27 +1,35 @@
 """Exact rational feasibility solver.
 
-The same phase-one question as the float path, decided in
-``fractions.Fraction`` arithmetic by one revised simplex loop under
-Bland's rule.  Each iteration prices its basis B from the original data
-by integer Gauss-Jordan: with z = c_B.x_B == 0 the basic solution is a
-model; otherwise B^T y = c_B gives a candidate certificate, returned
-when it separates b from every column, and else the lowest-index
-improving column enters.
+The same phase-one question as the float path, decided exactly.  First
+``floating.phase_one`` runs on a float64 copy of the data, and the x_B
+and y of its final basis are rounded to exact rationals by Cramer's
+rule: once the basis matrix B is scaled row by row to integers,
+d = |det B| is a common denominator of B^-1, so the numerators left to
+round to are integers (see ``_round_witness``).  When every artificial
+rounds to zero the basic solution is checked as a model; otherwise y
+must solve B^T y = c_B exactly and is checked as a separating
+certificate.  On box-world LPs, whose matrices are 0/1, the check
+passes as a rule and no elimination runs.
 
-The loop starts from the final basis of ``floating.phase_one``, run on
-a float64 copy of the data, when B x_B = b has an exact solution with
-x_B >= 0.  That basis is usually optimal, so confirming it is the
-loop's iteration 0 and no exact pivot follows; when it is not, the loop
-pivots on from it.  A singular float basis, a negative basic value, or
-data outside float64 range start the loop from the all-artificial basis
-instead.  Bland's rule cannot cycle, so exact mode terminates and never
-answers undecided.  Every witness is re-checked by exact substitution,
-and a failed check is an internal bug, not an input property.
+When it fails (the float basis is singular or not optimal, the rounding
+is wrong, or the data leave float64 range), one revised simplex loop
+under Bland's rule decides in ``fractions.Fraction`` arithmetic.  Each
+iteration prices its basis B from the original data by integer
+Gauss-Jordan: with z = c_B.x_B == 0 the basic solution is a model;
+otherwise B^T y = c_B gives a candidate certificate, returned when it
+separates b from every column, and else the lowest-index improving
+column enters.  The loop starts from the float basis when B x_B = b has
+an exact solution with x_B >= 0, and from the all-artificial basis
+when that basis is singular, has a negative basic value, or there is no
+float run.  Bland's rule cannot cycle, so exact mode terminates and
+never answers undecided.  Every witness is checked by exact
+substitution; a rounded one that fails is a bad guess, while a failed
+check in the loop is an internal bug, not an input property.
 
 Integer entries pass through as ints, so 0/1 constraint data are never
-boxed as Fractions; certificate products c.A are computed in integers,
-with c scaled by the common denominator of its entries.  Models and
-certificates are always Fractions.
+boxed as Fractions; the products A w and c.A are computed in integers,
+with w and c scaled by the common denominator of their entries.  Models
+and certificates are always Fractions.
 """
 
 from __future__ import annotations
@@ -99,7 +107,11 @@ def _solve(mat, rhs):
 
 def _model(a, b, n, basis, values):
     """w with w[basis[i]] = values[i] (structural columns only) if it
-    satisfies w >= 0 and A w = b exactly, else None."""
+    satisfies w >= 0 and A w = b exactly, else None.
+
+    A w is summed as A (D w) for the common denominator D of w, so the
+    sums stay in integers wherever ``a`` does.
+    """
     w = [Fraction(0)] * n
     for col, v in zip(basis, values):
         if col < n:
@@ -107,8 +119,10 @@ def _model(a, b, n, basis, values):
     if any(v < 0 for v in w):
         return None
     support = [j for j in range(n) if w[j]]
+    scale = math.lcm(*(w[j].denominator for j in support))
+    scaled = {j: w[j].numerator * (scale // w[j].denominator) for j in support}
     for row, bi in zip(a, b):
-        if sum(row[j] * w[j] for j in support if row[j]) != bi:
+        if sum(row[j] * scaled[j] for j in support if row[j]) != bi * scale:
             return None
     return w
 
@@ -142,22 +156,74 @@ def separates(cert, a, b, n) -> bool:
 
 
 def _float_basis(a_pos, b_pos, n):
-    """(basis, pivots) from the float kernel, or None when the data leave
-    float64 range.
+    """(a_f, basis, clean, pivots) from the float kernel, or None when the
+    data leave float64 range.
 
-    Only the basis is used, and it is confirmed exactly, so overflow or
-    NaN inside the float search (entries near the float64 limit) merely
-    makes a worse guess and is not reported.
+    a_f is A_pos in float64, and ``clean`` the kernel's (x_B, z, y, rc_min)
+    for its final basis, y pricing the rows of A_pos, or None when a basis
+    turned out singular.  All of it is confirmed exactly before use, so
+    overflow or NaN inside the float search (entries near the float64
+    limit) merely makes a worse guess and is not reported.
     """
-    m = len(b_pos)
     try:
-        a_f = np.array([[float(v) for v in row] for row in a_pos], dtype=np.float64).reshape(m, n)
-        b_f = np.array([float(v) for v in b_pos], dtype=np.float64)
+        a_f = np.array(a_pos, dtype=np.float64).reshape(len(b_pos), n)
+        b_f = np.array(b_pos, dtype=np.float64)
     except OverflowError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        _, basis, _, pivots = floating.phase_one(a_f, b_f)
-    return [int(j) for j in basis], pivots
+        _, basis, clean, pivots = floating.phase_one(a_f, b_f)
+    return a_f, [int(j) for j in basis], clean, pivots
+
+
+def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean):
+    """The verdict that the float kernel's numbers for ``basis`` round to,
+    or None when they do not round to a witness that checks exactly.
+
+    Cramer's rule bounds every denominator.  Row i of the basis matrix
+    B = [A_pos | I][:, basis] times s_i, the common denominator of its
+    entries, gives an integer matrix B'; for d = |det B'|, d B'^-1 is an
+    integer matrix (plus or minus the adjugate of B').  So with L the
+    common denominator of b, d L x_B is an integer vector, and so is
+    d y_i / s_i, since y / s solves B'^T y' = c_B.  Both are rounded from
+    the kernel's x_B and y, and d from a float LU of B'.  If every
+    artificial rounds to 0, x_B proposes a model, checked by ``_model``;
+    otherwise y proposes a certificate, which must solve B^T y = c_B
+    exactly (so that z = y.b_pos is this basis's objective) and separate.
+    A wrong rounding is a bad guess, not a bug, and gives None.
+    """
+    xb_f, _, y_f, _ = clean
+    m = len(basis)
+    structural = [j for j in basis if j < n]
+    scale = [math.lcm(*[row[j].denominator for j in structural]) for row in a_pos]
+    lcm_b = math.lcm(*(bi.denominator for bi in b_pos))
+    try:
+        s_f = np.array(scale, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = abs(np.linalg.det(np.rint(s_f[:, None] * np.hstack((a_f, np.eye(m)))[:, basis])))
+            if not math.isfinite(det) or det < 0.5:
+                return None
+            d = round(det)
+            xb = np.rint(xb_f * float(d * lcm_b))
+            ys = np.rint(y_f * (d / s_f))
+    except OverflowError:
+        return None
+    if not (np.isfinite(xb).all() and np.isfinite(ys).all()):
+        return None
+    if not any(v for v, j in zip(xb, basis) if j >= n):
+        w = _model(a, b, n, basis, [Fraction(int(v), d * lcm_b) for v in xb])
+        return None if w is None else FeasibilityVerdict(FEASIBLE, model=w, meta={"z": Fraction(0)})
+    ys = [s * int(v) for s, v in zip(scale, ys)]  # d * y
+    for j in basis:
+        if j >= n:
+            if ys[j - n] != d:
+                return None
+        elif sum(yi * row[j] for yi, row in zip(ys, a_pos) if yi and row[j]):
+            return None
+    cert = [Fraction(-s * yi, d) for s, yi in zip(sign, ys)]
+    if not separates(cert, a, b, n):
+        return None
+    z = sum(yi * bi.numerator * (lcm_b // bi.denominator) for yi, bi in zip(ys, b_pos))
+    return FeasibilityVerdict(INFEASIBLE, certificate=cert, meta={"z": Fraction(z, d * lcm_b)})
 
 
 def _basis_matrix(a_pos, n, basis):
@@ -221,21 +287,25 @@ def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
     b_pos = [s * bi for s, bi in zip(sign, b)]
 
     guess = _float_basis(a_pos, b_pos, n)
-    fallback, float_pivots = "float overflow", 0
+    fallback, float_pivots, verdict = "float overflow", 0, None
     if guess is not None:
-        basis, float_pivots = guess
-        xb = _solve(_basis_matrix(a_pos, n, basis), b_pos)
-        if xb is None:
-            fallback = "singular basis"
-        elif any(v < 0 for v in xb):
-            fallback = "negative basic value"
-        else:
-            fallback = None
-    if fallback:
-        basis, xb = list(range(n, n + len(b))), b_pos
-    verdict, bland_pivots = _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb)
-    if bland_pivots and fallback is None:
-        fallback = "certificate check"
+        a_f, basis, clean, float_pivots = guess
+        fallback = None
+        if clean is not None:
+            verdict = _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean)
+        if verdict is None:
+            xb = _solve(_basis_matrix(a_pos, n, basis), b_pos)
+            if xb is None:
+                fallback = "singular basis"
+            elif any(v < 0 for v in xb):
+                fallback = "negative basic value"
+    rounded, bland_pivots = verdict is not None, 0
+    if not rounded:
+        if fallback:
+            basis, xb = list(range(n, n + len(b))), b_pos
+        verdict, bland_pivots = _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb)
+        if bland_pivots and fallback is None:
+            fallback = "certificate check"
     return verdict.with_meta(
         mode="exact",
         pivots=float_pivots + bland_pivots,
@@ -243,4 +313,5 @@ def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
         bland_pivots=bland_pivots,
         guided=fallback is None,
         fallback=fallback,
+        rounded=rounded,
     )

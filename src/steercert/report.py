@@ -34,7 +34,9 @@ class RunReport:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """One line with sorted keys: without ``indent``, ``json`` encodes
+        in C, several times faster than its indenting python encoder."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, doc: dict) -> RunReport:

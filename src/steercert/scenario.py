@@ -58,8 +58,7 @@ class Povm:
                 raise InputError(
                     f"POVM {self.label!r} effect {k} has shape {e.shape}, expected {(self.dim, self.dim)}"
                 )
-            linalg.require_hermitian(e, what=f"POVM {self.label!r} effect {k}")
-            if not linalg.psd_check(e):
+            if not linalg.psd_check(e, what=f"POVM {self.label!r} effect {k}"):
                 raise InputError(f"POVM {self.label!r} effect {k} is not positive semidefinite")
         total = sum(effects)
         if np.max(np.abs(total - np.eye(self.dim))) > COMPLETENESS_TOL:
@@ -135,8 +134,7 @@ class Assemblage:
         for (x, a), s in blocks.items():
             if s.shape != (self.dim_b, self.dim_b):
                 raise InputError(f"block (x={x}, a={a}) has shape {s.shape}")
-            linalg.require_hermitian(s, what=f"assemblage block (x={x}, a={a})")
-            if not linalg.psd_check(s):
+            if not linalg.psd_check(s, what=f"assemblage block (x={x}, a={a})"):
                 raise InputError(f"assemblage block (x={x}, a={a}) is not positive semidefinite")
         for x in range(self.settings):
             total = sum(blocks[(x, a)].trace().real for a in range(self.outcomes))
@@ -197,8 +195,7 @@ def _require_state(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
         raise InputError(
             f"state has shape {rho.shape}, expected {(dim_a * dim_b, dim_a * dim_b)}"
         )
-    linalg.require_hermitian(rho, what="shared state")
-    if not linalg.psd_check(rho):
+    if not linalg.psd_check(rho, what="shared state"):
         raise InputError("shared state is not positive semidefinite")
     if abs(rho.trace().real - 1.0) > TRACE_TOL:
         raise InputError(f"shared state has trace {rho.trace().real}, expected 1")

@@ -1,5 +1,6 @@
-"""Exact mode: one revised Bland loop, started from the float basis or
-from the all-artificial basis, and the agreement of the two starts."""
+"""Exact mode: the float witness rounded by Cramer's rule, the revised
+Bland loop it falls back to, started from the float basis or from the
+all-artificial basis, and the agreement of all three."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from steercert.lp import (
 )
 from steercert.lp._pivot import OPTIMAL
 from steercert.report import RunReport
-from helpers import assert_box_verdict_exact, box_lp, deterministic_box
+from helpers import assert_box_verdict_exact, box_lp, deterministic_box, lifted_prbox
 
 HUGE = Fraction(10**400)
 TINY = Fraction(1, 10**400)
@@ -41,6 +42,15 @@ def bland_from_scratch(solve, *args):
     with mock.patch.object(exact, "_float_basis", return_value=None):
         verdict = solve(*args)
     assert verdict.meta["guided"] is False and verdict.meta["float_pivots"] == 0
+    return verdict
+
+
+def eliminated(solve, *args):
+    """Run ``solve`` with the rounding withheld, so the float basis is
+    confirmed or improved by exact elimination."""
+    with mock.patch.object(exact, "_round_witness", return_value=None):
+        verdict = solve(*args)
+    assert verdict.meta["rounded"] is False
     return verdict
 
 
@@ -68,6 +78,9 @@ def assert_exact_meta(verdict):
     assert meta["guided"] is (meta["fallback"] is None)
     if meta["guided"]:
         assert meta["bland_pivots"] == 0
+    assert isinstance(meta["rounded"], bool)
+    if meta["rounded"]:
+        assert meta["guided"] and meta["float_pivots"] == meta["pivots"]
 
 
 ENTRY = st.one_of(
@@ -92,10 +105,12 @@ def rational_lps(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rational_lps())
 def test_guided_and_bland_agree_on_random_rational_lps(problem):
+    # ENTRY includes non-integer a_ij, so rows are scaled before rounding
     guided = solve_feasibility_exact(problem)
+    confirmed = eliminated(solve_feasibility_exact, problem)
     bland = bland_from_scratch(solve_feasibility_exact, problem)
-    assert guided.status == bland.status
-    for verdict in (guided, bland):
+    assert guided.status == confirmed.status == bland.status
+    for verdict in (guided, confirmed, bland):
         assert_exact_witness(problem, verdict)
         assert_exact_meta(verdict)
 
@@ -168,12 +183,76 @@ def test_float_verdicts_on_box_lps_agree_with_exact(asm):
         assert float_verdict.status == exact_verdict.status
 
 
-def test_engine_box_verdicts_are_guided():
-    for asm in (prbox_assemblage(), uniform_assemblage()):
+def _local_3322_box():
+    """A uniform mixture of four deterministic boxes, 3 settings and 3
+    outcomes for Alice, 2 and 2 for Bob."""
+    strategies = [((0, 1, 2), (0, 1)), ((2, 2, 0), (1, 1)), ((1, 0, 0), (0, 0)), ((2, 1, 1), (1, 0))]
+    mixed = deterministic_box(*strategies[0], a_outcomes=3)
+    for k, (alice, bob) in enumerate(strategies[1:], 2):
+        mixed = mix_assemblages(Fraction(1, k), deterministic_box(alice, bob, a_outcomes=3), mixed)
+    return mixed
+
+
+def test_engine_box_verdicts_are_guided(monkeypatch):
+    # the float witness rounds to an exact one, so no elimination runs
+    monkeypatch.setattr(exact, "_solve", mock.Mock(side_effect=AssertionError("_solve was called")))
+    cases = [
+        (prbox_assemblage(), INFEASIBLE),
+        (uniform_assemblage(), FEASIBLE),
+        (uniform_assemblage(3, 3, 2, 2), FEASIBLE),
+        (_local_3322_box(), FEASIBLE),
+        (mix_assemblages(Fraction(5, 9), lifted_prbox(3, 3), uniform_assemblage(3, 2, 3, 2)), INFEASIBLE),
+    ]
+    for asm, status in cases:
         verdict = lhs_feasibility_boxworld(asm)
+        assert verdict.status == status and verdict.meta["rounded"] is True
         assert verdict.meta["guided"] is True and verdict.meta["fallback"] is None
         assert verdict.meta["float_pivots"] > 0 and verdict.meta["bland_pivots"] == 0
         assert_box_verdict_exact(asm, verdict)
+        assert_exact_meta(verdict)
+
+
+@pytest.mark.parametrize("b, status", [([1, 1], FEASIBLE), ([1, -1], INFEASIBLE)])
+def test_non_integer_rows_are_scaled_before_rounding(b, status):
+    # unscaled, these basis matrices have determinants 14/15 and 1/2, not
+    # integers, so no rounding of d x_B or d y would be exact
+    problem = FeasibilityProblem(
+        a=[[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2)]], b=b, num_vars=2
+    )
+    verdict = solve_feasibility_exact(problem)
+    assert verdict.status == status and verdict.meta["rounded"] is True
+    assert_exact_witness(problem, verdict)
+    assert_exact_meta(verdict)
+
+
+@pytest.mark.parametrize(
+    "asm, field, delta",
+    [(uniform_assemblage(), 0, 1.0), (prbox_assemblage(), 2, 1.0), (prbox_assemblage(), 2, -1.0)],
+    ids=["feasible-x_B", "infeasible-y-up", "infeasible-y-down"],
+)
+def test_perturbed_float_witness_falls_back(monkeypatch, asm, field, delta):
+    # a whole unit off in entry 0 of x_B (field 0) or y (field 2): d L x_B
+    # or d y / s rounds wrong, the exact check fails, and elimination
+    # confirms the same basis.  Lowering y_0 on the PR box still gives a
+    # separating c, but not B^T y = c_B, so its c.b is not the basis's z.
+    expected = lhs_feasibility_boxworld(asm)
+    kernel = _pivot.run_phase1
+
+    def perturbed(*args):
+        status, pivots, clean = kernel(*args)
+        clean = [v.copy() if isinstance(v, np.ndarray) else v for v in clean]
+        clean[field][0] += delta
+        return status, pivots, tuple(clean)
+
+    monkeypatch.setattr(_pivot, "run_phase1", perturbed)
+    verdict = lhs_feasibility_boxworld(asm)
+    assert verdict.meta["rounded"] is False
+    assert verdict.meta["guided"] is True and verdict.meta["bland_pivots"] == 0
+    assert (verdict.status, verdict.model, verdict.certificate, verdict.meta["z"]) == (
+        expected.status, expected.model, expected.certificate, expected.meta["z"]
+    )
+    assert_box_verdict_exact(asm, verdict)
+    assert_exact_meta(verdict)
 
 
 def _kernel_setting(columns):

@@ -54,6 +54,7 @@ def test_run_report_round_trip(tmp_path):
         assert report.version == steercert.__version__
         clone = RunReport.from_json(report.to_json())
         assert clone == report, report.command
+        assert "\n" not in report.to_json()
         assert clone.to_json() == report.to_json()
     with pytest.raises(InputError):
         RunReport.from_dict({"command": "x"})

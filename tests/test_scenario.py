@@ -73,6 +73,26 @@ def test_non_finite_matrices_are_rejected_up_front():
         load_scenario(doc)
 
 
+_SKEW = np.array([[0.5, 0.1], [-0.1, 0.5]])  # 0.2 from its adjoint
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda: Povm(label="skew", effects=(_SKEW, np.eye(2) - _SKEW), dim=2), "POVM 'skew' effect 0"),
+        (
+            lambda: Assemblage(settings=1, outcomes=2, dim_b=2, sigma={(0, 0): _SKEW / 2, (0, 1): np.eye(2) / 2}),
+            r"assemblage block \(x=0, a=0\)",
+        ),
+        (lambda: assemblage_from_povms(np.kron(_SKEW, np.eye(2)) / 2, [pauli_povm("z")]), "shared state"),
+    ],
+    ids=["povm-effect", "assemblage-block", "shared-state"],
+)
+def test_non_hermitian_matrices_are_named_in_the_error(build, label):
+    with pytest.raises(InputError, match=f"^{label} is not Hermitian"):
+        build()
+
+
 def test_pauli_povm_projects_onto_axis():
     for axis in ("x", "y", "z", (0.6, 0.0, 0.8)):
         povm = pauli_povm(axis)
