@@ -65,16 +65,16 @@ def _correlators(asm, bob):
     return witnesses.correlators_from_assemblage(asm, [p.effects[0] - p.effects[1] for p in bob])
 
 
-def _quantum_checks(asm, bob, mesh) -> tuple:
+def _quantum_checks(asm, bob) -> tuple:
     """(verdicts, witness_values, details) of a qubit assemblage: the LHS
     verdict and, given Bob's tests, the PV verdict over all of them, the
     certain contexts, and the CJWR witness when the tests are one +-1
     observable per setting."""
-    verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_qubit(asm, mesh=mesh))]
+    verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_qubit(asm))]
     witness_values, details = {}, {}
     if not bob:
         return verdicts, witness_values, details
-    pv = engine.pv_feasibility(asm, bob, mesh=mesh)
+    pv = engine.pv_feasibility(asm, bob)
     verdicts.append(_verdict_entry("pv[all tests]", pv))
     details["certain_contexts"] = _certain_contexts(asm, bob)
     if len(bob) == asm.settings and all(p.num_outcomes == 2 for p in bob):
@@ -92,23 +92,18 @@ def _quantum_checks(asm, bob, mesh) -> tuple:
     return verdicts, witness_values, details
 
 
-def cmd_singlet_cjwr(
-    settings: int = 2,
-    werner_p: float | None = None,
-    mesh: int = engine.DEFAULT_MESH,
-) -> RunReport:
+def cmd_singlet_cjwr(settings: int = 2, werner_p: float | None = None) -> RunReport:
     """Matched-Pauli correlation witness plus local-model and pinned-value
     feasibility for the singlet (or a Werner state via ``werner_p``)."""
     t0 = time.perf_counter()
     asm, bob = _matched_setup(settings, werner_p)
-    verdicts, witness_values, details = _quantum_checks(asm, bob, mesh)
+    verdicts, witness_values, details = _quantum_checks(asm, bob)
     for y, povm in enumerate(bob):
-        pv = engine.pv_feasibility(asm, [povm], mesh=mesh)
+        pv = engine.pv_feasibility(asm, [povm])
         verdicts.append(_verdict_entry(f"pv[test {y}]", pv))
     inputs = {
         "settings": settings,
         "state": "singlet" if werner_p is None else f"werner(p={werner_p})",
-        "mesh": mesh,
     }
     return _report("singlet-cjwr", inputs, verdicts, witness_values, details, t0)
 
@@ -116,7 +111,6 @@ def cmd_singlet_cjwr(
 def cmd_werner_scan(
     settings: int = 2,
     grid: tuple = (0.5, 0.9, 0.05),
-    mesh: int = engine.DEFAULT_MESH,
     bracket_tol: float = 0.01,
     witness_only: bool = False,
 ) -> RunReport:
@@ -128,7 +122,7 @@ def cmd_werner_scan(
     if not (0.0 <= lo < hi <= 1.0 and step > 0):
         raise InputError(f"grid must satisfy 0 <= lo < hi <= 1 with step > 0, got {grid}")
     build = lambda p: _matched_setup(settings, float(p))[0]
-    checker = lambda asm: engine.lhs_feasibility_qubit(asm, mesh=mesh)
+    checker = engine.lhs_feasibility_qubit
 
     rows = []
     for p in np.arange(lo, hi + step / 2, step):
@@ -154,7 +148,6 @@ def cmd_werner_scan(
     inputs = {
         "settings": settings,
         "grid": list(grid),
-        "mesh": mesh,
         "bracket_tol": bracket_tol,
         "witness_only": witness_only,
     }
@@ -212,7 +205,7 @@ def cmd_reid(
     return _report("reid", inputs, [], witness_values, details, t0)
 
 
-def cmd_check(path, mesh: int = engine.DEFAULT_MESH) -> RunReport:
+def cmd_check(path) -> RunReport:
     """Validate a scenario file and run the applicable checks: exactness of
     no-signalling, predictability scan, feasibility, and witnesses."""
     t0 = time.perf_counter()
@@ -227,7 +220,7 @@ def cmd_check(path, mesh: int = engine.DEFAULT_MESH) -> RunReport:
     if isinstance(doc, dict) and "x_settings" in doc:
         return _check_box(path, doc, t0)
     if isinstance(doc, dict) and "dimA" in doc:
-        return _check_quantum(path, doc, mesh, t0)
+        return _check_quantum(path, doc, t0)
     raise InputError(
         f"{path}: unrecognized scenario schema; expected quantum fields "
         "(dimA, dimB, state, alice_povms) or box fields (x_settings, a_outcomes, ...)"
@@ -251,13 +244,13 @@ def _check_box(path, doc, t0) -> RunReport:
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
 
-def _check_quantum(path, doc, mesh, t0) -> RunReport:
+def _check_quantum(path, doc, t0) -> RunReport:
     sc = scenario.load_scenario(doc)
     asm = scenario.assemblage_from_povms(sc["rho"], sc["alice"], dim_b=sc["dims"][1])
     ns = scenario.check_no_signalling(asm)
-    verdicts, witness_values, details = _quantum_checks(asm, sc["bob"], mesh)
+    verdicts, witness_values, details = _quantum_checks(asm, sc["bob"])
     details.update(schema="quantum", no_signalling={"passed": ns.passed, "max_deviation": ns.max_deviation})
-    inputs = {"file": str(path), "mesh": mesh}
+    inputs = {"file": str(path)}
     return _report("check", inputs, verdicts, witness_values, details, t0)
 
 
@@ -288,24 +281,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="report.json", help="write the RunReport as JSON")
-    lp = argparse.ArgumentParser(add_help=False)
-    lp.add_argument("--mesh", type=int, default=engine.DEFAULT_MESH, help="seed mesh size of the qubit engine (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("singlet-cjwr", parents=[common, lp], help="matched-Pauli witness + feasibility for the singlet")
+    p = sub.add_parser("singlet-cjwr", parents=[common], help="matched-Pauli witness + feasibility for the singlet")
     p.add_argument("--settings", type=int, choices=[2, 3], default=2)
     p.add_argument("--werner-p", type=float, default=None, help="replace the singlet by a Werner state of this weight")
-    p.set_defaults(run=lambda a: cmd_singlet_cjwr(a.settings, a.werner_p, a.mesh))
+    p.set_defaults(run=lambda a: cmd_singlet_cjwr(a.settings, a.werner_p))
 
-    p = sub.add_parser("werner-scan", parents=[common, lp], help="scan Werner weight: witness values, verdicts, threshold bracket")
+    p = sub.add_parser("werner-scan", parents=[common], help="scan Werner weight: witness values, verdicts, threshold bracket")
     p.add_argument("--settings", type=int, choices=[2, 3], default=2)
     p.add_argument("--grid", default="0.5:0.9:0.05", help="p grid as lo:hi:step (default %(default)s)")
     p.add_argument("--bracket-tol", type=float, default=0.01, help="bisection halting width (default %(default)s)")
     p.add_argument("--witness-only", action="store_true", help="skip LPs; report the exact witness crossing 1/sqrt(m)")
     p.add_argument("--csv", metavar="table.csv", help="write the (p, F, verdict) table")
     p.set_defaults(run=lambda a: cmd_werner_scan(
-        settings=a.settings, grid=_parse_range(a.grid, "--grid"), mesh=a.mesh,
+        settings=a.settings, grid=_parse_range(a.grid, "--grid"),
         bracket_tol=a.bracket_tol, witness_only=a.witness_only,
     ))
 
@@ -319,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="table.csv", help="write the sweep table")
     p.set_defaults(run=lambda a: cmd_reid(a.r, _parse_range(a.sweep, "--sweep") if a.sweep else None, a.eta))
 
-    p = sub.add_parser("check", parents=[common, lp], help="validate a scenario file and run the applicable checks")
+    p = sub.add_parser("check", parents=[common], help="validate a scenario file and run the applicable checks")
     p.add_argument("file", help="scenario JSON (quantum or box-world schema)")
-    p.set_defaults(run=lambda a: cmd_check(a.file, mesh=a.mesh))
+    p.set_defaults(run=lambda a: cmd_check(a.file))
 
     return parser
 

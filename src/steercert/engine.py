@@ -84,7 +84,9 @@ def enumerate_strategies(num_settings: int, num_outcomes) -> list:
 
 @dataclass(frozen=True)
 class SteeringVerdict(FeasibilityVerdict):
-    """Feasibility verdict extended with reconstructed physical objects."""
+    """Feasibility verdict extended with reconstructed physical objects.
+    A Feasible qubit verdict's ``model`` holds one weight per strategy:
+    ``lhs_model.weights``, or tr G_lam / 2 of the ``parent_effects``."""
 
     lhs_model: object = None
     parent_effects: tuple | None = None
@@ -109,19 +111,13 @@ class LhsModel:
     hidden_states: tuple
     strategies: tuple
 
-    def reconstruct(self, x: int, a: int) -> np.ndarray:
-        out = np.zeros_like(self.hidden_states[0])
-        for w, omega, strat in zip(self.weights, self.hidden_states, self.strategies):
-            if strat.responses[x] == a:
-                out = out + w * omega
-        return out
-
     def max_deviation(self, asm: Assemblage) -> float:
-        dev = 0.0
-        for x in range(asm.settings):
-            for a in range(asm.outcomes):
-                dev = max(dev, float(np.max(np.abs(self.reconstruct(x, a) - asm.block(x, a)))))
-        return dev
+        """Largest entry of |sum of w_l omega_l over the strategies l filling
+        block (x, a) - sigma_a|x| over every block."""
+        touch = _touch_matrix(self.strategies, [asm.outcomes] * asm.settings)
+        weighted = np.asarray(self.weights, dtype=float)[:, None, None] * np.asarray(self.hidden_states)
+        want = [asm.block(x, a) for x in range(asm.settings) for a in range(asm.outcomes)]
+        return float(np.abs(np.einsum("lr,lij->rij", touch, weighted) - want).max())
 
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
@@ -224,10 +220,9 @@ def _seed_directions(mesh, directions) -> np.ndarray:
 def _touch_matrix(strategies, counts) -> np.ndarray:
     """touch[l, r] = 1 when strategy l fills block r, where block
     offsets[x] + a stands for context (x, a)."""
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
-    touch = np.zeros((len(strategies), int(np.sum(counts))))
-    for li, strat in enumerate(strategies):
-        touch[li, offsets + np.asarray(strat.responses, dtype=int)] = 1.0
+    offsets = np.cumsum([0, *counts[:-1]])
+    touch = np.zeros((len(strategies), sum(counts)))
+    touch[np.arange(len(strategies))[:, None], offsets + np.array([s.responses for s in strategies])] = 1.0
     return touch
 
 
@@ -248,6 +243,12 @@ def _per_strategy(touch: np.ndarray, lam: np.ndarray, dirs: np.ndarray, w) -> tu
     vec = np.zeros((touch.shape[0], 3))
     np.add.at(vec, lam, w[:, None] * dirs)
     return mass, vec
+
+
+def _bloch_operators(t: np.ndarray, r: np.ndarray) -> tuple:
+    """The 2x2 operators (t_l I + r_l . sigma) / 2, one per strategy l."""
+    pauli = (r @ np.reshape(linalg.PAULIS, (3, 4))).reshape(-1, 2, 2)
+    return tuple((np.multiply.outer(t, linalg.I2) + pauli) / 2.0)
 
 
 def _ball_check(touch: np.ndarray, c, b) -> bool:
@@ -275,17 +276,19 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
     strategy on every seed direction.  On the ball the seed is a
     Fibonacci mesh of ``mesh`` points plus the Bloch directions of the
     blocks of ``rhs``; a finite set is its own seed, so the first master
-    already holds every column.  A feasible master is a genuine model;
-    ``rebuild(mass, vec)`` turns it into (verdict fields, deviation), and
-    the deviation must stay within MODEL_TOL.  Otherwise the master
-    certificate c is priced: on the ball in closed form, since
-    alpha_l + beta_l.n is smallest at n = -beta_l/|beta_l|, where it is
-    alpha_l - |beta_l|; on a finite set as c.A over the master's columns.
-    mu is the minimum (+inf with no columns).  Raising every trace row of
-    c by -mu/k, where k is the number of settings, makes c nonnegative on
-    the admissible set and lowers c.b by |mu|; if c.b stays negative the
-    certificate is checked exactly, by ``_ball_check`` on the ball and by
-    ``separates`` on the master as stored for a finite set, and returned.
+    already holds every column; seed and columns show only in ``meta``.
+    A feasible master is a genuine model: ``rebuild(mass, vec)`` turns
+    its per-strategy sums into (verdict fields, deviation), the deviation
+    must stay within MODEL_TOL, and ``mass`` is the verdict's ``model``.
+    Otherwise the master certificate c is priced: on the ball in closed
+    form, since alpha_l + beta_l.n is smallest at n = -beta_l/|beta_l|,
+    where it is alpha_l - |beta_l|; on a finite set as c.A over the
+    master's columns.  mu is the minimum (+inf with no columns).  Raising
+    every trace row of c by -mu/k, where k is the number of settings,
+    makes c nonnegative on the admissible set and lowers c.b by |mu|; if
+    c.b stays negative the certificate is checked exactly, by
+    ``_ball_check`` on the ball and by ``separates`` on the master as
+    stored for a finite set, and returned.
     If not, the strategies with a negative ball minimum enter with their
     best direction and the master is solved again from scratch; when no
     column can enter, which is always the case for a finite set, the
@@ -315,10 +318,11 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
             return undecided(f"master LP undecided: {reason}")
         if master.status == FEASIBLE:
             meta["margin"] = master.meta["z"]
-            fields, dev = rebuild(*_per_strategy(touch, lam, dirs, master.model))
+            mass, vec = _per_strategy(touch, lam, dirs, master.model)
+            fields, dev = rebuild(mass, vec)
             if dev > MODEL_TOL:
                 return undecided("reconstruction exceeded the model tolerance", deviation=dev)
-            return SteeringVerdict(FEASIBLE, model=master.model, meta={**meta, "model_deviation": dev}, **fields)
+            return SteeringVerdict(FEASIBLE, model=mass, meta={**meta, "model_deviation": dev}, **fields)
 
         c = np.asarray(master.certificate, dtype=float)
         if ball:
@@ -378,11 +382,10 @@ def _local_models(question, asm: Assemblage, mesh, finite=None) -> SteeringVerdi
     touch = _touch_matrix(strategies, [asm.outcomes] * asm.settings)
 
     def rebuild(mass, vec):
-        states = [
-            linalg.bloch_state(v / p) if p > 0.0 else np.eye(2, dtype=complex) / 2.0
-            for p, v in zip(mass, vec)
-        ]
-        model = LhsModel(weights=mass, hidden_states=tuple(states), strategies=tuple(strategies))
+        # a strategy of weight 0 gets the maximally mixed state
+        bloch = np.divide(vec, mass[:, None], out=np.zeros_like(vec), where=mass[:, None] > 0.0)
+        states = _bloch_operators(np.ones_like(mass), bloch)
+        model = LhsModel(weights=mass, hidden_states=states, strategies=tuple(strategies))
         dev = max(model.max_deviation(asm), abs(model.total_weight() - 1.0))
         return {"lhs_model": model}, dev
 
@@ -601,7 +604,8 @@ def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
     sigma_a|x = M_a|x / 2 has a local hidden state model (Uola, Budroni,
     Guehne & Pellonpaa, PRL 115, 230402 (2015); Quintino, Vertesi &
     Brunner, PRL 113, 160402 (2014)), so ``_column_generation`` decides
-    it on the rows of M/2.  Feasible ships the parents G_lam = 2 sigma_lam.
+    it on the rows of M/2.  Feasible ships the parents G_lam = 2 sigma_lam,
+    with ``model`` their weights tr G_lam / 2.
     Infeasible ships the exactly ball-checked certificate c' as c'/2 on
     the effect rows, then 0.0 on four identity rows; both halvings are
     exact, so c.b = c'.b' and c is nonnegative on every parent column
@@ -616,10 +620,7 @@ def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
     rhs = _block_rows(e / 2 for povm in povms for e in povm.effects)
 
     def rebuild(mass, vec):
-        parents = tuple(
-            p * linalg.I2 + v[0] * linalg.SIGMA_X + v[1] * linalg.SIGMA_Y + v[2] * linalg.SIGMA_Z
-            for p, v in zip(mass, vec)
-        )
+        parents = _bloch_operators(2.0 * mass, 2.0 * vec)
         return {"parent_effects": parents}, _parent_deviation(parents, touch, povms)
 
     verdict = _column_generation("joint-measurability", touch, rhs, mesh, rebuild)
@@ -630,7 +631,7 @@ def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
 
 def _parent_deviation(parents, touch, povms) -> float:
     """Largest entry of |sum G - I| and of |marginal - effect| over all effects."""
-    got = np.tensordot(touch, np.asarray(parents), axes=(0, 0))
+    got = np.einsum("lr,lij->rij", touch, np.asarray(parents))
     want = np.asarray([e for povm in povms for e in povm.effects])
     return float(max(np.abs(sum(parents) - np.eye(2)).max(), np.abs(got - want).max()))
 

@@ -1,10 +1,10 @@
 """Run reports: a JSON-serializable record of one command invocation.
 
-A report holds the command's inputs (including the seed mesh where it
-applies), every verdict with its witness and meta, the named witness
-values, the wall time and the library version, so a certificate can be
-audited later without rerunning anything.  Tables are written
-separately as CSV.
+A report holds the command's inputs (the user's choices; the qubit
+engine's seed mesh is not one), every verdict with its witness and
+meta, the named witness values, the wall time and the library version,
+so a certificate can be audited later without rerunning anything.
+Tables are written separately as CSV.
 """
 
 from __future__ import annotations

@@ -115,13 +115,15 @@ class Assemblage:
     """Subnormalized Bob states sigma[(x, a)] conditioned on Alice's (x, a).
 
     Physicality requires each block PSD, unit total trace per setting,
-    and a setting-independent marginal sum_a sigma[(x, a)].
+    and a setting-independent marginal sum_a sigma[(x, a)], whose
+    comparison the constructor keeps in ``no_signalling``.
     """
 
     settings: int
     outcomes: int
     dim_b: int
     sigma: dict
+    no_signalling: NoSignallingReport = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = {}
@@ -140,11 +142,11 @@ class Assemblage:
             total = sum(blocks[(x, a)].trace().real for a in range(self.outcomes))
             if abs(total - 1.0) > TRACE_TOL:
                 raise InputError(f"setting x={x} has total probability {total}, expected 1")
-        report = check_no_signalling(self)
-        if not report.passed:
-            raise InputError(
-                f"marginals depend on the setting (max deviation {report.max_deviation:.3e})"
-            )
+        marginals = [self.marginal(x) for x in range(self.settings)]
+        dev = max((float(np.max(np.abs(m - marginals[0]))) for m in marginals[1:]), default=0.0)
+        object.__setattr__(self, "no_signalling", NoSignallingReport(passed=dev <= MARGINAL_TOL, max_deviation=dev))
+        if not self.no_signalling.passed:
+            raise InputError(f"marginals depend on the setting (max deviation {dev:.3e})")
 
     def block(self, x: int, a: int) -> np.ndarray:
         return self.sigma[(x, a)]
@@ -180,13 +182,10 @@ class PredictabilityRecord:
 
 
 def check_no_signalling(asm: Assemblage) -> NoSignallingReport:
-    """Compare the outcome-summed marginal across all setting pairs; it
-    passes within MARGINAL_TOL."""
-    marginals = [asm.marginal(x) for x in range(asm.settings)]
-    dev = 0.0
-    for x in range(1, asm.settings):
-        dev = max(dev, float(np.max(np.abs(marginals[x] - marginals[0]))))
-    return NoSignallingReport(passed=dev <= MARGINAL_TOL, max_deviation=dev)
+    """The outcome-summed marginals compared across settings by ``asm``'s
+    constructor; within MARGINAL_TOL passes, and a failing family never
+    constructs."""
+    return asm.no_signalling
 
 
 def _require_state(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
@@ -325,10 +324,11 @@ def noisy_pauli_povm(axis, eta: float, label: str | None = None) -> Povm:
     """Smeared projective measurement: effects eta * P_to + (1 - eta)/2 * I."""
     if not 0.0 <= eta <= 1.0:
         raise InputError(f"visibility must lie in [0, 1], got {eta}")
-    base = pauli_povm(axis, label=label)
+    n = _axis_vector(axis)
     smear = (1.0 - eta) / 2.0 * np.eye(2)
-    effects = tuple(eta * e + smear for e in base.effects)
-    return Povm(label=f"{base.label}(eta={eta})", effects=effects, dim=2)
+    effects = tuple(eta * linalg.bloch_state(v) + smear for v in (n, -n))
+    name = label if label is not None else _axis_label(axis)
+    return Povm(label=f"{name}(eta={eta})", effects=effects, dim=2)
 
 
 def pauli_observable(axis) -> np.ndarray:

@@ -85,6 +85,46 @@ def test_werner_low_weight_is_feasible_with_tight_model():
         assert abs(omega.trace().real - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("axes", [("x", "z"), ("x", "y", "z")], ids=["m2", "m3"])
+def test_feasible_qubit_verdicts_ship_one_weight_per_strategy(axes):
+    # model is the strategy weights p_lam, not the master LP's columns
+    m = len(axes)
+    lhs = lhs_feasibility_qubit(werner_assemblage(0.5, axes))
+    pv = pv_feasibility(werner_assemblage(0.0, axes), [pauli_povm(axes[0])])
+    for verdict in (lhs, pv):
+        assert verdict.is_feasible
+        assert np.shape(verdict.model) == (2**m,)
+        assert np.array_equal(verdict.model, verdict.lhs_model.weights)
+    jm = joint_measurability([noisy_pauli_povm(ax, 0.5) for ax in axes])
+    assert jm.is_feasible and np.shape(jm.model) == (2**m,)
+    halved_traces = [np.trace(g).real / 2 for g in jm.parent_effects]
+    np.testing.assert_allclose(jm.model, halved_traces, rtol=0, atol=1e-15)
+    assert abs(sum(jm.model) - 1.0) <= 1e-8
+
+
+def test_lhs_model_deviation_matches_a_per_block_rebuild_after_moving_weight():
+    asm = werner_assemblage(0.5, ("x", "y", "z"))
+    model = lhs_feasibility_qubit(asm).lhs_model
+    i, j = np.argsort(model.weights)[-2:]
+    d = model.weights[i] / 3
+    weights = model.weights.copy()
+    weights[i] -= d
+    weights[j] += d
+    moved = dataclasses.replace(model, weights=weights)
+    # block (x, a) rebuilt one strategy at a time
+    dev = 0.0
+    for x in range(asm.settings):
+        for a in range(asm.outcomes):
+            block = np.zeros((2, 2), dtype=complex)
+            for w, omega, strat in zip(moved.weights, moved.hidden_states, moved.strategies):
+                if strat.responses[x] == a:
+                    block = block + w * omega
+            dev = max(dev, float(np.abs(block - asm.block(x, a)).max()))
+    assert dev > 1e-3
+    assert abs(moved.max_deviation(asm) - dev) <= 1e-15
+    assert model.max_deviation(asm) <= 1e-8
+
+
 def test_singlet_matched_paulis_is_infeasible_with_witness_certificate():
     asm = werner_assemblage(1.0)
     verdict = lhs_feasibility_qubit(asm, mesh=162)

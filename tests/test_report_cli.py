@@ -266,13 +266,41 @@ def test_main_check_malformed_scenario_is_an_input_error(tmp_path, capsys, case)
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_main_rejects_the_removed_tol_flag(tmp_path, capsys):
-    # the LP tolerance is a constant, so --tol is an unknown flag everywhere
+@pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--mesh", "642"]], ids=["tol", "mesh"])
+@pytest.mark.parametrize("command", ["singlet-cjwr", "werner-scan", "check"])
+def test_main_rejects_removed_flags(tmp_path, capsys, command, flag):
+    # the LP tolerance is a constant and the qubit engine's seed stays
+    # inside the engine, so neither flag exists on any subcommand
     path = tmp_path / "q.json"
     path.write_text(json.dumps(quantum_doc()))
-    for argv in (["singlet-cjwr"], ["werner-scan"], ["check", str(path)]):
-        assert cli.main([*argv, "--tol", "1e-9"]) == 1
-        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    argv = [command, str(path)] if command == "check" else [command]
+    assert cli.main([*argv, *flag]) == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_reports_echo_no_seed_and_ship_one_weight_per_strategy(tmp_path):
+    quantum = tmp_path / "q.json"
+    quantum.write_text(json.dumps(quantum_doc(p=0.4, bob_eta=0.5)))
+    reports = [
+        cli.cmd_singlet_cjwr(settings=2, werner_p=0.0),
+        cli.cmd_singlet_cjwr(settings=3, werner_p=0.0),
+        cli.cmd_werner_scan(grid=(0.5, 0.9, 0.2), bracket_tol=0.1),
+        cli.cmd_check(quantum),
+    ]
+    for report in reports:
+        assert "mesh" not in report.inputs, report.command
+    feasible = [
+        (report.inputs.get("settings", 2), entry)
+        for report in reports
+        for entry in report.verdicts
+        if entry["status"] == "feasible"
+    ]
+    names = sorted(entry["name"] for _, entry in feasible)
+    assert names == ["lhs"] * 3 + ["pv[test 0]"] * 2 + ["pv[test 1]"] * 2 + ["pv[test 2]"]
+    for settings, entry in feasible:
+        # the model is the strategy weights, which lhs_model lists where nonzero
+        assert len(entry["model"]) == 2**settings, entry["name"]
+        assert [w for w in entry["model"] if w > 0] == entry["lhs_model"]["weights"], entry["name"]
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
