@@ -641,7 +641,8 @@ def _parent_deviation(parents, touch, povms) -> float:
 
 def threshold_scan(family, checker, lo, hi, width) -> tuple:
     """Bracket a feasibility boundary with two shared-cache bisections,
-    each halted once its interval is at most ``width`` wide.
+    each halted once its interval is at most ``width`` wide, or once no
+    float lies strictly between its ends.
 
     The family must be feasible toward ``lo`` and infeasible toward
     ``hi``; a feasible verdict strictly above an infeasible one aborts
@@ -680,6 +681,8 @@ def threshold_scan(family, checker, lo, hi, width) -> tuple:
         a, b = lo, hi
         while b - a > width:
             mid = (a + b) / 2
+            if not a < mid < b:  # a and b are adjacent floats
+                break
             if probe(mid) == FEASIBLE:
                 a = mid
             else:
@@ -688,6 +691,8 @@ def threshold_scan(family, checker, lo, hi, width) -> tuple:
         a, b = lo, hi
         while b - a > width:
             mid = (a + b) / 2
+            if not a < mid < b:
+                break
             if probe(mid) == INFEASIBLE:
                 b = mid
             else:

@@ -1,8 +1,10 @@
 """Linear feasibility core: does A w = b admit w >= 0?
 
 Two solvers share one numpy phase-one kernel, a revised simplex that
-updates the basis inverse pivot by pivot and factorizes it from the
-original data every ``REFACTOR`` pivots and again before it returns.
+prices by Dantzig's rule, breaks ratio-test ties lexicographically so it
+cannot cycle, updates the basis inverse pivot by pivot and factorizes it
+from the original data every ``REFACTOR`` pivots and again before it
+returns.
 ``solve_feasibility_float`` judges the kernel's final basis within the
 fixed bands of one tolerance, ``TOL``, and may answer undecided near
 the boundary.

@@ -15,18 +15,19 @@ of its column, which may be roundoff of the updates; taken, such a
 pivot can make the basis singular.
 
 Pricing is Dantzig's rule (most negative reduced cost), which needs far
-fewer pivots than Bland's rule on the engine's wide LPs.  Dantzig's rule
-can cycle through degenerate pivots, so the kernel remembers the bases
-it visits while z stays level; when one comes round again it prices by
-Bland's rule (lowest-index improving column) until z strictly decreases,
-then goes back to Dantzig.  Within one level of z Dantzig visits no
-basis twice and Bland's rule cannot cycle, and z only falls between
-levels, so the kernel terminates.
+fewer pivots than Bland's rule on the engine's wide LPs.  Degenerate
+pivots cannot make it cycle, because the ratio test breaks ties
+lexicographically (Dantzig, Orden & Wolfe, Pacific J. Math. 5, 183
+(1955)): among the rows tied on x_r / d_r it takes the one whose row
+[B^-1]_r / d_r is lexicographically smallest.  If every row of
+[x_B | B^-1] starts lexicographically positive, each pivot keeps them
+so and strictly lowers [z | c_B B^-1] lexicographically, so no basis
+comes round again.  The all-artificial start has B^-1 = I and x_B >= 0,
+so its rows qualify.  A warm start from another basis B0 does not in
+general; it must compare the rows of B^-1 B0 instead of B^-1.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -36,20 +37,26 @@ STALLED = 2
 
 # pivots between two factorizations of the basis from the data
 REFACTOR = 50
+# feasibility band of z* in ``floating``, and the reduced cost a column must beat to enter
+TOL = 1e-9
+# pivots smaller than this amplify roundoff faster than they make progress
+PIVOT_EPS = 1e-8
 
 
-def run_phase1(full, b, cost, basis, eps_cost, eps_pivot, max_iter):
+def run_phase1(full, b, cost, basis, max_iter):
     """Pivot ``basis`` in place until no structural column improves z = c.w.
 
     full:  m x (n + m) float64 matrix [A | I]; the identity columns
            n..n+m-1 (the artificials) may leave the basis but never enter.
-    b:     length-m right-hand side; the start basis must have x_B >= 0.
+    b:     length-m right-hand side; the start basis must have x_B >= 0
+           and, for the guarantee against cycling, B^-1 = I.
     cost:  length n + m costs c, data like A and b.
     basis: length-m int array, basis[i] = the column basic in row i.
 
-    The entering column has reduced cost below -eps_cost; the leaving row
-    minimizes the ratio over entries above eps_pivot, ties broken by the
-    lowest basic-variable index.  At most ``max_iter`` pivots are made.
+    The entering column has the most negative reduced cost, below -TOL;
+    the leaving row minimizes the ratio x_r / d_r over entries d_r above
+    PIVOT_EPS, ties broken by the lexicographically smallest
+    [B^-1]_r / d_r.  At most ``max_iter`` pivots are made.
     Returns (status, pivots, clean): clean is (x_B, z, y, min structural
     reduced cost) from a fresh factorization of the final basis, or None
     when a basis matrix was singular.
@@ -57,13 +64,9 @@ def run_phase1(full, b, cost, basis, eps_cost, eps_pivot, max_iter):
     m = len(b)
     n = full.shape[1] - m
     a, c = full[:, :n], cost[:n]
-    best_z = math.inf
-    seen = set()  # bases visited by Dantzig pivots since z last fell
-    bland = False
     binv = None
     age = 0  # pivots since B^-1 was last factorized; 0 means fresh
     it = 0
-    moved = True  # the basis changed since it was last priced
     while True:
         if binv is None or age == REFACTOR:
             try:
@@ -75,29 +78,16 @@ def run_phase1(full, b, cost, basis, eps_cost, eps_pivot, max_iter):
         xb = binv @ b
         y = cb @ binv
         z = float(cb @ xb)
-        if moved:  # not when a fresh factorization prices the same basis again
-            moved = False
-            if z < best_z - 1e-12 * (1.0 + abs(z)):
-                best_z = z
-                seen.clear()
-                bland = False
-            elif not bland:
-                key = np.sort(basis).tobytes()
-                bland = key in seen
-                seen.add(key)
-
         rc = c - y @ a
         entering = int(rc.argmin()) if n else -1
         clean = (xb, z, y, float(rc[entering]) if n else 0.0)
-        if n == 0 or rc[entering] >= -eps_cost:
+        if n == 0 or rc[entering] >= -TOL:
             status = OPTIMAL
         elif it == max_iter:
             status = ITERATION_LIMIT
         else:
-            if bland:
-                entering = int(np.flatnonzero(rc < -eps_cost)[0])
             col = binv @ full[:, entering]
-            rows = (col > eps_pivot).nonzero()[0]
+            rows = (col > PIVOT_EPS).nonzero()[0]
             status = STALLED if rows.size == 0 else None
         if status is not None:
             if age:
@@ -108,8 +98,8 @@ def run_phase1(full, b, cost, basis, eps_cost, eps_pivot, max_iter):
         ratios = xb[rows] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        r = tied[basis[tied].argmin()]
-        if age and col[r] < eps_pivot * abs(col).max():
+        r = min(tied, key=lambda i: (binv[i] / col[i]).tolist())
+        if age and col[r] < PIVOT_EPS * abs(col).max():
             # next to the rest of its column this pivot may be roundoff of
             # the updates: choose again from a fresh factorization
             binv = None
@@ -121,4 +111,3 @@ def run_phase1(full, b, cost, basis, eps_cost, eps_pivot, max_iter):
         binv[r] = row
         age += 1
         it += 1
-        moved = True

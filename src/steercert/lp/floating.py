@@ -35,15 +35,11 @@ from .problem import (
     FeasibilityVerdict,
 )
 from . import _pivot
-from ._pivot import ITERATION_LIMIT, STALLED
+from ._pivot import ITERATION_LIMIT, PIVOT_EPS, STALLED, TOL
 
 BACKEND = "numpy"
 
-# feasibility band of z*, and the reduced cost a column must beat to enter
-TOL = 1e-9
 UNDECIDED_FACTOR = 100.0
-# pivots smaller than this amplify roundoff faster than they make progress
-PIVOT_EPS = 1e-8
 
 
 def residual_inf(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
@@ -80,9 +76,7 @@ def phase_one(a: np.ndarray, b: np.ndarray):
     cost = np.zeros(n + m)
     cost[n:] = 1.0
     basis = np.arange(n, n + m, dtype=np.intp)
-    status, pivots, clean = _pivot.run_phase1(
-        full, b * sign, cost, basis, TOL, PIVOT_EPS, 1000 + 50 * m + 2 * n
-    )
+    status, pivots, clean = _pivot.run_phase1(full, b * sign, cost, basis, 1000 + 50 * m + 2 * n)
     if clean is not None:
         xb, z, y, rc_min = clean
         clean = xb, max(z, 0.0), y * sign, rc_min

@@ -677,6 +677,30 @@ def test_threshold_scan_rejects_non_monotone_family():
         threshold_scan(lambda p: p, checker, 0.0, 1.0, 0.01)
 
 
+def test_threshold_scan_stops_at_adjacent_floats():
+    # a width below the float spacing at the step: once the midpoint
+    # rounds to an end, its probe comes from the cache, so a loop that
+    # does not stop there spins without calling the checker.  The width
+    # counts the loop's tests instead and raises after 2,000 of them.
+    class Fake:
+        def __init__(self, status):
+            self.status = status
+
+    class CountingWidth(float):
+        tests = 0
+
+        def __lt__(self, other):  # ``b - a > width`` lands here
+            CountingWidth.tests += 1
+            if CountingWidth.tests > 2000:
+                raise RuntimeError("threshold_scan does not halt")
+            return float(self) < other
+
+    step = 1.0 / 3.0
+    checker = lambda p: Fake("feasible" if p <= step else "infeasible")
+    feas, infeas = threshold_scan(lambda p: p, checker, 0.0, 1.0, CountingWidth(1e-300))
+    assert feas == step and infeas == math.nextafter(step, 1.0)
+
+
 def test_threshold_scan_input_validation():
     with pytest.raises(InputError):
         threshold_scan(lambda p: p, lambda a: None, 1.0, 0.0, 0.1)

@@ -258,7 +258,7 @@ def test_perturbed_float_witness_falls_back(monkeypatch, asm, field, delta):
 def _kernel_setting(columns):
     """A stand-in kernel that leaves ``columns`` as the final basis."""
 
-    def kernel(full, b, cost, basis, eps_cost, eps_pivot, max_iter):
+    def kernel(full, b, cost, basis, max_iter):
         basis[:] = columns
         return OPTIMAL, 0, None
 
