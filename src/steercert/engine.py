@@ -9,16 +9,18 @@ membership over the exact Bloch ball by column generation: a float
 master LP over finitely many pure states either yields a model, or its
 certificate, shifted until it is nonnegative on the whole ball, still
 separates and is checked exactly, or pricing adds the states the
-certificate likes least.  Box-world assemblages get the exact treatment:
-Bob's state polytope has deterministic tables as vertices, so a rational
-LP decides membership outright.
+certificate likes least.  Pricing and the exact check both see the
+certificate on strategy l and state n as alpha_l + beta_l.n; the check
+decides those inequalities in integers.  Box-world assemblages get the
+exact treatment: Bob's state polytope has deterministic tables as
+vertices, so a rational LP decides membership outright.
 
 The same machinery answers two more questions.  Predetermined values
 (hidden states deterministic on a named family of Bob tests, a strictly
 stronger demand than a local model) restrict the hidden states to a
 finite set, which the column generation takes in whole, so certificates
-are checked exactly on that set.  Qubit measurements {M_a|x} are jointly
-measurable exactly when the assemblage M_a|x / 2 has a local model, so
+are checked exactly at every point of that set.  Qubit measurements
+{M_a|x} are jointly measurable exactly when the assemblage M_a|x / 2 has a local model, so
 joint measurability is that local-model question and has no encoding
 of its own.
 """
@@ -45,7 +47,6 @@ from .lp import (
     solve_feasibility_exact,
     solve_feasibility_float,
 )
-from .lp.exact import separates
 from .scenario import Assemblage, Povm
 
 ENUMERATION_CAP = 4096
@@ -251,18 +252,32 @@ def _bloch_operators(t: np.ndarray, r: np.ndarray) -> tuple:
     return tuple((np.multiply.outer(t, linalg.I2) + pauli) / 2.0)
 
 
-def _ball_check(touch: np.ndarray, c, b) -> bool:
+def _scaled_ints(v) -> tuple:
+    """(ints, d): the float64 entries of v as the Python ints v * d, where d
+    is the largest of their denominators.  Every float64 is a dyadic
+    rational, so d is a power of two and the scaling is exact."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(v, dtype=float).ravel().tolist()]
+    d = max((q for _, q in ratios), default=1)
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _exact_check(touch: np.ndarray, c, b, finite=None) -> bool:
     """Exact test, on the float64 values as stored, that c separates b
-    from every column of the whole ball: c.b < 0, and each strategy's
-    alpha_l + beta_l.n has alpha_l >= 0 and alpha_l^2 >= |beta_l|^2."""
-    cf = [Fraction(float(v)) for v in c]
-    if sum(ci * Fraction(float(bi)) for ci, bi in zip(cf, b) if ci) >= 0:
+    from every column (1, n) of every strategy l: c.b < 0 and
+    alpha_l + beta_l.n >= 0 at every admissible n, which on the ball
+    (``finite`` None) is alpha_l >= 0 and alpha_l^2 >= |beta_l|^2.
+    Each vector is scaled to integers, so nothing is rounded."""
+    ci, _ = _scaled_ints(c)
+    bi, _ = _scaled_ints(b)
+    if sum(x * y for x, y in zip(ci, bi)) >= 0:
         return False
-    for row in touch:
-        alpha, *beta = (sum(cf[4 * r + i] for r in np.flatnonzero(row)) for i in range(4))
-        if alpha < 0 or alpha * alpha < sum(p * p for p in beta):
-            return False
-    return True
+    ab = touch.astype(int) @ np.array(ci, dtype=object).reshape(-1, 4)
+    alpha, beta = ab[:, 0], ab[:, 1:]
+    if finite is None:
+        return all(a >= 0 and a * a >= sum(p * p for p in bl) for a, bl in zip(alpha, beta))
+    ni, d = _scaled_ints(finite)
+    values = alpha[:, None] * d + beta @ np.array(ni, dtype=object).reshape(-1, 3).T
+    return all(v >= 0 for v in values.ravel())
 
 
 def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> SteeringVerdict:
@@ -280,15 +295,15 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
     A feasible master is a genuine model: ``rebuild(mass, vec)`` turns
     its per-strategy sums into (verdict fields, deviation), the deviation
     must stay within MODEL_TOL, and ``mass`` is the verdict's ``model``.
-    Otherwise the master certificate c is priced: on the ball in closed
-    form, since alpha_l + beta_l.n is smallest at n = -beta_l/|beta_l|,
-    where it is alpha_l - |beta_l|; on a finite set as c.A over the
-    master's columns.  mu is the minimum (+inf with no columns).  Raising
-    every trace row of c by -mu/k, where k is the number of settings,
-    makes c nonnegative on the admissible set and lowers c.b by |mu|; if
-    c.b stays negative the certificate is checked exactly, by
-    ``_ball_check`` on the ball and by ``separates`` on the master as
-    stored for a finite set, and returned.
+    Otherwise the master certificate c is priced per strategy: on column
+    (l, n) it is alpha_l + beta_l.n, with alpha_l and beta_l the trace and
+    Pauli parts of c summed over the blocks l fills.  On the ball that is
+    smallest at n = -beta_l/|beta_l|, where it is alpha_l - |beta_l|; on a
+    finite set it is the minimum over the listed n (+inf for none).  mu is
+    the least over l.  Raising every trace row of c by -mu/k, where k is
+    the number of settings, makes c nonnegative on the admissible set and
+    lowers c.b by |mu|; if c.b stays negative, ``_exact_check`` tests the
+    same inequalities in integers and the certificate is returned.
     If not, the strategies with a negative ball minimum enter with their
     best direction and the master is solved again from scratch; when no
     column can enter, which is always the case for a finite set, the
@@ -325,22 +340,19 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
             return SteeringVerdict(FEASIBLE, model=mass, meta={**meta, "model_deviation": dev}, **fields)
 
         c = np.asarray(master.certificate, dtype=float)
+        ab = touch @ c.reshape(-1, 4)
+        alpha, beta = ab[:, 0], ab[:, 1:]
         if ball:
-            per_block = c.reshape(-1, 4)
-            alpha = touch @ per_block[:, 0]
-            beta = touch @ per_block[:, 1:]
             beta_norm = np.linalg.norm(beta, axis=1)
             slack = alpha - beta_norm
-            mu = float(slack.min())
         else:
-            mu = float((c @ a).min(initial=np.inf))
+            slack = (alpha[:, None] + beta @ finite.T).min(axis=1, initial=np.inf)
+        mu = float(slack.min())
         cert = c.copy()
         cert[0::4] += (max(-mu, 0.0) + _SHIFT_PAD) / k
         meta["margin"] = -float(cert @ rhs)
         if meta["margin"] > 0.0:
-            if ball and not _ball_check(touch, cert, rhs):
-                return undecided("certificate failed ball check")
-            if not ball and not _master_check(cert, a, rhs):
+            if not _exact_check(touch, cert, rhs, finite):
                 return undecided("certificate failed exact check")
             return SteeringVerdict(
                 INFEASIBLE,
@@ -354,14 +366,6 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
         lam = np.concatenate([lam, enter])
         dirs = np.vstack([dirs, -beta[enter] / beta_norm[enter, None]])
     return undecided("round limit")
-
-
-def _master_check(cert, a, b) -> bool:
-    """Exact test, on the float64 values as stored, that cert separates b
-    from every column of the master a."""
-    rows = [[Fraction(v) if v else 0 for v in row] for row in a.tolist()]
-    c_frac, b_frac = ([Fraction(v) for v in vec.tolist()] for vec in (cert, b))
-    return separates(c_frac, rows, b_frac, a.shape[1])
 
 
 def _block_rows(mats) -> np.ndarray:
@@ -418,17 +422,15 @@ def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
     bob = enumerate_strategies(ny, nb)
 
     pairs = [(la, lb) for la in alice for lb in bob]
-    rows = []
+    # rows (x, a, y, b) and columns (la, lb), both lexicographic, as Python
+    # ints: exact mode rejects numpy integers
+    touch_a = _touch_matrix(alice, [asm.a_outcomes] * asm.x_settings)
+    rows = np.kron(touch_a, _touch_matrix(bob, [nb] * ny)).T.astype(int).tolist()
     rhs = []
     for x in range(asm.x_settings):
         for a in range(asm.a_outcomes):
             weight, state = asm.entries[(x, a)]
-            for y in range(ny):
-                for b in range(nb):
-                    rows.append(
-                        [int(la.responses[x] == a and lb.responses[y] == b) for la, lb in pairs]
-                    )
-                    rhs.append(weight * state.prob(y, b))
+            rhs.extend(weight * state.prob(y, b) for y in range(ny) for b in range(nb))
     problem = FeasibilityProblem(a=rows, b=rhs, num_vars=len(pairs))
     verdict = solve_feasibility_exact(problem)
     meta = {"question": "lhs", "space": "box", **verdict.meta}
@@ -524,9 +526,10 @@ def pv_feasibility(asm, bob_tests=None, mesh: int = DEFAULT_MESH) -> SteeringVer
     ``deterministic_bloch_set`` (often none for incompatible tests).  The
     same column generation as ``lhs_feasibility_qubit`` decides it over
     that finite set: every column is in the first master, Feasible ships
-    the model, and Infeasible ships a certificate c with c.A >= 0 and
-    c.b < 0 checked exactly on the master as stored in float64.  When no
-    test constrains the states this is the plain qubit local-model
+    the model, and Infeasible ships a certificate c with c.b < 0 and
+    alpha_l + beta_l.n >= 0 for every strategy l and deterministic state
+    n, checked exactly in integers on the float64 values as stored.  When
+    no test constrains the states this is the plain qubit local-model
     question, and ``mesh`` seeds its column generation over the Bloch
     ball.  Box-world vertices are already deterministic tables, so there
     the answer coincides with plain local-model membership.
@@ -606,7 +609,7 @@ def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
     Brunner, PRL 113, 160402 (2014)), so ``_column_generation`` decides
     it on the rows of M/2.  Feasible ships the parents G_lam = 2 sigma_lam,
     with ``model`` their weights tr G_lam / 2.
-    Infeasible ships the exactly ball-checked certificate c' as c'/2 on
+    Infeasible ships the exactly checked certificate c' as c'/2 on
     the effect rows, then 0.0 on four identity rows; both halvings are
     exact, so c.b = c'.b' and c is nonnegative on every parent column
     2(1, n).  The effects' Bloch axes join the seed, so projective
@@ -677,26 +680,21 @@ def threshold_scan(family, checker, lo, hi, width) -> tuple:
     status_lo = probe(lo)
     status_hi = probe(hi)
 
-    if status_lo == FEASIBLE and status_hi != FEASIBLE:
+    def bisect(keeps_low):
         a, b = lo, hi
         while b - a > width:
             mid = (a + b) / 2
             if not a < mid < b:  # a and b are adjacent floats
                 break
-            if probe(mid) == FEASIBLE:
+            if keeps_low(probe(mid)):
                 a = mid
             else:
                 b = mid
+
+    if status_lo == FEASIBLE and status_hi != FEASIBLE:
+        bisect(lambda status: status == FEASIBLE)
     if status_hi == INFEASIBLE and status_lo != INFEASIBLE:
-        a, b = lo, hi
-        while b - a > width:
-            mid = (a + b) / 2
-            if not a < mid < b:
-                break
-            if probe(mid) == INFEASIBLE:
-                b = mid
-            else:
-                a = mid
+        bisect(lambda status: status != INFEASIBLE)
 
     p_feasible_max = max(feasible_at) if feasible_at else None
     p_infeasible_min = min(infeasible_at) if infeasible_at else None

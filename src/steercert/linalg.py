@@ -16,7 +16,7 @@ from .errors import InputError
 # M as Hermitian.
 HERMITICITY_TOL = 1e-10
 
-# Default eigenvalue slack for positive-semidefiniteness checks.
+# Eigenvalue slack of the positive-semidefiniteness check.
 PSD_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
@@ -63,13 +63,13 @@ def partial_trace_A(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ijil->jl", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
-def psd_check(m: np.ndarray, tol: float = PSD_TOL, what: str = "matrix") -> bool:
-    """True iff the Hermitian matrix m has min eigenvalue >= -tol.
+def psd_check(m: np.ndarray, what: str = "matrix") -> bool:
+    """True iff the Hermitian matrix m has min eigenvalue >= -PSD_TOL.
 
     Raises ``InputError`` for non-Hermitian input, naming it ``what``.
     """
     eigs = np.linalg.eigvalsh(require_hermitian(m, what=what))
-    return bool(eigs[0] >= -tol)
+    return bool(eigs[0] >= -PSD_TOL)
 
 
 def bloch_components(m: np.ndarray) -> tuple[float, float, float, float]:

@@ -98,7 +98,7 @@ def run_phase1(full, b, cost, basis, max_iter):
         ratios = xb[rows] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        r = min(tied, key=lambda i: (binv[i] / col[i]).tolist())
+        r = tied[0] if tied.size == 1 else min(tied, key=lambda i: (binv[i] / col[i]).tolist())
         if age and col[r] < PIVOT_EPS * abs(col).max():
             # next to the rest of its column this pivot may be roundoff of
             # the updates: choose again from a fresh factorization

@@ -37,6 +37,7 @@ from .problem import (
 from . import _pivot
 from ._pivot import ITERATION_LIMIT, PIVOT_EPS, STALLED, TOL
 
+# nothing in the package reads it; the benchmark harness records it
 BACKEND = "numpy"
 
 UNDECIDED_FACTOR = 100.0

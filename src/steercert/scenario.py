@@ -174,7 +174,7 @@ class NoSignallingReport:
 @dataclass(frozen=True)
 class PredictabilityRecord:
     """A context (x, a) whose conditional state answers test (y, b) with
-    probability at least 1 - eps."""
+    probability at least 1 - CERTAINTY_EPS."""
 
     context: tuple
     test: tuple
@@ -253,9 +253,7 @@ def assemblage_from_instrument(
     return Assemblage(settings=len(alice), outcomes=outcomes, dim_b=dim_b, sigma=sigma)
 
 
-def scan_predictability(
-    asm: Assemblage, bob: Sequence[Povm], eps: float = CERTAINTY_EPS
-) -> list:
+def scan_predictability(asm: Assemblage, bob: Sequence[Povm]) -> list:
     """All (context, test) pairs where Bob's conditional state is certain.
 
     Contexts with p(a|x) ~ 0 have no conditional state and are skipped.
@@ -271,7 +269,7 @@ def scan_predictability(
                     raise InputError(f"Bob measurement {y} acts on dim {povm.dim}, expected {asm.dim_b}")
                 for b, effect in enumerate(povm.effects):
                     prob = float((effect @ omega).trace().real)
-                    if prob >= 1.0 - eps:
+                    if prob >= 1.0 - CERTAINTY_EPS:
                         records.append(
                             PredictabilityRecord(context=(x, a), test=(y, b), probability=prob)
                         )

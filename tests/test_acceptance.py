@@ -94,7 +94,7 @@ def test_criterion_3_singlet_counterexample_pipeline():
     matched = [pauli_povm("x"), pauli_povm("z")]
     asm = assemblage_from_povms(singlet(), matched)
 
-    records = scan_predictability(asm, matched, eps=1e-9)
+    records = scan_predictability(asm, matched)
     assert len(records) == 4
     assert all(r.probability >= 1.0 - 1e-9 for r in records)
 

@@ -41,6 +41,7 @@ from helpers import (
     assert_parents_rebuild,
     assert_pv_certificate,
     assert_separates_on_ball,
+    box_lp,
     deterministic_box,
     jm_rows,
     jm_touch,
@@ -216,10 +217,10 @@ def test_certificate_that_fails_the_exact_ball_check_is_undecided(monkeypatch):
     verdict = lhs_feasibility_qubit(werner_assemblage(0.85))
     assert verdict.is_infeasible and verdict.meta["margin"] > 0
     assert "float64" in verdict.meta["certified"]
-    monkeypatch.setattr(engine, "_ball_check", lambda *args: False)
+    monkeypatch.setattr(engine, "_exact_check", lambda *args: False)
     verdict = lhs_feasibility_qubit(werner_assemblage(0.85))
     assert verdict.is_undecided
-    assert verdict.meta["reason"] == "certificate failed ball check"
+    assert verdict.meta["reason"] == "certificate failed exact check"
 
 
 def test_jm_certificate_that_fails_the_exact_ball_check_is_undecided(monkeypatch):
@@ -227,10 +228,85 @@ def test_jm_certificate_that_fails_the_exact_ball_check_is_undecided(monkeypatch
     noisy = [noisy_pauli_povm(ax, 0.85) for ax in ("x", "z")]
     verdict = joint_measurability(noisy)
     assert verdict.is_infeasible and "float64" in verdict.meta["certified"]
-    monkeypatch.setattr(engine, "_ball_check", lambda *args: False)
+    monkeypatch.setattr(engine, "_exact_check", lambda *args: False)
     verdict = joint_measurability(noisy)
     assert verdict.is_undecided
-    assert verdict.meta["reason"] == "certificate failed ball check"
+    assert verdict.meta["reason"] == "certificate failed exact check"
+
+
+def fraction_check(touch, c, b, finite=None) -> bool:
+    """Reference for ``engine._exact_check``, in Fractions: c.b < 0, and
+    for every strategy alpha + beta.n >= 0 on the ball or at each listed n."""
+    cf = [Fraction(float(v)) for v in c]
+    if sum(ci * Fraction(float(bi)) for ci, bi in zip(cf, b)) >= 0:
+        return False
+    for row in np.asarray(touch):
+        alpha, *beta = (sum(cf[4 * r + i] for r in np.flatnonzero(row)) for i in range(4))
+        if finite is None:
+            if alpha < 0 or alpha * alpha < sum(p * p for p in beta):
+                return False
+        elif any(alpha + sum(p * Fraction(float(v)) for p, v in zip(beta, n)) < 0 for n in finite):
+            return False
+    return True
+
+
+ONE_BLOCK = np.array([[1.0]])
+ULP_BELOW_5 = float(np.nextafter(5.0, 0.0))
+N_FINITE = np.array([[0.6, 0.8, 0.0], [1.0, 0.0, 0.0]])
+# beta.n takes 1e-200 * 1e-200, which float64 rounds to 0
+N_TINY = np.array([[1.0, 1e-200, 0.0]])
+X_AXIS = np.array([[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "c, b, finite, expected",
+    [
+        # on the ball alpha^2 = |beta|^2 is the boundary
+        ([5.0, 3.0, 4.0, 0.0], [-1.0, 0.0, 0.0, 0.0], None, True),
+        ([ULP_BELOW_5, 3.0, 4.0, 0.0], [-1.0, 0.0, 0.0, 0.0], None, False),
+        # on a finite set alpha + beta.n = 0 at n = (0.6, 0.8, 0) as stored
+        ([-0.6, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], N_FINITE, True),
+        ([float(np.nextafter(-0.6, -1.0)), 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], N_FINITE, False),
+        # the same certificate is negative on the ball
+        ([-0.6, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], None, False),
+        # float64 squares overflow to inf or underflow to 0 here
+        ([1e300, 1e300, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], None, True),
+        ([1e300, 1e300, 5e-324, 0.0], [-1.0, 0.0, 0.0, 0.0], None, False),
+        ([5e-324, 0.0, 5e-324, 0.0], [-1.0, 0.0, 0.0, 0.0], None, True),
+        ([5e-324, 0.0, 1e-323, 0.0], [-1.0, 0.0, 0.0, 0.0], None, False),
+        ([1e300, -1e300, 1e-200, 0.0], [-1.0, 0.0, 0.0, 0.0], N_TINY, True),
+        ([1e300, -1e300, -1e-200, 0.0], [-1.0, 0.0, 0.0, 0.0], N_TINY, False),
+        ([5e-324, -5e-324, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], X_AXIS, True),
+        ([5e-324, -1e-323, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], X_AXIS, False),
+        # c.b must be negative, also when it underflows in float64
+        ([5.0, 3.0, 4.0, 0.0], [0.0, 0.0, 0.0, 0.0], None, False),
+        ([5e-324, 0.0, 0.0, 0.0], [-5e-324, 0.0, 0.0, 0.0], None, True),
+    ],
+)
+def test_exact_check_decides_the_boundary_exactly(c, b, finite, expected):
+    assert fraction_check(ONE_BLOCK, c, b, finite) is expected
+    assert engine._exact_check(ONE_BLOCK, np.array(c), np.array(b), finite) is expected
+
+
+def test_exact_check_agrees_with_fractions_on_engine_certificates():
+    # near-boundary shifts of real certificates, on the ball and on the
+    # deterministic states of a PV question
+    touch = np.zeros((4, 4))
+    for row, blocks in zip(touch, lhs_touch(2, 2)):
+        row[blocks] = 1.0
+    high, low = werner_assemblage(0.85), werner_assemblage(0.5)
+    z_states = deterministic_bloch_set([pauli_povm("z")])
+    cases = [
+        (lhs_feasibility_qubit(high), lhs_rows(high), None),
+        (pv_feasibility(low, [pauli_povm("z")]), lhs_rows(low), z_states),
+    ]
+    for verdict, b, finite in cases:
+        assert verdict.is_infeasible
+        for shift in (0.0, -1e-13, -1e-9, 1e-13):
+            c = np.array(verdict.certificate, dtype=float)
+            c[0::4] += shift
+            assert engine._exact_check(touch, c, b, finite) is fraction_check(touch, c, b, finite)
+        assert engine._exact_check(touch, np.array(verdict.certificate, dtype=float), b, finite)
 
 
 def test_sandwich_does_not_refute_a_feasible_assemblage_near_the_boundary():
@@ -391,6 +467,33 @@ def test_box_model_deviation_catches_moved_weight(asm):
     assert moved.max_deviation(asm) == d > 0
 
 
+@pytest.mark.parametrize(
+    "alice, bob, a_outcomes, b_outcomes",
+    [((0, 1), (2, 0, 1), 2, 3), ((1, 0, 1), (2, 0), 2, 3), ((2, 0), (1, 1, 0), 3, 2)],
+    ids=["2233", "3223", "2332"],
+)
+def test_box_lp_is_the_reference_lp(monkeypatch, alice, bob, a_outcomes, b_outcomes):
+    # the engine builds its LP by a Kronecker product of touch matrices;
+    # it must be the lexicographic (x, a, y, b) x (Alice, Bob) LP row for row
+    shape = (len(alice), a_outcomes, len(bob), b_outcomes)
+    asm = mix_assemblages(
+        Fraction(2, 3), deterministic_box(alice, bob, a_outcomes, b_outcomes), uniform_assemblage(*shape)
+    )
+    captured = []
+    solve = engine.solve_feasibility_exact
+    monkeypatch.setattr(engine, "solve_feasibility_exact", lambda p: captured.append(p) or solve(p))
+    verdict = lhs_feasibility_boxworld(asm)
+    reference = box_lp(asm)
+    (problem,) = captured
+    assert problem.num_vars == reference.num_vars
+    assert len(problem.a) == len(reference.a)
+    for row, want in zip(problem.a, reference.a):
+        assert row == want and all(type(v) is int for v in row)
+    assert problem.b == reference.b
+    assert verdict.is_feasible
+    assert_box_verdict_exact(asm, verdict)
+
+
 def test_exact_box_threshold_bisection():
     def family(lam):
         return mix_assemblages(lam, prbox_assemblage(), uniform_assemblage())
@@ -465,7 +568,7 @@ def test_pv_single_test_on_other_settings_is_infeasible_with_columns():
 def test_pv_certificate_that_fails_the_exact_check_is_undecided(monkeypatch):
     asm = werner_assemblage(0.5)
     assert pv_feasibility(asm, [pauli_povm("z")]).is_infeasible
-    monkeypatch.setattr(engine, "separates", lambda *args: False)
+    monkeypatch.setattr(engine, "_exact_check", lambda *args: False)
     verdict = pv_feasibility(asm, [pauli_povm("z")])
     assert verdict.is_undecided
     assert verdict.meta["reason"] == "certificate failed exact check"
@@ -580,7 +683,7 @@ def test_identical_projective_tests_are_jointly_measurable():
     total = sum(parents)
     np.testing.assert_allclose(total, linalg.I2, atol=1e-7)
     for g in parents:
-        assert linalg.psd_check(g, tol=1e-7)
+        assert np.linalg.eigvalsh(g)[0] >= -1e-7
 
 
 def test_sharp_x_and_z_are_incompatible():
