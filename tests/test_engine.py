@@ -683,7 +683,7 @@ def test_identical_projective_tests_are_jointly_measurable():
     total = sum(parents)
     np.testing.assert_allclose(total, linalg.I2, atol=1e-7)
     for g in parents:
-        assert np.linalg.eigvalsh(g)[0] >= -1e-7
+        assert np.linalg.eigvalsh(linalg.require_hermitian(g))[0] >= -1e-7
 
 
 def test_sharp_x_and_z_are_incompatible():
