@@ -68,22 +68,26 @@ class GptState:
 class GptAssemblage:
     """entries[(x, a)] = (weight p(a|x), conditional GptState).
 
-    Valid assemblages have unit weight per setting and a weighted
-    marginal table that does not depend on Alice's setting, both exact.
-    The constructor compares those tables and keeps what it found in
+    Every state has the same Bob inputs and outputs.  The constructor
+    forms ``table`` = {(x, a, y, b): p(a|x) p(b|y; x, a)}, the
+    subnormalised entries in lexicographic order, once; everything that
+    needs them reads it.  Valid assemblages have unit weight per setting
+    and a weighted marginal sum_a table[x, a, y, b] that does not depend
+    on x, both exact; what the constructor found is kept in
     ``no_signalling``.
     """
 
     x_settings: int
     a_outcomes: int
     entries: dict
+    table: dict = field(init=False, repr=False)
     no_signalling: NoSignallingReport = field(init=False, repr=False)
 
     def __post_init__(self):
         positive_int(self.x_settings, "x_settings")
         positive_int(self.a_outcomes, "a_outcomes")
         clean = {}
-        ref = None
+        shape = None
         for x in range(self.x_settings):
             total = ZERO
             for a in range(self.a_outcomes):
@@ -95,29 +99,28 @@ class GptAssemblage:
                     raise InputError(f"p(a={a}|x={x}) = {weight} is outside [0, 1]")
                 if not isinstance(state, GptState):
                     raise InputError("assemblage entries must pair a weight with a GptState")
+                dims = (state.y_settings, state.b_outcomes)
+                shape = shape or dims
+                if dims != shape:
+                    what = f"{dims[0]}x{dims[1]} Bob inputs x outcomes, not {shape[0]}x{shape[1]}"
+                    raise InputError(f"entry (x={x}, a={a}) has {what}")
                 clean[(x, a)] = (weight, state)
                 total += weight
             if total != ONE:
                 raise InputError(f"setting x={x} has total weight {total}, expected 1")
+        table = {
+            (x, a, y, b): weight * p
+            for (x, a), (weight, state) in clean.items()
+            for (y, b), p in state.table.items()
+        }
+        marginal = {}
+        for (x, _, y, b), v in table.items():
+            marginal[x, y, b] = marginal.get((x, y, b), 0) + v
+        if any(v != marginal[0, y, b] for (_, y, b), v in marginal.items()):
+            raise InputError("weighted marginal table depends on Alice's setting")
         object.__setattr__(self, "entries", clean)
-        for x in range(self.x_settings):
-            marg = self._marginal(clean, x)
-            if ref is None:
-                ref = marg
-            elif marg != ref:
-                raise InputError("weighted marginal table depends on Alice's setting")
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "no_signalling", NoSignallingReport(passed=True, max_deviation=0.0))
-
-    def _marginal(self, entries, x: int) -> dict:
-        first_state = entries[(x, 0)][1]
-        marg = {}
-        for y in range(first_state.y_settings):
-            for b in range(first_state.b_outcomes):
-                marg[(y, b)] = sum(
-                    entries[(x, a)][0] * entries[(x, a)][1].prob(y, b)
-                    for a in range(self.a_outcomes)
-                )
-        return marg
 
     def weight(self, x: int, a: int) -> Fraction:
         return self.entries[(x, a)][0]
@@ -189,37 +192,24 @@ def mix_assemblages(lam, first: GptAssemblage, second: GptAssemblage) -> GptAsse
     if (ny, nb) != (second.y_settings, second.b_outcomes):
         raise InputError("cannot mix assemblages with different Bob scenarios")
     entries = {}
-    for x in range(first.x_settings):
-        for a in range(first.a_outcomes):
-            w1, s1 = first.entries[(x, a)]
-            w2, s2 = second.entries[(x, a)]
-            w = lam * w1 + (1 - lam) * w2
-            if w == 0:
-                table = {(y, b): Fraction(1, nb) for y in range(ny) for b in range(nb)}
-            else:
-                table = {
-                    (y, b): (lam * w1 * s1.prob(y, b) + (1 - lam) * w2 * s2.prob(y, b)) / w
-                    for y in range(ny)
-                    for b in range(nb)
-                }
-            entries[(x, a)] = (w, GptState(ny, nb, table))
+    for (x, a), (w1, _) in first.entries.items():
+        w = lam * w1 + (1 - lam) * second.weight(x, a)
+        if w == 0:
+            table = {(y, b): Fraction(1, nb) for y in range(ny) for b in range(nb)}
+        else:
+            table = {
+                (y, b): (lam * first.table[x, a, y, b] + (1 - lam) * second.table[x, a, y, b]) / w
+                for y in range(ny)
+                for b in range(nb)
+            }
+        entries[(x, a)] = (w, GptState(ny, nb, table))
     return GptAssemblage(first.x_settings, first.a_outcomes, entries)
 
 
 def joint_from_assemblage(asm: GptAssemblage) -> dict:
-    """p(a, b | x, y) = p(a|x) * p(b|y; a, x), keyed (a, b, x, y)."""
-    joint = {}
-    for x in range(asm.x_settings):
-        for a in range(asm.a_outcomes):
-            weight, state = asm.entries[(x, a)]
-            for y in range(state.y_settings):
-                for b in range(state.b_outcomes):
-                    joint[(a, b, x, y)] = weight * state.prob(y, b)
-    return joint
-
-
-def _slice_sum(joint: dict, x: int, y: int):
-    return sum(v for (a, b, xx, yy), v in joint.items() if xx == x and yy == y)
+    """p(a, b | x, y) = p(a|x) p(b|y; x, a), keyed (a, b, x, y): the
+    assemblage's ``table`` re-keyed."""
+    return {(a, b, x, y): v for (x, a, y, b), v in asm.table.items()}
 
 
 def chsh_value(joint: dict):
@@ -233,17 +223,13 @@ def chsh_value(joint: dict):
     value = ZERO if exact else 0.0
     for x in range(2):
         for y in range(2):
-            total = _slice_sum(joint, x, y)
-            if exact:
-                if total != 1:
-                    raise InputError(f"joint slice (x={x}, y={y}) sums to {total}, expected 1")
-            elif abs(total - 1.0) > 1e-9:
+            cell = [
+                (v, 1 if (a + b) % 2 == 0 else -1) for (a, b, xx, yy), v in joint.items() if (xx, yy) == (x, y)
+            ]
+            total = sum(v for v, _ in cell)
+            if (total != 1) if exact else (abs(total - 1.0) > 1e-9):
                 raise InputError(f"joint slice (x={x}, y={y}) sums to {total}, expected 1")
-            corr = sum(
-                v * (1 if (a + b) % 2 == 0 else -1)
-                for (a, b, xx, yy), v in joint.items()
-                if xx == x and yy == y
-            )
+            corr = sum(v * sign for v, sign in cell)
             value = value + (corr if (x, y) != (1, 1) else -corr)
     return value
 

@@ -80,8 +80,8 @@ def _quantum_checks(asm, bob) -> tuple:
     if len(bob) == asm.settings and all(p.num_outcomes == 2 for p in bob):
         try:
             corr = _correlators(asm, bob)
-        except InputError:
-            details["witness_skipped"] = "Bob tests are not +-1 observables"
+        except InputError as exc:
+            details["witness_skipped"] = str(exc)
         else:
             cj = witnesses.cjwr(corr)
             witness_values["F"] = cj.F
@@ -154,35 +154,42 @@ def cmd_werner_scan(
     return _report("werner-scan", inputs, [], witness_values, details, t0)
 
 
+def _box_checks(asm) -> tuple:
+    """(verdicts, witness_values, details) of a box-world assemblage: the
+    exact LHS verdict, the exact no-signalling check and, for two inputs
+    and two outputs on each side, the exact CHSH value."""
+    ns = boxworld.check_no_signalling_exact(asm)
+    verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_boxworld(asm))]
+    witness_values = {}
+    details = {"no_signalling": {"passed": ns.passed, "max_deviation": ns.max_deviation}}
+    if (asm.x_settings, asm.a_outcomes, asm.y_settings, asm.b_outcomes) == (2, 2, 2, 2):
+        chsh = boxworld.chsh_value(boxworld.joint_from_assemblage(asm))
+        witness_values["chsh"] = float(chsh)
+        details["chsh_exact"] = str(chsh)
+    return verdicts, witness_values, details
+
+
 def cmd_prbox() -> RunReport:
     """Exact no-signalling, CHSH, and local-model analysis of the PR box."""
     t0 = time.perf_counter()
     asm = boxworld.prbox_assemblage()
-    ns = boxworld.check_no_signalling_exact(asm)
-    chsh = boxworld.chsh_value(boxworld.joint_from_assemblage(asm))
-    lhs = engine.lhs_feasibility_boxworld(asm)
-    pv = engine.pv_feasibility(asm)
-    verdicts = [_verdict_entry("lhs", lhs), _verdict_entry("pv", pv)]
-    witness_values = {
-        "chsh": float(chsh),
-        "local_bound": 2.0,
-        "quantum_bound": 2.0 * math.sqrt(2.0),
-    }
-    details = {
-        "chsh_exact": str(chsh),
-        "no_signalling": {"passed": ns.passed, "max_deviation": ns.max_deviation},
-    }
+    verdicts, witness_values, details = _box_checks(asm)
+    verdicts.append(_verdict_entry("pv", engine.pv_feasibility(asm)))
+    witness_values.update(local_bound=2.0, quantum_bound=2.0 * math.sqrt(2.0))
     return _report("prbox", {}, verdicts, witness_values, details, t0)
 
 
 def cmd_reid(
-    r: float,
+    r: float | None = None,
     sweep: tuple | None = None,
     eta: float = 1.0,
 ) -> RunReport:
     """Reid inferred-variance criterion for a two-mode squeezed vacuum at
-    squeezing r, optionally swept over a range of r values."""
+    squeezing r, or swept over a range (lo, hi, step) of r values; give
+    exactly one of ``r`` and ``sweep``."""
     t0 = time.perf_counter()
+    if (r is None) == (sweep is None):
+        raise InputError("give exactly one of r and sweep")
     witness_values = {}
     details = {}
     if sweep is None:
@@ -201,7 +208,7 @@ def cmd_reid(
         rows = [list(row) for row in gaussian.reid_sweep(r_values, eta=eta)]
         details["csv_header"] = ["r", "var_x_inf", "var_p_inf", "product", "steering_flag"]
         details["csv_rows"] = rows
-    inputs = {"r": float(r), "sweep": list(sweep) if sweep else None, "eta": eta}
+    inputs = {"r": None if r is None else float(r), "sweep": list(sweep) if sweep else None, "eta": eta}
     return _report("reid", inputs, [], witness_values, details, t0)
 
 
@@ -228,20 +235,8 @@ def cmd_check(path) -> RunReport:
 
 
 def _check_box(path, doc, t0) -> RunReport:
-    asm = boxworld.load_box(doc)
-    ns = boxworld.check_no_signalling_exact(asm)
-    verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_boxworld(asm))]
-    witness_values = {}
-    details = {
-        "schema": "box",
-        "no_signalling": {"passed": ns.passed, "max_deviation": ns.max_deviation},
-    }
-    if (asm.x_settings, asm.a_outcomes, asm.y_settings, asm.b_outcomes) == (2, 2, 2, 2):
-        chsh = boxworld.chsh_value(boxworld.joint_from_assemblage(asm))
-        witness_values["chsh"] = float(chsh)
-        details["chsh_exact"] = str(chsh)
-    inputs = {"file": str(path)}
-    return _report("check", inputs, verdicts, witness_values, details, t0)
+    verdicts, witness_values, details = _box_checks(boxworld.load_box(doc))
+    return _report("check", {"file": str(path)}, verdicts, witness_values, {**details, "schema": "box"}, t0)
 
 
 def _check_quantum(path, doc, t0) -> RunReport:
@@ -304,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=lambda a: cmd_prbox())
 
     p = sub.add_parser("reid", parents=[common], help="Reid criterion for a two-mode squeezed vacuum")
-    p.add_argument("--r", type=float, required=True, help="squeezing parameter (>= 0)")
-    p.add_argument("--sweep", default=None, help="sweep r over lo:hi:step instead of a single point")
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--r", type=float, help="squeezing parameter (>= 0)")
+    point.add_argument("--sweep", help="sweep r over lo:hi:step instead of a single point")
     p.add_argument("--eta", type=float, default=1.0, help="symmetric loss transmissivity (default 1.0)")
     p.add_argument("--csv", metavar="table.csv", help="write the sweep table")
     p.set_defaults(run=lambda a: cmd_reid(a.r, _parse_range(a.sweep, "--sweep") if a.sweep else None, a.eta))

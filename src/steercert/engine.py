@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .boxworld import GptAssemblage, GptState
+from .boxworld import GptAssemblage
 from .errors import InputError, InternalCheckError, NonMonotoneFamilyError
 from .lp import (
     FEASIBLE,
@@ -137,40 +137,35 @@ class LhsModel:
 
 @dataclass(frozen=True, eq=False)
 class BoxLhsModel:
-    """Box-world local model: exact weights over strategy/table pairs."""
+    """Box-world local model: exact weights over pairs of deterministic
+    strategies.  Pair l is Alice's ``strategies[l]`` with the hidden
+    state ``hidden_states[l]``, Bob's deterministic strategy: its table
+    over ``b_outcomes`` outcomes gives b = responses[y] with certainty."""
 
     weights: tuple
     hidden_states: tuple
     strategies: tuple
+    b_outcomes: int
 
     def max_deviation(self, asm: GptAssemblage) -> Fraction:
-        """The largest |rebuilt - input| over every (x, a, y, b), with the
-        input rebuilt in one pass over the pairs of nonzero weight."""
+        """The largest |rebuilt - input| over every (x, a, y, b): each
+        weight is added into the rows (x, lam_A(x), y, lam_B(y)) of its
+        pair, and the sums are compared with ``asm.table``."""
         rebuilt = {}
-        for w, state, strat in zip(self.weights, self.hidden_states, self.strategies):
+        for w, bob, alice in zip(self.weights, self.hidden_states, self.strategies):
             if w:
-                for x, a in enumerate(strat.responses):
-                    for (y, b), p in state.table.items():
-                        if p:
-                            rebuilt[x, a, y, b] = rebuilt.get((x, a, y, b), 0) + w * p
-        dev = Fraction(0)
-        for (x, a), (weight, state) in asm.entries.items():
-            for (y, b), p in state.table.items():
-                d = abs(rebuilt.get((x, a, y, b), 0) - weight * p)
-                if d > dev:
-                    dev = d
-        return dev
-
-    def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+                for x, a in enumerate(alice.responses):
+                    for y, b in enumerate(bob.responses):
+                        rebuilt[x, a, y, b] = rebuilt.get((x, a, y, b), 0) + w
+        return max((abs(rebuilt.get(key, 0) - v) for key, v in asm.table.items()), default=Fraction(0))
 
     def to_dict(self) -> dict:
-        keep = [i for i, w in enumerate(self.weights) if w > 0]
+        keep, nb = [i for i, w in enumerate(self.weights) if w > 0], self.b_outcomes
         return {
             "weights": [f"{self.weights[i].numerator}/{self.weights[i].denominator}" for i in keep],
             "strategies": [list(self.strategies[i].responses) for i in keep],
             "hidden_tables": [
-                {f"{y},{b}": f"{v.numerator}/{v.denominator}" for (y, b), v in self.hidden_states[i].table.items()}
+                {f"{y},{b}": f"{int(b == r)}/1" for y, r in enumerate(self.hidden_states[i].responses) for b in range(nb)}
                 for i in keep
             ],
         }
@@ -416,41 +411,29 @@ def lhs_feasibility_qubit(asm: Assemblage, mesh: int = DEFAULT_MESH) -> Steering
 
 def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
     """Exact local-model membership: deterministic tables span Bob's
-    state polytope, so the rational LP decides with no undecided band."""
-    ny, nb = asm.y_settings, asm.b_outcomes
-    alice = enumerate_strategies(asm.x_settings, asm.a_outcomes)
-    bob = enumerate_strategies(ny, nb)
+    state polytope, so the rational LP decides with no undecided band.
 
-    pairs = [(la, lb) for la in alice for lb in bob]
-    # rows (x, a, y, b) and columns (la, lb), both lexicographic, as Python
-    # ints: exact mode rejects numpy integers
+    Columns are the pairs (Alice strategy, Bob strategy), rows the keys
+    (x, a, y, b) of ``asm.table``, which is the right-hand side, both
+    lexicographic; the column of a pair holds 1 in every row it answers.
+    Feasible ships a ``BoxLhsModel`` that ``max_deviation`` has checked
+    to rebuild ``asm.table`` exactly.
+    """
+    alice = enumerate_strategies(asm.x_settings, asm.a_outcomes)
+    bob = enumerate_strategies(asm.y_settings, asm.b_outcomes)
+    # the 0/1 rows as Python ints: exact mode rejects numpy integers
     touch_a = _touch_matrix(alice, [asm.a_outcomes] * asm.x_settings)
-    rows = np.kron(touch_a, _touch_matrix(bob, [nb] * ny)).T.astype(int).tolist()
-    rhs = []
-    for x in range(asm.x_settings):
-        for a in range(asm.a_outcomes):
-            weight, state = asm.entries[(x, a)]
-            rhs.extend(weight * state.prob(y, b) for y in range(ny) for b in range(nb))
-    problem = FeasibilityProblem(a=rows, b=rhs, num_vars=len(pairs))
+    rows = np.kron(touch_a, _touch_matrix(bob, [asm.b_outcomes] * asm.y_settings)).T.astype(int).tolist()
+    problem = FeasibilityProblem(a=rows, b=list(asm.table.values()), num_vars=len(alice) * len(bob))
     verdict = solve_feasibility_exact(problem)
     meta = {"question": "lhs", "space": "box", **verdict.meta}
 
     if verdict.status == FEASIBLE:
-        tables = {}
-        for lb in bob:
-            tables[lb.responses] = GptState(
-                ny,
-                nb,
-                {
-                    (y, b): Fraction(1) if lb.responses[y] == b else Fraction(0)
-                    for y in range(ny)
-                    for b in range(nb)
-                },
-            )
         model = BoxLhsModel(
             weights=tuple(verdict.model),
-            hidden_states=tuple(tables[lb.responses] for _, lb in pairs),
-            strategies=tuple(la for la, _ in pairs),
+            hidden_states=tuple(bob) * len(alice),
+            strategies=tuple(la for la in alice for _ in bob),
+            b_outcomes=asm.b_outcomes,
         )
         if model.max_deviation(asm) != 0:
             raise InternalCheckError("exact local model failed reconstruction")

@@ -9,6 +9,7 @@ Tables are written separately as CSV.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -58,9 +59,18 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        with _writing(path) as fh:
+            fh.write(self.to_json() + "\n")
+
+
+@contextlib.contextmanager
+def _writing(path, newline=None):
+    """The file at ``path`` open for writing; an OSError is an InputError."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def write_csv(path, header, rows) -> None:
@@ -71,7 +81,7 @@ def write_csv(path, header, rows) -> None:
     """
     import csv
 
-    with open(path, "w", newline="") as fh:
+    with _writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row] for row in rows)

@@ -305,7 +305,7 @@ def werner_state(p: float) -> np.ndarray:
     return p * singlet() + (1.0 - p) * np.eye(4) / 4.0
 
 
-def pauli_povm(axis, label: str | None = None) -> Povm:
+def pauli_povm(axis) -> Povm:
     """Projective qubit measurement along a Bloch axis.
 
     Outcome 0 is the +1 eigenspace, outcome 1 the -1 eigenspace, so that
@@ -314,19 +314,17 @@ def pauli_povm(axis, label: str | None = None) -> Povm:
     n = _axis_vector(axis)
     plus = linalg.bloch_state(n)
     minus = linalg.bloch_state(-n)
-    name = label if label is not None else _axis_label(axis)
-    return Povm(label=name, effects=(plus, minus), dim=2)
+    return Povm(label=_axis_label(axis), effects=(plus, minus), dim=2)
 
 
-def noisy_pauli_povm(axis, eta: float, label: str | None = None) -> Povm:
+def noisy_pauli_povm(axis, eta: float) -> Povm:
     """Smeared projective measurement: effects eta * P_to + (1 - eta)/2 * I."""
     if not 0.0 <= eta <= 1.0:
         raise InputError(f"visibility must lie in [0, 1], got {eta}")
     n = _axis_vector(axis)
     smear = (1.0 - eta) / 2.0 * np.eye(2)
     effects = tuple(eta * linalg.bloch_state(v) + smear for v in (n, -n))
-    name = label if label is not None else _axis_label(axis)
-    return Povm(label=f"{name}(eta={eta})", effects=effects, dim=2)
+    return Povm(label=f"{_axis_label(axis)}(eta={eta})", effects=effects, dim=2)
 
 
 def pauli_observable(axis) -> np.ndarray:

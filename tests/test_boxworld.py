@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -60,6 +61,26 @@ def test_assemblage_rejects_signalling_entries():
     entries[(1, 1)] = (HALF, det0)  # marginal for x=1 now differs from x=0
     with pytest.raises(InputError):
         GptAssemblage(2, 2, entries)
+
+
+def _uniform_state(y_settings, b_outcomes):
+    table = {(y, b): Fraction(1, b_outcomes) for y in range(y_settings) for b in range(b_outcomes)}
+    return GptState(y_settings, b_outcomes, table)
+
+
+@pytest.mark.parametrize("first, second", [((2, 2), (3, 2)), ((3, 2), (2, 2)), ((2, 2), (2, 3)), ((2, 3), (2, 2))])
+def test_assemblage_rejects_mixed_table_shapes(first, second):
+    # the two outcomes of one setting carry tables over different Bob inputs or outputs
+    entries = {(0, 0): (HALF, _uniform_state(*first)), (0, 1): (HALF, _uniform_state(*second))}
+    with pytest.raises(InputError, match=r"^entry \(x=0, a=1\) has"):
+        GptAssemblage(1, 2, entries)
+
+
+def test_assemblage_table_holds_the_subnormalised_entries_in_order():
+    asm = mix_assemblages(Fraction(1, 3), prbox_assemblage(), uniform_assemblage(2, 2, 2, 2))
+    keys = list(itertools.product(range(2), repeat=4))
+    assert list(asm.table) == keys
+    assert all(asm.table[x, a, y, b] == asm.weight(x, a) * asm.state(x, a).prob(y, b) for x, a, y, b in keys)
 
 
 def test_chsh_values_exact():

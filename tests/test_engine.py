@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -458,13 +459,26 @@ def test_box_model_deviation_catches_moved_weight(asm):
     assert dev == 0 and isinstance(dev, Fraction)
     # distinct columns differ by 1 in some row, so moving d from one
     # support pair to another leaves a deviation of exactly d
-    i, j = [k for k, w in enumerate(model.weights) if w][:2]
+    support = [k for k, w in enumerate(model.weights) if w]
+    i, j = support[:2]
     d = model.weights[i] / 2
     weights = list(model.weights)
     weights[i] -= d
     weights[j] += d
     moved = dataclasses.replace(model, weights=tuple(weights))
     assert moved.max_deviation(asm) == d > 0
+    # swapping Bob's strategies between two support pairs that differ on
+    # both sides: the row (x, lam_A(x), y, lam_B(y)) where both differ
+    # loses the first weight
+    i, j = next(
+        (i, j)
+        for i, j in itertools.combinations(support, 2)
+        if model.strategies[i] != model.strategies[j] and model.hidden_states[i] != model.hidden_states[j]
+    )
+    bob = list(model.hidden_states)
+    bob[i], bob[j] = bob[j], bob[i]
+    swapped = dataclasses.replace(model, hidden_states=tuple(bob))
+    assert swapped.max_deviation(asm) >= model.weights[i] > 0
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import steercert
 from steercert import cli
 from steercert.boxworld import box_to_json, prbox_assemblage
 from steercert.errors import InputError, InternalCheckError
+from steercert.linalg import bloch_state
 from steercert.report import RunReport, write_csv
 from steercert.scenario import matrix_to_json, pauli_povm
 
@@ -46,7 +47,7 @@ def test_run_report_round_trip(tmp_path):
         cli.cmd_werner_scan(grid=(0.5, 0.9, 0.2), bracket_tol=0.1),
         cli.cmd_werner_scan(grid=(0.5, 0.9, 0.2), witness_only=True),
         cli.cmd_reid(r=0.5),
-        cli.cmd_reid(r=0.0, sweep=(0.0, 1.0, 0.5)),
+        cli.cmd_reid(sweep=(0.0, 1.0, 0.5)),
         cli.cmd_check(box),
         cli.cmd_check(quantum),
     ]
@@ -131,7 +132,7 @@ def test_cmd_reid_point_and_sweep():
     report = cli.cmd_reid(0.69)
     assert abs(report.witness_values["product"] - 0.23660349919558887) < 1e-12
     assert report.details["steering"] is True
-    report = cli.cmd_reid(0.0, sweep=(0.0, 1.0, 0.25))
+    report = cli.cmd_reid(sweep=(0.0, 1.0, 0.25))
     rows = report.details["csv_rows"]
     assert len(rows) == 5
     products = [row[3] for row in rows]
@@ -149,7 +150,7 @@ def test_main_prbox_writes_report(tmp_path, capsys):
 
 def test_main_reid_csv(tmp_path):
     csv_path = tmp_path / "sweep.csv"
-    code = cli.main(["reid", "--r", "0", "--sweep", "0:1:0.5", "--csv", str(csv_path)])
+    code = cli.main(["reid", "--sweep", "0:1:0.5", "--csv", str(csv_path)])
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "r,var_x_inf,var_p_inf,product,steering_flag"
@@ -168,8 +169,47 @@ def test_main_check_quantum_witness_skipped_for_unsharp_bob(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(quantum_doc(p=0.3, bob_eta=0.7)))
     report = cli.cmd_check(path)
-    assert report.details["witness_skipped"]
+    assert report.details["witness_skipped"] == "observable 0 does not have a +-1 spectrum"
     assert "F" not in report.witness_values
+
+
+def test_main_check_quantum_witness_skipped_for_trine_alice(tmp_path):
+    # three-outcome Alice POVMs with a +-1 Bob test: the skip names Alice's outcomes
+    angles = (0.0, 2 * np.pi / 3, 4 * np.pi / 3)
+    trine = [matrix_to_json(2 / 3 * bloch_state([np.sin(t), 0.0, np.cos(t)])) for t in angles]
+    doc = {
+        "dimA": 2,
+        "dimB": 2,
+        "state": {"kind": "singlet"},
+        "alice_povms": [trine],
+        "bob_povms": [[matrix_to_json(e) for e in pauli_povm("z").effects]],
+    }
+    path = tmp_path / "trine.json"
+    path.write_text(json.dumps(doc))
+    report = cli.cmd_check(path)
+    assert report.details["witness_skipped"] == "correlators need binary Alice outcomes mapped to (-1)^a"
+    assert "F" not in report.witness_values
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prbox", "--out", "missing/r.json"], ["reid", "--sweep", "0:1:0.5", "--csv", "missing/x.csv"]],
+    ids=["out", "csv"],
+)
+def test_main_unwritable_output_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {argv[-1]}: ") and "Traceback" not in err
+
+
+def test_reid_takes_exactly_one_of_r_and_sweep(capsys):
+    assert cli.main(["reid", "--r", "1", "--sweep", "0:1:0.5"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    for kwargs in ({}, {"r": 1.0, "sweep": (0.0, 1.0, 0.5)}):
+        with pytest.raises(InputError, match="exactly one of r and sweep"):
+            cli.cmd_reid(**kwargs)
+    assert cli.cmd_reid(sweep=(0.0, 1.0, 0.5)).inputs["r"] is None
 
 
 def test_main_check_box(tmp_path, capsys):
@@ -187,7 +227,7 @@ def test_main_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch
     path.write_text(json.dumps(box_to_json(prbox_assemblage())))
     assert cli.main(["check", str(path), "--out", "a.json"]) == 0
     written = (tmp_path / "a.json").read_text()
-    assert cli.main(["reid"]) == 1  # usage error: --r is required
+    assert cli.main(["reid"]) == 1  # usage error: one of --r and --sweep is required
     assert cli.main(["prbox"]) == 0
     assert "lhs: infeasible" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "box.json"]
@@ -231,7 +271,7 @@ def test_main_input_error_exit_codes(tmp_path, capsys):
     assert "unrecognized arguments: --mode" in capsys.readouterr().err
     assert cli.main(["reid", "--r", "-2"]) == 1
     assert cli.main(["werner-scan", "--grid", "0.5:0.9:inf"]) == 1
-    assert cli.main(["reid", "--r", "1", "--sweep", "0:inf:1"]) == 1
+    assert cli.main(["reid", "--sweep", "0:inf:1"]) == 1
     assert cli.main(["singlet-cjwr", "--csv", "x.csv"]) == 1  # unknown flag for this command
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
