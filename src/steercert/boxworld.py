@@ -3,13 +3,19 @@
 Bob's states are probability tables over his inputs and outputs, an
 assemblage pairs each of Alice's (setting, outcome) contexts with a
 weight and such a table, and the induced bipartite joint feeds the CHSH
-evaluator.  Everything is a Fraction: the objects live on a polytope and
-the interesting questions sit exactly on its facets, where floating
-point would blur feasible into infeasible.
+evaluator.  Nothing is rounded: the objects live on a polytope and the
+interesting questions sit exactly on its facets, where floating point
+would blur feasible into infeasible.  Weights and tables are Fractions
+as given, and an assemblage holds its subnormalised entries once, as
+integer counts over one common denominator, so validation, the
+no-signalling check and the engine's LP all run on Python ints.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,20 +26,55 @@ from .scenario import NoSignallingReport, positive_int
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
+# every assemblage that constructs passed the exact marginal comparison
+_NO_SIGNALLING = NoSignallingReport(passed=True, max_deviation=0.0)
+
 
 def _as_exact(value, what: str = "a box-world probability") -> Fraction:
     """``value`` as a Fraction: a Fraction, an int or a "num/den" string.
-    Floats and booleans are not exact rationals and raise InputError."""
+    Floats and booleans are not exact rationals and raise InputError.
+
+    Plain ASCII "digits/digits" (or digits alone) is read with ``int``;
+    every other string, and a zero denominator, goes to ``parse_rational``,
+    so both accept the same strings and fail with the same message.
+    """
     if isinstance(value, Fraction):
         return value
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            try:
+                den = int(den) if slash else 1
+                if den:
+                    return Fraction(int(num), den)
+            except ValueError:  # beyond int's digit limit: parse_rational says so
+                pass
         return parse_rational(value)
     raise InputError(
         f'{what} must be an exact rational ("num/den" string or integer), '
         f"got {type(value).__name__} {value!r}"
     )
+
+
+def _outside_unit(v: Fraction) -> bool:
+    """Whether v lies outside [0, 1]; denominators are positive."""
+    return v.numerator < 0 or v.numerator > v.denominator
+
+
+def _sums_to_one(values) -> bool:
+    """Whether the Fractions ``values`` sum to exactly 1: over their common
+    denominator L, their numerators must sum to L."""
+    den = math.lcm(*(v.denominator for v in values))
+    return sum(v.numerator * (den // v.denominator) for v in values) == den
+
+
+@functools.cache
+def _box_keys(x_settings: int, a_outcomes: int, y_settings: int, b_outcomes: int) -> tuple:
+    """The keys (x, a, y, b) of one box shape in lexicographic order, one
+    tuple per shape shared by every assemblage of that shape."""
+    return tuple(itertools.product(range(x_settings), range(a_outcomes), range(y_settings), range(b_outcomes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,17 +88,17 @@ class GptState:
     def __post_init__(self):
         clean = {}
         for y in range(self.y_settings):
-            total = ZERO
+            row = []
             for b in range(self.b_outcomes):
                 if (y, b) not in self.table:
                     raise InputError(f"state table is missing entry (y={y}, b={b})")
                 v = _as_exact(self.table[(y, b)])
-                if v < 0 or v > 1:
+                if _outside_unit(v):
                     raise InputError(f"p(b={b}|y={y}) = {v} is outside [0, 1]")
                 clean[(y, b)] = v
-                total += v
-            if total != ONE:
-                raise InputError(f"input y={y} has total probability {total}, expected 1")
+                row.append(v)
+            if not _sums_to_one(row):
+                raise InputError(f"input y={y} has total probability {sum(row)}, expected 1")
         object.__setattr__(self, "table", clean)
 
     def prob(self, y: int, b: int) -> Fraction:
@@ -69,18 +110,20 @@ class GptAssemblage:
     """entries[(x, a)] = (weight p(a|x), conditional GptState).
 
     Every state has the same Bob inputs and outputs.  The constructor
-    forms ``table`` = {(x, a, y, b): p(a|x) p(b|y; x, a)}, the
-    subnormalised entries in lexicographic order, once; everything that
-    needs them reads it.  Valid assemblages have unit weight per setting
-    and a weighted marginal sum_a table[x, a, y, b] that does not depend
-    on x, both exact; what the constructor found is kept in
+    forms the subnormalised entries p(a|x) p(b|y; x, a) once, as integer
+    ``counts`` over one common denominator ``den`` (the least one), in
+    the lexicographic order of ``_box_keys``; ``table`` reads them back as
+    Fractions.  Valid assemblages have unit weight per setting and a
+    weighted marginal sum_a counts[x, a, y, b] that does not depend on x,
+    both checked in integers; what the constructor found is kept in
     ``no_signalling``.
     """
 
     x_settings: int
     a_outcomes: int
     entries: dict
-    table: dict = field(init=False, repr=False)
+    den: int = field(init=False, repr=False)
+    counts: tuple = field(init=False, repr=False)
     no_signalling: NoSignallingReport = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,13 +132,13 @@ class GptAssemblage:
         clean = {}
         shape = None
         for x in range(self.x_settings):
-            total = ZERO
+            weights = []
             for a in range(self.a_outcomes):
                 if (x, a) not in self.entries:
                     raise InputError(f"assemblage is missing entry (x={x}, a={a})")
                 weight, state = self.entries[(x, a)]
                 weight = _as_exact(weight)
-                if weight < 0 or weight > 1:
+                if _outside_unit(weight):
                     raise InputError(f"p(a={a}|x={x}) = {weight} is outside [0, 1]")
                 if not isinstance(state, GptState):
                     raise InputError("assemblage entries must pair a weight with a GptState")
@@ -105,22 +148,48 @@ class GptAssemblage:
                     what = f"{dims[0]}x{dims[1]} Bob inputs x outcomes, not {shape[0]}x{shape[1]}"
                     raise InputError(f"entry (x={x}, a={a}) has {what}")
                 clean[(x, a)] = (weight, state)
-                total += weight
-            if total != ONE:
-                raise InputError(f"setting x={x} has total weight {total}, expected 1")
-        table = {
-            (x, a, y, b): weight * p
-            for (x, a), (weight, state) in clean.items()
-            for (y, b), p in state.table.items()
-        }
-        marginal = {}
-        for (x, _, y, b), v in table.items():
-            marginal[x, y, b] = marginal.get((x, y, b), 0) + v
-        if any(v != marginal[0, y, b] for (_, y, b), v in marginal.items()):
+                weights.append(weight)
+            if not _sums_to_one(weights):
+                raise InputError(f"setting x={x} has total weight {sum(weights)}, expected 1")
+        # entry (x, a) over its own denominator weight.den * lcm(table dens),
+        # then everything over the lcm of those, reduced by the common gcd
+        scaled = []
+        for weight, state in clean.values():
+            probs = state.table.values()
+            sd = math.lcm(*(p.denominator for p in probs))
+            nums = [weight.numerator * p.numerator * (sd // p.denominator) for p in probs]
+            scaled.append((weight.denominator * sd, nums))
+        den = math.lcm(*(d for d, _ in scaled))
+        counts = [v * (den // d) for d, nums in scaled for v in nums]
+        g = math.gcd(den, *counts)
+        if g > 1:
+            den //= g
+            counts = [v // g for v in counts]
+        width = shape[0] * shape[1]
+        block = self.a_outcomes * width
+
+        def marginal(x):
+            return [sum(counts[x * block + i:(x + 1) * block:width]) for i in range(width)]
+
+        first = marginal(0)
+        if any(marginal(x) != first for x in range(1, self.x_settings)):
             raise InputError("weighted marginal table depends on Alice's setting")
         object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "no_signalling", NoSignallingReport(passed=True, max_deviation=0.0))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "no_signalling", _NO_SIGNALLING)
+
+    @property
+    def shape(self) -> tuple:
+        """(x_settings, a_outcomes, y_settings, b_outcomes)."""
+        return self.x_settings, self.a_outcomes, self.y_settings, self.b_outcomes
+
+    @property
+    def table(self) -> dict:
+        """{(x, a, y, b): p(a|x) p(b|y; x, a)} in lexicographic order: the
+        counts over ``den`` as Fractions, formed afresh on every read."""
+        den = self.den
+        return {key: Fraction(c, den) for key, c in zip(_box_keys(*self.shape), self.counts)}
 
     def weight(self, x: int, a: int) -> Fraction:
         return self.entries[(x, a)][0]
@@ -191,6 +260,7 @@ def mix_assemblages(lam, first: GptAssemblage, second: GptAssemblage) -> GptAsse
     ny, nb = first.y_settings, first.b_outcomes
     if (ny, nb) != (second.y_settings, second.b_outcomes):
         raise InputError("cannot mix assemblages with different Bob scenarios")
+    table1, table2 = first.table, second.table
     entries = {}
     for (x, a), (w1, _) in first.entries.items():
         w = lam * w1 + (1 - lam) * second.weight(x, a)
@@ -198,7 +268,7 @@ def mix_assemblages(lam, first: GptAssemblage, second: GptAssemblage) -> GptAsse
             table = {(y, b): Fraction(1, nb) for y in range(ny) for b in range(nb)}
         else:
             table = {
-                (y, b): (lam * first.table[x, a, y, b] + (1 - lam) * second.table[x, a, y, b]) / w
+                (y, b): (lam * table1[x, a, y, b] + (1 - lam) * table2[x, a, y, b]) / w
                 for y in range(ny)
                 for b in range(nb)
             }
@@ -216,22 +286,28 @@ def chsh_value(joint: dict):
     """E_00 + E_01 + E_10 - E_11 with observables (-1)^a, (-1)^b.
 
     Works over Fractions (exact) or floats; each (x, y) slice must be
-    normalized.  Inputs and outputs beyond the first two settings are
-    ignored by construction of the correlators.
+    normalized.  Exact values are summed as integers over their common
+    denominator, and one Fraction is formed at the end.  Inputs and
+    outputs beyond the first two settings are ignored by construction of
+    the correlators.
     """
     exact = all(isinstance(v, (Fraction, int)) for v in joint.values())
-    value = ZERO if exact else 0.0
-    for x in range(2):
-        for y in range(2):
-            cell = [
-                (v, 1 if (a + b) % 2 == 0 else -1) for (a, b, xx, yy), v in joint.items() if (xx, yy) == (x, y)
-            ]
-            total = sum(v for v, _ in cell)
-            if (total != 1) if exact else (abs(total - 1.0) > 1e-9):
-                raise InputError(f"joint slice (x={x}, y={y}) sums to {total}, expected 1")
-            corr = sum(v * sign for v, sign in cell)
-            value = value + (corr if (x, y) != (1, 1) else -corr)
-    return value
+    one = 1.0
+    if exact:
+        one = math.lcm(*(v.denominator for v in joint.values()))
+        joint = {k: v.numerator * (one // v.denominator) for k, v in joint.items()}
+    total = dict.fromkeys(itertools.product(range(2), repeat=2), 0)
+    corr = dict(total)
+    for (a, b, x, y), v in joint.items():
+        if (x, y) in total:
+            total[x, y] += v
+            corr[x, y] += v if (a + b) % 2 == 0 else -v
+    for (x, y), t in total.items():
+        if (t != one) if exact else (abs(t - 1.0) > 1e-9):
+            shown = Fraction(t, one) if exact else t
+            raise InputError(f"joint slice (x={x}, y={y}) sums to {shown}, expected 1")
+    value = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
+    return Fraction(value, one) if exact else value
 
 
 def quantum_joint(rho_ab, alice, bob) -> dict:

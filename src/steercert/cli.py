@@ -68,8 +68,9 @@ def _correlators(asm, bob):
 def _quantum_checks(asm, bob) -> tuple:
     """(verdicts, witness_values, details) of a qubit assemblage: the LHS
     verdict and, given Bob's tests, the PV verdict over all of them, the
-    certain contexts, and the CJWR witness when the tests are one +-1
-    observable per setting."""
+    certain contexts, and the CJWR witness F with its local bound
+    ``F_bound`` for Bob's axes when the tests are one +-1 observable per
+    setting."""
     verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_qubit(asm))]
     witness_values, details = {}, {}
     if not bob:
@@ -85,6 +86,7 @@ def _quantum_checks(asm, bob) -> tuple:
         else:
             cj = witnesses.cjwr(corr)
             witness_values["F"] = cj.F
+            witness_values["F_bound"] = cj.bound
             witness_values["s_m"] = witnesses.s_m(corr)
             for x, v in enumerate(corr.values):
                 witness_values[f"correlator[{x}]"] = v
@@ -128,9 +130,10 @@ def cmd_werner_scan(
     for p in np.arange(lo, hi + step / 2, step):
         p = float(round(p, 12))
         asm, bob = _matched_setup(settings, p)
-        f_val = witnesses.cjwr(_correlators(asm, bob)).F
+        cj = witnesses.cjwr(_correlators(asm, bob))
+        f_val = cj.F
         if witness_only:
-            status = "infeasible" if f_val > 1.0 else "undecided"
+            status = "infeasible" if cj.violated else "undecided"
         else:
             status = checker(asm).status
         rows.append([p, f_val, status])
@@ -154,12 +157,17 @@ def cmd_werner_scan(
     return _report("werner-scan", inputs, [], witness_values, details, t0)
 
 
-def _box_checks(asm) -> tuple:
+def _box_checks(asm, pv: bool = False) -> tuple:
     """(verdicts, witness_values, details) of a box-world assemblage: the
-    exact LHS verdict, the exact no-signalling check and, for two inputs
-    and two outputs on each side, the exact CHSH value."""
+    exact LHS verdict (and with ``pv`` the PV verdict, which on a box is
+    the same LP, so it is relabelled rather than solved again), the exact
+    no-signalling check and, for two inputs and two outputs on each side,
+    the exact CHSH value."""
     ns = boxworld.check_no_signalling_exact(asm)
-    verdicts = [_verdict_entry("lhs", engine.lhs_feasibility_boxworld(asm))]
+    lhs = engine.lhs_feasibility_boxworld(asm)
+    verdicts = [_verdict_entry("lhs", lhs)]
+    if pv:
+        verdicts.append(_verdict_entry("pv", engine.box_pv(lhs)))
     witness_values = {}
     details = {"no_signalling": {"passed": ns.passed, "max_deviation": ns.max_deviation}}
     if (asm.x_settings, asm.a_outcomes, asm.y_settings, asm.b_outcomes) == (2, 2, 2, 2):
@@ -173,8 +181,7 @@ def cmd_prbox() -> RunReport:
     """Exact no-signalling, CHSH, and local-model analysis of the PR box."""
     t0 = time.perf_counter()
     asm = boxworld.prbox_assemblage()
-    verdicts, witness_values, details = _box_checks(asm)
-    verdicts.append(_verdict_entry("pv", engine.pv_feasibility(asm)))
+    verdicts, witness_values, details = _box_checks(asm, pv=True)
     witness_values.update(local_bound=2.0, quantum_bound=2.0 * math.sqrt(2.0))
     return _report("prbox", {}, verdicts, witness_values, details, t0)
 

@@ -27,6 +27,7 @@ of its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable
@@ -150,14 +151,21 @@ class BoxLhsModel:
     def max_deviation(self, asm: GptAssemblage) -> Fraction:
         """The largest |rebuilt - input| over every (x, a, y, b): each
         weight is added into the rows (x, lam_A(x), y, lam_B(y)) of its
-        pair, and the sums are compared with ``asm.table``."""
-        rebuilt = {}
+        pair, and the sums are compared with ``asm.counts`` / ``asm.den``,
+        in integers over the common denominator of the weights."""
+        scale = math.lcm(*(w.denominator for w in self.weights if w))
+        _, na, ny, nb = asm.shape
+        rebuilt = [0] * len(asm.counts)
         for w, bob, alice in zip(self.weights, self.hidden_states, self.strategies):
             if w:
+                k = w.numerator * (scale // w.denominator)
                 for x, a in enumerate(alice.responses):
+                    row = (x * na + a) * ny
                     for y, b in enumerate(bob.responses):
-                        rebuilt[x, a, y, b] = rebuilt.get((x, a, y, b), 0) + w
-        return max((abs(rebuilt.get(key, 0) - v) for key, v in asm.table.items()), default=Fraction(0))
+                        rebuilt[(row + y) * nb + b] += k
+        den = asm.den
+        dev = max((abs(r * den - c * scale) for r, c in zip(rebuilt, asm.counts)), default=0)
+        return Fraction(dev, scale * den)
 
     def to_dict(self) -> dict:
         keep, nb = [i for i, w in enumerate(self.weights) if w > 0], self.b_outcomes
@@ -247,30 +255,21 @@ def _bloch_operators(t: np.ndarray, r: np.ndarray) -> tuple:
     return tuple((np.multiply.outer(t, linalg.I2) + pauli) / 2.0)
 
 
-def _scaled_ints(v) -> tuple:
-    """(ints, d): the float64 entries of v as the Python ints v * d, where d
-    is the largest of their denominators.  Every float64 is a dyadic
-    rational, so d is a power of two and the scaling is exact."""
-    ratios = [x.as_integer_ratio() for x in np.asarray(v, dtype=float).ravel().tolist()]
-    d = max((q for _, q in ratios), default=1)
-    return [p * (d // q) for p, q in ratios], d
-
-
 def _exact_check(touch: np.ndarray, c, b, finite=None) -> bool:
     """Exact test, on the float64 values as stored, that c separates b
     from every column (1, n) of every strategy l: c.b < 0 and
     alpha_l + beta_l.n >= 0 at every admissible n, which on the ball
     (``finite`` None) is alpha_l >= 0 and alpha_l^2 >= |beta_l|^2.
     Each vector is scaled to integers, so nothing is rounded."""
-    ci, _ = _scaled_ints(c)
-    bi, _ = _scaled_ints(b)
+    ci, _ = linalg.scaled_ints(c)
+    bi, _ = linalg.scaled_ints(b)
     if sum(x * y for x, y in zip(ci, bi)) >= 0:
         return False
     ab = touch.astype(int) @ np.array(ci, dtype=object).reshape(-1, 4)
     alpha, beta = ab[:, 0], ab[:, 1:]
     if finite is None:
         return all(a >= 0 and a * a >= sum(p * p for p in bl) for a, bl in zip(alpha, beta))
-    ni, d = _scaled_ints(finite)
+    ni, d = linalg.scaled_ints(finite)
     values = alpha[:, None] * d + beta @ np.array(ni, dtype=object).reshape(-1, 3).T
     return all(v >= 0 for v in values.ravel())
 
@@ -409,38 +408,58 @@ def lhs_feasibility_qubit(asm: Assemblage, mesh: int = DEFAULT_MESH) -> Steering
 # ---------------------------------------------------------------------------
 # box-world LHS membership (exact)
 
+@functools.cache
+def _box_lp(x_settings: int, a_outcomes: int, y_settings: int, b_outcomes: int) -> tuple:
+    """(alice, bob, rows) of one box shape, built once per shape.
+
+    Column j pairs Alice's strategy alice[j] with Bob's strategy bob[j],
+    both lexicographic, and ``rows`` are the 0/1 rows (x, a, y, b) of the
+    Kronecker product of their touch matrices, as tuples of Python ints
+    (exact mode rejects numpy integers) that no caller may change.
+    """
+    alice = enumerate_strategies(x_settings, a_outcomes)
+    bob = enumerate_strategies(y_settings, b_outcomes)
+    touch_a = _touch_matrix(alice, [a_outcomes] * x_settings)
+    touch_b = _touch_matrix(bob, [b_outcomes] * y_settings)
+    rows = tuple(map(tuple, np.kron(touch_a, touch_b).T.astype(int).tolist()))
+    return tuple(la for la in alice for _ in bob), tuple(bob) * len(alice), rows
+
+
 def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
     """Exact local-model membership: deterministic tables span Bob's
     state polytope, so the rational LP decides with no undecided band.
 
     Columns are the pairs (Alice strategy, Bob strategy), rows the keys
-    (x, a, y, b) of ``asm.table``, which is the right-hand side, both
-    lexicographic; the column of a pair holds 1 in every row it answers.
-    Feasible ships a ``BoxLhsModel`` that ``max_deviation`` has checked
-    to rebuild ``asm.table`` exactly.
+    (x, a, y, b), both lexicographic; the column of a pair holds 1 in
+    every row it answers.  The LP is posed on the integers A v =
+    ``asm.counts``, so w = v / ``asm.den`` rebuilds the table, and the
+    certificate, which only needs the sign of c.b, serves both; the
+    phase-one objective ``meta["z"]`` is divided by ``den`` back to table
+    units.  Feasible ships a ``BoxLhsModel`` that ``max_deviation`` has
+    checked to rebuild the table exactly.
     """
-    alice = enumerate_strategies(asm.x_settings, asm.a_outcomes)
-    bob = enumerate_strategies(asm.y_settings, asm.b_outcomes)
-    # the 0/1 rows as Python ints: exact mode rejects numpy integers
-    touch_a = _touch_matrix(alice, [asm.a_outcomes] * asm.x_settings)
-    rows = np.kron(touch_a, _touch_matrix(bob, [asm.b_outcomes] * asm.y_settings)).T.astype(int).tolist()
-    problem = FeasibilityProblem(a=rows, b=list(asm.table.values()), num_vars=len(alice) * len(bob))
+    alice, bob, rows = _box_lp(*asm.shape)
+    problem = FeasibilityProblem(a=rows, b=list(asm.counts), num_vars=len(rows[0]))
     verdict = solve_feasibility_exact(problem)
-    meta = {"question": "lhs", "space": "box", **verdict.meta}
+    den = asm.den
+    meta = {"question": "lhs", "space": "box", **verdict.meta, "z": verdict.meta["z"] / den}
 
     if verdict.status == FEASIBLE:
-        model = BoxLhsModel(
-            weights=tuple(verdict.model),
-            hidden_states=tuple(bob) * len(alice),
-            strategies=tuple(la for la in alice for _ in bob),
-            b_outcomes=asm.b_outcomes,
-        )
+        weights = [v / den if v else v for v in verdict.model]
+        model = BoxLhsModel(weights=tuple(weights), hidden_states=bob, strategies=alice, b_outcomes=asm.b_outcomes)
         if model.max_deviation(asm) != 0:
             raise InternalCheckError("exact local model failed reconstruction")
-        return SteeringVerdict(FEASIBLE, model=verdict.model, lhs_model=model, meta=meta)
+        return SteeringVerdict(FEASIBLE, model=weights, lhs_model=model, meta=meta)
     return SteeringVerdict(
         INFEASIBLE, certificate=verdict.certificate, meta={**meta, "certified": "exactly, in rational arithmetic"}
     )
+
+
+def box_pv(lhs: SteeringVerdict) -> SteeringVerdict:
+    """The PV verdict of a box assemblage, given its LHS verdict: the
+    vertices of Bob's state polytope are already deterministic tables,
+    so the two questions coincide and only the labels differ."""
+    return lhs.with_meta(question="pv", note="deterministic tables span the state polytope")
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +537,7 @@ def pv_feasibility(asm, bob_tests=None, mesh: int = DEFAULT_MESH) -> SteeringVer
     the answer coincides with plain local-model membership.
     """
     if isinstance(asm, GptAssemblage):
-        verdict = lhs_feasibility_boxworld(asm)
-        return verdict.with_meta(question="pv", note="deterministic tables span the state polytope")
+        return box_pv(lhs_feasibility_boxworld(asm))
     if not isinstance(asm, Assemblage):
         raise InputError("expected an Assemblage or a GptAssemblage")
 

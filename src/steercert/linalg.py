@@ -90,3 +90,12 @@ def bloch_state(n: np.ndarray | tuple[float, float, float]) -> np.ndarray:
     """Qubit state (I + n . sigma) / 2 for a Bloch vector n (|n| <= 1)."""
     nx, ny, nz = (float(v) for v in n)
     return 0.5 * (I2 + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
+
+
+def scaled_ints(v) -> tuple:
+    """(ints, d): the float64 entries of v as the Python ints v * d, where d
+    is the largest of their denominators.  Every float64 is a dyadic
+    rational, so d is a power of two and the scaling is exact."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(v, dtype=float).ravel().tolist()]
+    d = max((q for _, q in ratios), default=1)
+    return [p * (d // q) for p, q in ratios], d

@@ -26,10 +26,13 @@ never answers undecided.  Every witness is checked by exact
 substitution; a rounded one that fails is a bad guess, while a failed
 check in the loop is an internal bug, not an input property.
 
-Integer entries pass through as ints, so 0/1 constraint data are never
-boxed as Fractions; the products A w and c.A are computed in integers,
-with w and c scaled by the common denominator of their entries.  Models
-and certificates are always Fractions.
+Integer entries pass through as ints, and rows that hold only Python
+ints are used as given, with no per-entry conversion, so 0/1 constraint
+data are never boxed as Fractions.  Every check runs in integers
+wherever the data are integers: a rounded witness is checked as the
+integer vector d L x_B or d y before any Fraction is formed, and A w
+and c.A are summed with w and c scaled by a common denominator.  Models
+and certificates are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .problem import FEASIBLE, INFEASIBLE, FeasibilityProblem, FeasibilityVerdic
 
 # Bland's rule cannot cycle, so this only guards against a logic bug.
 _MAX_PIVOTS = 2_000_000
+_ZERO = Fraction(0)
 
 
 def _as_fraction(value):
@@ -105,25 +109,23 @@ def _solve(mat, rhs):
     return [Fraction(rows[k][m], rows[k][k]) for k in range(m)]
 
 
-def _model(a, b, n, basis, values):
-    """w with w[basis[i]] = values[i] (structural columns only) if it
+def _model(a, b, n, basis, nums, den):
+    """w with w[basis[i]] = nums[i] / den (structural columns only) if it
     satisfies w >= 0 and A w = b exactly, else None.
 
-    A w is summed as A (D w) for the common denominator D of w, so the
-    sums stay in integers wherever ``a`` does.
+    ``nums`` are integers and den > 0, and A w = b is tested as
+    A (den w) = den b, so the sums stay in integers wherever ``a`` and
+    ``b`` do; the Fractions of w are formed only once it passes.
     """
-    w = [Fraction(0)] * n
-    for col, v in zip(basis, values):
-        if col < n:
-            w[col] = v
-    if any(v < 0 for v in w):
+    support = [(col, v) for col, v in zip(basis, nums) if col < n and v]
+    if any(v < 0 for _, v in support):
         return None
-    support = [j for j in range(n) if w[j]]
-    scale = math.lcm(*(w[j].denominator for j in support))
-    scaled = {j: w[j].numerator * (scale // w[j].denominator) for j in support}
     for row, bi in zip(a, b):
-        if sum(row[j] * scaled[j] for j in support if row[j]) != bi * scale:
+        if sum(row[j] * v for j, v in support if row[j]) != bi * den:
             return None
+    w = [_ZERO] * n
+    for j, v in support:
+        w[j] = Fraction(v, den)
     return w
 
 
@@ -175,7 +177,7 @@ def _float_basis(a_pos, b_pos, n):
     return a_f, [int(j) for j in basis], clean, pivots
 
 
-def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean):
+def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean, integral):
     """The verdict that the float kernel's numbers for ``basis`` round to,
     or None when they do not round to a witness that checks exactly.
 
@@ -189,12 +191,17 @@ def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean):
     artificial rounds to 0, x_B proposes a model, checked by ``_model``;
     otherwise y proposes a certificate, which must solve B^T y = c_B
     exactly (so that z = y.b_pos is this basis's objective) and separate.
-    A wrong rounding is a bad guess, not a bug, and gives None.
+    Both checks run on those integer vectors; with ``integral`` rows
+    every s_i is 1.  A wrong rounding is a bad guess, not a bug, and
+    gives None.
     """
     xb_f, _, y_f, _ = clean
     m = len(basis)
-    structural = [j for j in basis if j < n]
-    scale = [math.lcm(*[row[j].denominator for j in structural]) for row in a_pos]
+    if integral:
+        scale = [1] * m
+    else:
+        structural = [j for j in basis if j < n]
+        scale = [math.lcm(*[row[j].denominator for j in structural]) for row in a_pos]
     lcm_b = math.lcm(*(bi.denominator for bi in b_pos))
     try:
         s_f = np.array(scale, dtype=np.float64)
@@ -210,8 +217,8 @@ def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean):
     if not (np.isfinite(xb).all() and np.isfinite(ys).all()):
         return None
     if not any(v for v, j in zip(xb, basis) if j >= n):
-        w = _model(a, b, n, basis, [Fraction(int(v), d * lcm_b) for v in xb])
-        return None if w is None else FeasibilityVerdict(FEASIBLE, model=w, meta={"z": Fraction(0)})
+        w = _model(a, b, n, basis, [int(v) for v in xb], d * lcm_b)
+        return None if w is None else FeasibilityVerdict(FEASIBLE, model=w, meta={"z": _ZERO})
     ys = [s * int(v) for s, v in zip(scale, ys)]  # d * y
     for j in basis:
         if j >= n:
@@ -219,10 +226,11 @@ def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean):
                 return None
         elif sum(yi * row[j] for yi, row in zip(ys, a_pos) if yi and row[j]):
             return None
-    cert = [Fraction(-s * yi, d) for s, yi in zip(sign, ys)]
+    cert = [-s * yi for s, yi in zip(sign, ys)]  # d * the certificate
     if not separates(cert, a, b, n):
         return None
     z = sum(yi * bi.numerator * (lcm_b // bi.denominator) for yi, bi in zip(ys, b_pos))
+    cert = [Fraction(c, d) for c in cert]
     return FeasibilityVerdict(INFEASIBLE, certificate=cert, meta={"z": Fraction(z, d * lcm_b)})
 
 
@@ -249,7 +257,8 @@ def _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb):
     while True:
         z = sum((v for v, j in zip(xb, basis) if j >= n), Fraction(0))
         if z == 0:
-            w = _model(a, b, n, basis, xb)
+            den = math.lcm(*(v.denominator for v in xb))
+            w = _model(a, b, n, basis, [v.numerator * (den // v.denominator) for v in xb], den)
             if w is None:
                 raise InternalCheckError("exact model failed re-substitution")
             return FeasibilityVerdict(FEASIBLE, model=w, meta={"z": z}), pivots
@@ -279,7 +288,10 @@ def _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb):
 
 
 def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
-    a = [[_as_fraction(v) for v in row] for row in problem.a]
+    a = list(problem.a)
+    integral = all({*map(type, row)} <= {int} for row in a)
+    if not integral:
+        a = [[_as_fraction(v) for v in row] for row in a]
     b = [_as_fraction(v) for v in problem.b]
     n = problem.num_vars
     sign = [-1 if bi < 0 else 1 for bi in b]
@@ -292,7 +304,7 @@ def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
         a_f, basis, clean, float_pivots = guess
         fallback = None
         if clean is not None:
-            verdict = _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean)
+            verdict = _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean, integral)
         if verdict is None:
             xb = _solve(_basis_matrix(a_pos, n, basis), b_pos)
             if xb is None:

@@ -1,15 +1,20 @@
 """Linear correlation witnesses and their local-model bounds.
 
 A correlator set holds the matched-setting averages <A_x B_x>; the
-witness value F = |sum_x <A_x B_x>| / sqrt(m) is at most 1 for any
-assemblage with a local hidden state model, so F > 1 certifies steering
-from correlators alone.  Witnesses consume correlator sets rather than
-assemblages, so quantum and box-world joints share the code; the single
-converter below fixes the sign convention outcome a -> eigenvalue (-1)^a.
+witness value is F = |sum_x <A_x B_x>| / sqrt(m).  A local hidden state
+model reaches at most L / sqrt(m), where L is the largest eigenvalue of
+sum_x s_x B_x over Alice's deterministic answers s = +-1, so F above
+that bound certifies steering from correlators alone.  For mutually
+orthogonal Bloch axes L = sqrt(m) and the bound is 1 (Cavalcanti,
+Jones, Wiseman & Reid, PRA 80, 032112 (2009)); other axes have their
+own bound.  Witnesses consume correlator sets rather than assemblages,
+so quantum and box-world joints share the code; the single converter
+below fixes the sign convention outcome a -> eigenvalue (-1)^a.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,10 +30,14 @@ _VALUE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CorrelatorSet:
-    """Matched-setting correlators, one value per setting."""
+    """Matched-setting correlators, one value per setting, and Bob's
+    qubit observables B_x = b_x I + r_x . sigma as rows (b_x, r_x), which
+    fix the local bound.  A set given by its values alone carries no
+    observables; its bound is that of mutually orthogonal axes."""
 
     m: int
     values: tuple
+    observables: tuple | None = None
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
@@ -38,27 +47,39 @@ class CorrelatorSet:
         for x, v in enumerate(values):
             if abs(v) > 1.0 + _VALUE_TOL:
                 raise InputError(f"correlator {x} is {v}, outside [-1, 1]")
+        if self.observables is not None:
+            obs = tuple(tuple(float(v) for v in row) for row in self.observables)
+            if len(obs) != self.m or any(len(row) != 4 for row in obs):
+                raise InputError(f"expected {self.m} observables as rows (b, rx, ry, rz)")
+            object.__setattr__(self, "observables", obs)
 
 
 @dataclass(frozen=True)
 class CjwrResult:
+    """F, and ``bound``, the largest F of a local hidden state model, in
+    the same units; ``violated`` when F exceeds it."""
+
     F: float
     violated: bool
+    bound: float
 
 
 def correlators_from_assemblage(asm: Assemblage, bob_obs: Sequence) -> CorrelatorSet:
-    """<A_x B_x> = sum_a (-1)^a tr[B_x sigma_(a|x)] per matched setting."""
+    """<A_x B_x> = sum_a (-1)^a tr[B_x sigma_(a|x)] per matched setting,
+    with each qubit observable B_x kept as (b_x, r_x)."""
     if asm.outcomes != 2:
         raise InputError("correlators need binary Alice outcomes mapped to (-1)^a")
     if len(bob_obs) != asm.settings:
         raise InputError(
             f"need one Bob observable per setting: {asm.settings} settings, {len(bob_obs)} observables"
         )
-    values = []
+    if asm.dim_b != 2:
+        raise InputError(f"the witness's local bound needs qubit observables, got Bob dimension {asm.dim_b}")
+    values, observables = [], []
     for x, obs in enumerate(bob_obs):
         b = np.asarray(obs, dtype=complex)
-        if b.shape != (asm.dim_b, asm.dim_b):
-            raise InputError(f"observable {x} has shape {b.shape}, expected {(asm.dim_b, asm.dim_b)}")
+        if b.shape != (2, 2):
+            raise InputError(f"observable {x} has shape {b.shape}, expected (2, 2)")
         linalg.require_hermitian(b, what=f"observable {x}")
         eigs = np.linalg.eigvalsh(b)
         if np.max(np.abs(np.abs(eigs) - 1.0)) > 1e-9:
@@ -67,7 +88,8 @@ def correlators_from_assemblage(asm: Assemblage, bob_obs: Sequence) -> Correlato
         for a in range(2):
             corr += (-1) ** a * float((b @ asm.block(x, a)).trace().real)
         values.append(corr)
-    return CorrelatorSet(m=asm.settings, values=tuple(values))
+        observables.append(tuple(v / 2.0 for v in linalg.bloch_components(b)))
+    return CorrelatorSet(m=asm.settings, values=tuple(values), observables=tuple(observables))
 
 
 def s_m(c: CorrelatorSet) -> float:
@@ -76,7 +98,28 @@ def s_m(c: CorrelatorSet) -> float:
 
 
 def cjwr(c: CorrelatorSet) -> CjwrResult:
-    """F = |sum of correlators| / sqrt(m); F > 1 is unreachable by local
-    hidden state models, so ``violated`` certifies steering."""
-    f = abs(sum(c.values)) / math.sqrt(c.m)
-    return CjwrResult(F=f, violated=f > 1.0)
+    """F = |sum of correlators| / sqrt(m) against its local bound.
+
+    A local model gives |sum_x <A_x B_x>| <= L, the largest over signs s
+    of sum_x s_x b_x + |sum_x s_x r_x| (the top eigenvalue of
+    sum_x s_x B_x), found by trying all 2^m signs; ``bound`` is
+    L / sqrt(m).  A set without observables takes L = sqrt(m).
+    ``violated`` (F above the bound, which certifies steering) is decided
+    exactly on the float64 values as stored: all of them are scaled to
+    integers over one power of two, and |C| > L holds when, for every s,
+    D_s = |C| - sum_x s_x b_x is positive and D_s^2 > |sum_x s_x r_x|^2.
+    """
+    m = c.m
+    f = abs(sum(c.values)) / math.sqrt(m)
+    if c.observables is None:
+        ints, d = linalg.scaled_ints(c.values)
+        return CjwrResult(F=f, violated=sum(ints) ** 2 > m * d * d, bound=1.0)
+    obs = np.array(c.observables)
+    signs = np.array(list(itertools.product((1, -1), repeat=m)))
+    local = signs @ obs[:, 0] + np.linalg.norm(signs @ obs[:, 1:], axis=1)
+    ints, _ = linalg.scaled_ints([*c.values, *obs.ravel().tolist()])
+    sums = signs.astype(object) @ np.array(ints[m:], dtype=object).reshape(m, 4)
+    gap = abs(sum(ints[:m])) - sums[:, 0]
+    radius = (sums[:, 1:] ** 2).sum(axis=1)
+    violated = all(g > 0 and g * g > r for g, r in zip(gap.tolist(), radius.tolist()))
+    return CjwrResult(F=f, violated=violated, bound=float(local.max()) / math.sqrt(m))

@@ -21,6 +21,7 @@ from steercert.boxworld import (
     uniform_assemblage,
 )
 from steercert.errors import InputError
+from steercert.lp.problem import parse_rational
 from steercert.scenario import pauli_povm, singlet, werner_state
 
 HALF = Fraction(1, 2)
@@ -139,3 +140,61 @@ def test_load_box_errors():
 def test_mix_assemblages_rejects_bad_weight():
     with pytest.raises(InputError):
         mix_assemblages(Fraction(3, 2), prbox_assemblage(), uniform_assemblage())
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("3", "p(a=0|x=0) = 3 is outside [0, 1]"),
+        ("007/10", Fraction(7, 10)),
+        (" 1/2", HALF),
+        ("+1/2", HALF),
+        ("-1/2", "p(a=0|x=0) = -1/2 is outside [0, 1]"),
+        ("1/0", "not a rational number: '1/0'"),
+        ("0/0", "not a rational number: '0/0'"),
+        ("1.5", "p(a=0|x=0) = 3/2 is outside [0, 1]"),
+        ("\u00b2/3", "not a rational number: '\u00b2/3'"),
+        ("1_0/20", HALF),
+        ("", "not a rational number: ''"),
+    ],
+)
+def test_load_box_reads_probability_strings(text, want):
+    # plain ASCII "digits/digits" is read with int(); every other string
+    # must load, or fail, as parse_rational has it
+    comp = "1/2" if isinstance(want, str) else str(1 - want)
+    doc = {
+        "x_settings": 1, "a_outcomes": 2, "y_settings": 1, "b_outcomes": 1,
+        "entries": [[{"weight": text, "table": [["1/1"]]}, {"weight": comp, "table": [["1"]]}]],
+    }
+    if isinstance(want, str):
+        with pytest.raises(InputError) as exc:
+            load_box(doc)
+        assert str(exc.value) == want
+    else:
+        weight = load_box(doc).weight(0, 0)
+        assert type(weight) is Fraction and weight == want
+
+
+def test_load_box_digit_strings_beyond_the_int_limit_fail_as_parse_rational_does():
+    text = "1" * 5000 + "/3"
+    try:
+        value = parse_rational(text)
+    except InputError as exc:
+        want = str(exc)
+    else:
+        want = f"p(a=0|x=0) = {value} is outside [0, 1]"
+    doc = {
+        "x_settings": 1, "a_outcomes": 2, "y_settings": 1, "b_outcomes": 1,
+        "entries": [[{"weight": text, "table": [["1"]]}, {"weight": "0", "table": [["1"]]}]],
+    }
+    with pytest.raises(InputError) as exc:
+        load_box(doc)
+    assert str(exc.value) == want
+
+
+def test_assemblage_counts_share_one_least_denominator():
+    asm = mix_assemblages(Fraction(1, 3), prbox_assemblage(), uniform_assemblage(2, 2, 2, 2))
+    table = asm.table
+    assert asm.den == math.lcm(*(v.denominator for v in table.values()))
+    assert all(type(c) is int for c in asm.counts)
+    assert [Fraction(c, asm.den) for c in asm.counts] == list(table.values())

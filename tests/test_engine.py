@@ -488,7 +488,8 @@ def test_box_model_deviation_catches_moved_weight(asm):
 )
 def test_box_lp_is_the_reference_lp(monkeypatch, alice, bob, a_outcomes, b_outcomes):
     # the engine builds its LP by a Kronecker product of touch matrices;
-    # it must be the lexicographic (x, a, y, b) x (Alice, Bob) LP row for row
+    # it must be the lexicographic (x, a, y, b) x (Alice, Bob) LP row for
+    # row, posed on the integer counts: den times the reference right-hand side
     shape = (len(alice), a_outcomes, len(bob), b_outcomes)
     asm = mix_assemblages(
         Fraction(2, 3), deterministic_box(alice, bob, a_outcomes, b_outcomes), uniform_assemblage(*shape)
@@ -502,8 +503,33 @@ def test_box_lp_is_the_reference_lp(monkeypatch, alice, bob, a_outcomes, b_outco
     assert problem.num_vars == reference.num_vars
     assert len(problem.a) == len(reference.a)
     for row, want in zip(problem.a, reference.a):
-        assert row == want and all(type(v) is int for v in row)
-    assert problem.b == reference.b
+        assert list(row) == want and all(type(v) is int for v in row)
+    assert all(type(v) is int for v in problem.b)
+    assert problem.b == [asm.den * v for v in reference.b]
+    assert verdict.is_feasible
+    assert_box_verdict_exact(asm, verdict)
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [Fraction(1, 2**70 + 1), Fraction(1, 3**700)],
+    ids=["above-2^64", "beyond-float64"],
+)
+@pytest.mark.parametrize("side", [-1, 1])
+def test_boxes_with_huge_denominators_are_decided_exactly(gap, side):
+    # the counts' common denominator passes 2^64, or float64's range
+    asm = mix_assemblages(Fraction(1, 2) + side * gap, prbox_assemblage(), uniform_assemblage())
+    assert asm.den > 2**64
+    verdict = lhs_feasibility_boxworld(asm)
+    assert verdict.is_feasible is (side < 0)
+    assert_box_verdict_exact(asm, verdict)
+
+
+def test_local_box_with_a_huge_denominator_is_feasible():
+    weight = Fraction(2**64 + 1, 2**66 + 3)
+    asm = mix_assemblages(weight, _local_3322(), uniform_assemblage(3, 3, 2, 2))
+    assert asm.den > 2**64
+    verdict = lhs_feasibility_boxworld(asm)
     assert verdict.is_feasible
     assert_box_verdict_exact(asm, verdict)
 

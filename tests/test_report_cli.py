@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import steercert
-from steercert import cli
+from steercert import boxworld, cli, engine
 from steercert.boxworld import box_to_json, prbox_assemblage
 from steercert.errors import InputError, InternalCheckError
 from steercert.linalg import bloch_state
@@ -126,6 +126,19 @@ def test_cmd_prbox_report():
     assert report.details["no_signalling"]["passed"] is True
     statuses = {v["name"]: v["status"] for v in report.verdicts}
     assert statuses == {"lhs": "infeasible", "pv": "infeasible"}
+
+
+def test_cmd_prbox_solves_the_box_lp_once(monkeypatch):
+    # the PV entry is the LHS verdict relabelled, as pv_feasibility has it
+    want = cli._verdict_entry("pv", engine.pv_feasibility(boxworld.prbox_assemblage()))
+    calls = []
+    solve = engine.lhs_feasibility_boxworld
+    monkeypatch.setattr(engine, "lhs_feasibility_boxworld", lambda asm: calls.append(asm) or solve(asm))
+    report = cli.cmd_prbox()
+    assert len(calls) == 1
+    (pv,) = [v for v in report.verdicts if v["name"] == "pv"]
+    assert pv == want
+    assert pv["meta"]["question"] == "pv" and pv["meta"]["note"] == "deterministic tables span the state polytope"
 
 
 def test_cmd_reid_point_and_sweep():

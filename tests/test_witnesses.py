@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import itertools
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from steercert import cli
 from steercert.engine import lhs_feasibility_qubit
 from steercert.errors import InputError
+from steercert.linalg import PAULIS
 from steercert.scenario import (
     assemblage_from_povms,
+    matrix_to_json,
     pauli_observable,
     pauli_povm,
     singlet,
@@ -97,3 +103,81 @@ def test_random_axis_correlators_stay_in_range():
         asm = assemblage_from_povms(werner_state(0.9), [pauli_povm(tuple(v))])
         c = correlators_from_assemblage(asm, [pauli_observable(tuple(v))])
         assert abs(c.values[0]) <= 1.0 + 1e-12
+
+
+CUBE = [tuple(v / math.sqrt(3.0) for v in axis) for axis in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))]
+
+
+def cube_file(tmp_path, p):
+    povms = [[matrix_to_json(e) for e in pauli_povm(axis).effects] for axis in CUBE]
+    doc = {"dimA": 2, "dimB": 2, "state": {"kind": "werner", "p": p}, "alice_povms": povms, "bob_povms": povms}
+    path = tmp_path / f"cube-{p}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("p, violated", [(0.55, "no"), (0.6, "yes")])
+def test_check_on_cube_diagonal_axes_uses_their_local_bound(tmp_path, capsys, p, violated):
+    # four cube-diagonal axes: a local model reaches F = 2/sqrt(3), not 1,
+    # so the Werner state at p = 0.55 (F = 1.1, LHS-feasible) violates nothing
+    assert cli.main(["check", str(cube_file(tmp_path, p))]) == 0
+    out = capsys.readouterr().out
+    assert f"witness violated: {violated}" in out
+    assert f"F = {2 * p:.6f}" in out and f"F_bound = {2 / math.sqrt(3.0):.6f}" in out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_orthogonal_axes_keep_bound_one(m):
+    report = cli.cmd_singlet_cjwr(settings=m, werner_p=0.75)
+    assert abs(report.witness_values["F"] - 0.75 * math.sqrt(m)) < 1e-12
+    assert abs(report.witness_values["F_bound"] - 1.0) < 1e-15
+    assert report.details["violated"] is True
+
+
+def _top_eigenvalue_bound(observables):
+    """max over signs s of the largest eigenvalue of sum_x s_x B_x."""
+    mats = [b * np.eye(2) + sum(r * p for r, p in zip(rvec, PAULIS)) for b, *rvec in observables]
+    return max(
+        np.linalg.eigvalsh(sum(s * mat for s, mat in zip(signs, mats)))[-1]
+        for signs in itertools.product((1, -1), repeat=len(mats))
+    )
+
+
+def test_bound_is_the_top_eigenvalue_over_sign_strategies():
+    for _ in range(40):
+        m = int(RNG.integers(1, 7))
+        rows = []
+        for _ in range(m):
+            if RNG.random() < 0.2:
+                rows.append((float(RNG.choice((-1.0, 1.0))), 0.0, 0.0, 0.0))  # +-identity
+            else:
+                v = RNG.normal(size=3)
+                rows.append((0.0, *(v / np.linalg.norm(v))))
+        c = CorrelatorSet(m, tuple(RNG.uniform(-1.0, 1.0, size=m)), observables=tuple(rows))
+        want = _top_eigenvalue_bound(rows) / math.sqrt(m)
+        assert abs(cjwr(c).bound - want) < 1e-12
+
+
+def test_violation_is_decided_exactly_at_the_bound():
+    # two axes 60 degrees apart: L = |r_0 + r_1| = sqrt(3), irrational, so
+    # correlator sums a few ulps either side of it must be judged on the
+    # float64 values exactly, not by a rounded comparison
+    rows = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.5, math.sqrt(3.0) / 2.0, 0.0))
+    exact = [[Fraction(v) for v in row] for row in rows]
+    bound_sq = max(
+        sum((s0 * r0 + s1 * r1) ** 2 for r0, r1 in zip(exact[0][1:], exact[1][1:]))
+        for s0, s1 in itertools.product((1, -1), repeat=2)
+    )
+    total = math.sqrt(3.0)
+    for step in range(-3, 4):
+        value = total
+        for _ in range(abs(step)):
+            value = math.nextafter(value, math.inf if step > 0 else -math.inf)
+        c = CorrelatorSet(2, (-value / 2.0, -value / 2.0), observables=rows)
+        assert cjwr(c).violated is (Fraction(sum(c.values)) ** 2 > bound_sq)
+
+
+def test_platonic_cube_bound():
+    rows = tuple((0.0, *axis) for axis in CUBE)
+    c = CorrelatorSet(4, (-0.5,) * 4, observables=rows)
+    assert abs(cjwr(c).bound - 2.0 / math.sqrt(3.0)) < 1e-12
