@@ -32,25 +32,12 @@ _NO_SIGNALLING = NoSignallingReport(passed=True, max_deviation=0.0)
 
 def _as_exact(value, what: str = "a box-world probability") -> Fraction:
     """``value`` as a Fraction: a Fraction, an int or a "num/den" string.
-    Floats and booleans are not exact rationals and raise InputError.
-
-    Plain ASCII "digits/digits" (or digits alone) is read with ``int``;
-    every other string, and a zero denominator, goes to ``parse_rational``,
-    so both accept the same strings and fail with the same message.
-    """
+    Floats and booleans are not exact rationals and raise InputError."""
     if isinstance(value, Fraction):
         return value
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            try:
-                den = int(den) if slash else 1
-                if den:
-                    return Fraction(int(num), den)
-            except ValueError:  # beyond int's digit limit: parse_rational says so
-                pass
         return parse_rational(value)
     raise InputError(
         f'{what} must be an exact rational ("num/den" string or integer), '

@@ -177,7 +177,7 @@ def _float_basis(a_pos, b_pos, n):
     return a_f, [int(j) for j in basis], clean, pivots
 
 
-def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean, integral):
+def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean):
     """The verdict that the float kernel's numbers for ``basis`` round to,
     or None when they do not round to a witness that checks exactly.
 
@@ -191,17 +191,13 @@ def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean, integral):
     artificial rounds to 0, x_B proposes a model, checked by ``_model``;
     otherwise y proposes a certificate, which must solve B^T y = c_B
     exactly (so that z = y.b_pos is this basis's objective) and separate.
-    Both checks run on those integer vectors; with ``integral`` rows
-    every s_i is 1.  A wrong rounding is a bad guess, not a bug, and
-    gives None.
+    Both checks run on those integer vectors.  A wrong rounding is a bad
+    guess, not a bug, and gives None.
     """
     xb_f, _, y_f, _ = clean
     m = len(basis)
-    if integral:
-        scale = [1] * m
-    else:
-        structural = [j for j in basis if j < n]
-        scale = [math.lcm(*[row[j].denominator for j in structural]) for row in a_pos]
+    structural = [j for j in basis if j < n]
+    scale = [math.lcm(*[row[j].denominator for j in structural]) for row in a_pos]
     lcm_b = math.lcm(*(bi.denominator for bi in b_pos))
     try:
         s_f = np.array(scale, dtype=np.float64)
@@ -289,8 +285,7 @@ def _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb):
 
 def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
     a = list(problem.a)
-    integral = all({*map(type, row)} <= {int} for row in a)
-    if not integral:
+    if not all({*map(type, row)} <= {int} for row in a):
         a = [[_as_fraction(v) for v in row] for row in a]
     b = [_as_fraction(v) for v in problem.b]
     n = problem.num_vars
@@ -304,7 +299,7 @@ def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
         a_f, basis, clean, float_pivots = guess
         fallback = None
         if clean is not None:
-            verdict = _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean, integral)
+            verdict = _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean)
         if verdict is None:
             xb = _solve(_basis_matrix(a_pos, n, basis), b_pos)
             if xb is None:

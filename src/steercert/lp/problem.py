@@ -107,10 +107,25 @@ def jsonify(value):
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse a "num/den" string (or plain integer) into a Fraction."""
-    if isinstance(text, Fraction):
+    """Parse a "num/den" string (or plain integer) into a Fraction.
+
+    Plain ASCII "digits/digits" (or digits alone) is read with ``int``;
+    every other string, a zero denominator and a digit string past
+    ``int``'s digit limit go to ``Fraction``, which accepts the same
+    strings and raises for the rest.
+    """
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            try:
+                den = int(den) if slash else 1
+                if den:
+                    return Fraction(int(num), den)
+            except ValueError:
+                pass
+    elif isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    elif isinstance(text, int):
         return Fraction(text)
     try:
         return Fraction(str(text).strip())

@@ -32,12 +32,11 @@ _VALUE_TOL = 1e-12
 class CorrelatorSet:
     """Matched-setting correlators, one value per setting, and Bob's
     qubit observables B_x = b_x I + r_x . sigma as rows (b_x, r_x), which
-    fix the local bound.  A set given by its values alone carries no
-    observables; its bound is that of mutually orthogonal axes."""
+    fix the local bound."""
 
     m: int
     values: tuple
-    observables: tuple | None = None
+    observables: tuple
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
@@ -47,11 +46,10 @@ class CorrelatorSet:
         for x, v in enumerate(values):
             if abs(v) > 1.0 + _VALUE_TOL:
                 raise InputError(f"correlator {x} is {v}, outside [-1, 1]")
-        if self.observables is not None:
-            obs = tuple(tuple(float(v) for v in row) for row in self.observables)
-            if len(obs) != self.m or any(len(row) != 4 for row in obs):
-                raise InputError(f"expected {self.m} observables as rows (b, rx, ry, rz)")
-            object.__setattr__(self, "observables", obs)
+        obs = tuple(tuple(float(v) for v in row) for row in self.observables)
+        if len(obs) != self.m or any(len(row) != 4 for row in obs):
+            raise InputError(f"expected {self.m} observables as rows (b, rx, ry, rz)")
+        object.__setattr__(self, "observables", obs)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def cjwr(c: CorrelatorSet) -> CjwrResult:
     A local model gives |sum_x <A_x B_x>| <= L, the largest over signs s
     of sum_x s_x b_x + |sum_x s_x r_x| (the top eigenvalue of
     sum_x s_x B_x), found by trying all 2^m signs; ``bound`` is
-    L / sqrt(m).  A set without observables takes L = sqrt(m).
+    L / sqrt(m).
     ``violated`` (F above the bound, which certifies steering) is decided
     exactly on the float64 values as stored: all of them are scaled to
     integers over one power of two, and |C| > L holds when, for every s,
@@ -111,9 +109,6 @@ def cjwr(c: CorrelatorSet) -> CjwrResult:
     """
     m = c.m
     f = abs(sum(c.values)) / math.sqrt(m)
-    if c.observables is None:
-        ints, d = linalg.scaled_ints(c.values)
-        return CjwrResult(F=f, violated=sum(ints) ** 2 > m * d * d, bound=1.0)
     obs = np.array(c.observables)
     signs = np.array(list(itertools.product((1, -1), repeat=m)))
     local = signs @ obs[:, 0] + np.linalg.norm(signs @ obs[:, 1:], axis=1)

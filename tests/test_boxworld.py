@@ -21,7 +21,6 @@ from steercert.boxworld import (
     uniform_assemblage,
 )
 from steercert.errors import InputError
-from steercert.lp.problem import parse_rational
 from steercert.scenario import pauli_povm, singlet, werner_state
 
 HALF = Fraction(1, 2)
@@ -155,12 +154,15 @@ def test_mix_assemblages_rejects_bad_weight():
         ("1.5", "p(a=0|x=0) = 3/2 is outside [0, 1]"),
         ("\u00b2/3", "not a rational number: '\u00b2/3'"),
         ("1_0/20", HALF),
+        ("\u0663/4", Fraction(3, 4)),
+        ("1/", "not a rational number: '1/'"),
+        ("/2", "not a rational number: '/2'"),
         ("", "not a rational number: ''"),
     ],
 )
 def test_load_box_reads_probability_strings(text, want):
-    # plain ASCII "digits/digits" is read with int(); every other string
-    # must load, or fail, as parse_rational has it
+    # parse_rational reads plain ASCII "digits/digits" with int(); every
+    # other string must load, or fail, as the Fraction constructor has it
     comp = "1/2" if isinstance(want, str) else str(1 - want)
     doc = {
         "x_settings": 1, "a_outcomes": 2, "y_settings": 1, "b_outcomes": 1,
@@ -175,12 +177,12 @@ def test_load_box_reads_probability_strings(text, want):
         assert type(weight) is Fraction and weight == want
 
 
-def test_load_box_digit_strings_beyond_the_int_limit_fail_as_parse_rational_does():
+def test_load_box_digit_strings_beyond_the_int_limit_fail_as_fraction_does():
     text = "1" * 5000 + "/3"
     try:
-        value = parse_rational(text)
-    except InputError as exc:
-        want = str(exc)
+        value = Fraction(text)
+    except ValueError:
+        want = f"not a rational number: {text!r}"
     else:
         want = f"p(a=0|x=0) = {value} is outside [0, 1]"
     doc = {

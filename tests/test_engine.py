@@ -523,6 +523,11 @@ def test_boxes_with_huge_denominators_are_decided_exactly(gap, side):
     verdict = lhs_feasibility_boxworld(asm)
     assert verdict.is_feasible is (side < 0)
     assert_box_verdict_exact(asm, verdict)
+    # counts beyond float64's range leave no float guess, as any b out of
+    # range does (tests/test_lp_exact.py); Bland's rule decides from scratch
+    overflow = gap.denominator > 2**1024
+    assert (verdict.meta["fallback"] == "float overflow") is overflow
+    assert verdict.meta["guided"] is (not overflow and side < 0)
 
 
 def test_local_box_with_a_huge_denominator_is_feasible():

@@ -25,6 +25,12 @@ from steercert.witnesses import CorrelatorSet, cjwr, correlators_from_assemblage
 RNG = np.random.default_rng(7103)
 
 AXES = {2: ("x", "z"), 3: ("x", "y", "z")}
+PAULI_ROWS = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+
+
+def pauli_rows(m):
+    """Bob observables on the Pauli axes x, y, z, x, ... as (b, r) rows."""
+    return tuple(PAULI_ROWS[x % 3] for x in range(m))
 
 
 def matched(p, m):
@@ -35,12 +41,14 @@ def matched(p, m):
 
 
 def test_correlator_set_validation():
-    c = CorrelatorSet(2, (-1.0, 0.5))
+    c = CorrelatorSet(2, (-1.0, 0.5), pauli_rows(2))
     assert c.values == (-1.0, 0.5)
     with pytest.raises(InputError):
-        CorrelatorSet(2, (-1.0,))
+        CorrelatorSet(2, (-1.0,), pauli_rows(2))
     with pytest.raises(InputError):
-        CorrelatorSet(1, (1.5,))
+        CorrelatorSet(1, (1.5,), pauli_rows(1))
+    with pytest.raises(InputError):
+        CorrelatorSet(2, (-1.0, 0.5), pauli_rows(1))
 
 
 def test_singlet_matched_correlators_are_minus_one():
@@ -70,7 +78,7 @@ def test_f_equals_sqrt_m_times_mean_identity():
     for _ in range(200):
         m = int(RNG.integers(1, 7))
         values = RNG.uniform(-1.0, 1.0, size=m)
-        c = CorrelatorSet(m, tuple(values))
+        c = CorrelatorSet(m, tuple(values), pauli_rows(m))
         f = cjwr(c).F
         assert abs(f - math.sqrt(m) * abs(s_m(c))) <= 1e-15
 
