@@ -123,8 +123,8 @@ def cmd_werner_scan(
     lo, hi, step = grid
     if not (0.0 <= lo < hi <= 1.0 and step > 0):
         raise InputError(f"grid must satisfy 0 <= lo < hi <= 1 with step > 0, got {grid}")
-    build = lambda p: _matched_setup(settings, float(p))[0]
-    checker = engine.lhs_feasibility_qubit
+    # one LHS verdict per p, shared by the grid and the bisection
+    verdict_at = functools.cache(lambda p: engine.lhs_feasibility_qubit(_matched_setup(settings, p)[0]))
 
     rows = []
     for p in np.arange(lo, hi + step / 2, step):
@@ -135,7 +135,7 @@ def cmd_werner_scan(
         if witness_only:
             status = "infeasible" if cj.violated else "undecided"
         else:
-            status = checker(asm).status
+            status = verdict_at(p).status
         rows.append([p, f_val, status])
 
     witness_values = {}
@@ -143,7 +143,7 @@ def cmd_werner_scan(
     if witness_only:
         witness_values["crossing_p"] = 1.0 / math.sqrt(settings)
     else:
-        p_feas, p_infeas = engine.threshold_scan(build, checker, 0.0, 1.0, bracket_tol)
+        p_feas, p_infeas = engine.threshold_scan(float, verdict_at, 0.0, 1.0, bracket_tol)
         witness_values["p_feasible_max"] = p_feas
         if p_infeas is not None:
             witness_values["p_infeasible_min"] = p_infeas

@@ -298,10 +298,16 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
     the number of settings, makes c nonnegative on the admissible set and
     lowers c.b by |mu|; if c.b stays negative, ``_exact_check`` tests the
     same inequalities in integers and the certificate is returned.
-    If not, the strategies with a negative ball minimum enter with their
-    best direction and the master is solved again from scratch; when no
-    column can enter, which is always the case for a finite set, the
-    verdict is Undecided.
+    The master does not have to reach its optimum for that: the same
+    shift and check (``shifted``) are handed to the float solver as its
+    ``separate`` test, so the kernel offers them the Farkas candidate of
+    every basis whose dual could survive the shift, and an infeasible
+    master ends at the first one that passes (``master["early_stop"]``).
+    If none does, the optimal master's certificate is shifted and
+    checked as above.  If it does not separate, the strategies with a
+    negative ball minimum enter with their best direction and the master
+    is solved again from scratch; when no column can enter, which is
+    always the case for a finite set, the verdict is Undecided.
     """
     ball = finite is None
     meta = {"question": question}
@@ -315,12 +321,32 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
     lam = np.repeat(np.arange(num_strategies), len(seed))
     dirs = np.tile(seed, (num_strategies, 1))
 
+    def shifted(c):
+        """(cert, margin, certified, slack, beta): c with its trace rows
+        raised until it is nonnegative on the admissible set, its -cert.b,
+        whether it separates by ``_exact_check``, and c's per-strategy
+        minimum and Pauli part."""
+        ab = touch @ c.reshape(-1, 4)
+        alpha, beta = ab[:, 0], ab[:, 1:]
+        if ball:
+            slack = alpha - np.linalg.norm(beta, axis=1)
+        else:
+            slack = (alpha[:, None] + beta @ finite.T).min(axis=1, initial=np.inf)
+        cert = c.copy()
+        cert[0::4] += (max(-float(slack.min()), 0.0) + _SHIFT_PAD) / k
+        margin = -float(cert @ rhs)
+        return cert, margin, margin > 0.0 and _exact_check(touch, cert, rhs, finite), slack, beta
+
+    def separate(c):
+        cert, _, certified, _, _ = shifted(c)
+        return cert if certified else None
+
     def undecided(reason, **extra):
         return SteeringVerdict(UNDECIDED, meta={**meta, "reason": reason, **extra})
 
     for rounds in range(1, MAX_ROUNDS + 1):
         a = _columns(touch, lam, dirs)
-        master = solve_feasibility_float(FeasibilityProblem(a=a, b=rhs, num_vars=len(lam)))
+        master = solve_feasibility_float(FeasibilityProblem(a=a, b=rhs, num_vars=len(lam)), separate=separate)
         meta.update(rounds=rounds, columns=len(lam), master=master.meta)
         if master.status == UNDECIDED:
             reason = master.meta.get("reason", "z inside the undecided band")
@@ -333,27 +359,22 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
                 return undecided("reconstruction exceeded the model tolerance", deviation=dev)
             return SteeringVerdict(FEASIBLE, model=mass, meta={**meta, "model_deviation": dev}, **fields)
 
-        c = np.asarray(master.certificate, dtype=float)
-        ab = touch @ c.reshape(-1, 4)
-        alpha, beta = ab[:, 0], ab[:, 1:]
-        if ball:
-            beta_norm = np.linalg.norm(beta, axis=1)
-            slack = alpha - beta_norm
+        if master.meta["early_stop"]:
+            # ``separate`` has already shifted and exactly checked it
+            cert, certified = master.certificate, True
+            meta["margin"] = -float(cert @ rhs)
         else:
-            slack = (alpha[:, None] + beta @ finite.T).min(axis=1, initial=np.inf)
-        mu = float(slack.min())
-        cert = c.copy()
-        cert[0::4] += (max(-mu, 0.0) + _SHIFT_PAD) / k
-        meta["margin"] = -float(cert @ rhs)
-        if meta["margin"] > 0.0:
-            if not _exact_check(touch, cert, rhs, finite):
-                return undecided("certificate failed exact check")
+            cert, meta["margin"], certified, slack, beta = shifted(np.asarray(master.certificate, dtype=float))
+        if certified:
             return SteeringVerdict(
                 INFEASIBLE,
                 certificate=cert,
                 meta={**meta, "certified": "exactly, for the input as stored in float64"},
             )
+        if meta["margin"] > 0.0:
+            return undecided("certificate failed exact check")
 
+        beta_norm = np.linalg.norm(beta, axis=1)
         enter = np.flatnonzero((slack < 0.0) & (beta_norm > 0.0)) if ball else []
         if len(enter) == 0:
             return undecided("shifted certificate does not separate and no column can enter")

@@ -7,7 +7,8 @@ from the original data every ``REFACTOR`` pivots and again before it
 returns.
 ``solve_feasibility_float`` judges the kernel's final basis within the
 fixed bands of one tolerance, ``TOL``, and may answer undecided near
-the boundary.
+the boundary; given a ``separate`` test, it stops an infeasible solve
+at the first basis whose dual that test turns into a certificate.
 ``solve_feasibility_exact`` rounds the final x_B and y of the same
 float phase one to exact rationals by Cramer's rule and verifies them;
 only when that fails does it run one revised simplex loop under Bland's

@@ -25,6 +25,20 @@ so and strictly lowers [z | c_B B^-1] lexicographically, so no basis
 comes round again.  The all-artificial start has B^-1 = I and x_B >= 0,
 so its rows qualify.  A warm start from another basis B0 does not in
 general; it must compare the rows of B^-1 B0 instead of B^-1.
+
+A caller may also pass ``separate``, a test of the dual prices y, to
+stop an infeasible solve before its optimum.  It is consulted after
+pricing, only at a basis that is not yet optimal and where
+z + rc_min > 0, with rc_min the least structural reduced cost: phase
+one has c_j = 0 on the structural columns, so -y is a Farkas candidate
+with -y.b = -z and -y.A_j = rc_j, and raising it until it is
+nonnegative on the columns at hand costs -rc_min of its margin z.  A
+candidate with z + rc_min <= 0 cannot separate after such a lift, so
+the test is not asked.  The y it sees comes from a fresh factorization
+of the current basis, made apart from the updated inverse the pivots
+use, so a test that declines leaves the pivot path exactly as it is
+without one.  If the test accepts, the kernel returns SEPARATED with
+the numbers of that fresh factorization.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ import numpy as np
 OPTIMAL = 0
 ITERATION_LIMIT = 1
 STALLED = 2
+SEPARATED = 3
 
 # pivots between two factorizations of the basis from the data
 REFACTOR = 50
@@ -43,7 +58,16 @@ TOL = 1e-9
 PIVOT_EPS = 1e-8
 
 
-def run_phase1(full, b, cost, basis, max_iter):
+def _price(binv, full, b, cost, basis):
+    """(x_B, z, y, structural reduced costs) of ``basis`` from its inverse."""
+    n = full.shape[1] - len(b)
+    cb = cost[basis]
+    xb = binv @ b
+    y = cb @ binv
+    return xb, float(cb @ xb), y, cost[:n] - y @ full[:, :n]
+
+
+def run_phase1(full, b, cost, basis, max_iter, separate=None):
     """Pivot ``basis`` in place until no structural column improves z = c.w.
 
     full:  m x (n + m) float64 matrix [A | I]; the identity columns
@@ -52,6 +76,9 @@ def run_phase1(full, b, cost, basis, max_iter):
            and, for the guarantee against cycling, B^-1 = I.
     cost:  length n + m costs c, data like A and b.
     basis: length-m int array, basis[i] = the column basic in row i.
+    separate: optional test of the dual prices y at a basis that is not
+           optimal and has z + rc_min > 0 (see the module docstring);
+           a true result stops the solve with status SEPARATED.
 
     The entering column has the most negative reduced cost, below -TOL;
     the leaving row minimizes the ratio x_r / d_r over entries d_r above
@@ -63,7 +90,6 @@ def run_phase1(full, b, cost, basis, max_iter):
     """
     m = len(b)
     n = full.shape[1] - m
-    a, c = full[:, :n], cost[:n]
     binv = None
     age = 0  # pivots since B^-1 was last factorized; 0 means fresh
     it = 0
@@ -74,13 +100,13 @@ def run_phase1(full, b, cost, basis, max_iter):
             except np.linalg.LinAlgError:
                 return STALLED, it, None
             age = 0
-        cb = cost[basis]
-        xb = binv @ b
-        y = cb @ binv
-        z = float(cb @ xb)
-        rc = c - y @ a
+        xb, z, y, rc = _price(binv, full, b, cost, basis)
         entering = int(rc.argmin()) if n else -1
         clean = (xb, z, y, float(rc[entering]) if n else 0.0)
+        if separate is not None and n and -z < rc[entering] < -TOL:
+            fresh = clean if not age else _fresh(full, b, cost, basis)
+            if fresh is not None and fresh[1] + fresh[3] > 0.0 and separate(fresh[2]):
+                return SEPARATED, it, fresh
         if n == 0 or rc[entering] >= -TOL:
             status = OPTIMAL
         elif it == max_iter:
@@ -111,3 +137,13 @@ def run_phase1(full, b, cost, basis, max_iter):
         binv[r] = row
         age += 1
         it += 1
+
+
+def _fresh(full, b, cost, basis):
+    """``clean`` of ``basis`` from a factorization of its own, or None if singular."""
+    try:
+        binv = np.linalg.inv(full[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    xb, z, y, rc = _price(binv, full, b, cost, basis)
+    return xb, z, y, float(rc.min())

@@ -157,6 +157,53 @@ def test_singlet_matched_paulis_is_infeasible_with_witness_certificate():
             assert c @ rows_for(blocks) >= -1e-9
 
 
+def master_pivots(monkeypatch, question, keep_separate=True):
+    """(verdict, pivots of each master) of ``question()``; without
+    ``keep_separate`` the masters are solved with no stopping test."""
+    pivots = []
+    solve = engine.solve_feasibility_float
+
+    def recording(problem, separate=None):
+        verdict = solve(problem, separate=separate if keep_separate else None)
+        pivots.append(verdict.meta["pivots"])
+        return verdict
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "solve_feasibility_float", recording)
+        verdict = question()
+    return verdict, pivots
+
+
+def test_singlet_master_stops_at_its_first_separating_dual(monkeypatch):
+    # the m = 3, mesh-642 singlet master takes 64 pivots to its optimum
+    asm = werner_assemblage(1.0, ("x", "y", "z"))
+    verdict, pivots = master_pivots(monkeypatch, lambda: lhs_feasibility_qubit(asm, mesh=642))
+    assert verdict.is_infeasible and verdict.meta["master"]["early_stop"] is True
+    assert len(pivots) == 1 and pivots[0] <= 20
+    c = np.asarray(verdict.certificate, dtype=float)
+    touch = engine._touch_matrix(enumerate_strategies(3, 2), [2] * 3)
+    rhs = engine._assemblage_rhs(asm)
+    assert engine._exact_check(touch, c, rhs)
+    assert verdict.meta["margin"] == -float(c @ rhs) > 0.0
+    assert_separates_on_ball(c, lhs_rows(asm), lhs_touch(3, 2))
+
+
+@pytest.mark.parametrize("settings", [2, 3])
+def test_feasible_verdicts_pivot_as_without_a_stopping_test(monkeypatch, settings):
+    # the threshold grid of ``werner-scan``: below the threshold every
+    # master's dual is declined, so each master pivots exactly as before
+    axes = ("x", "z") if settings == 2 else ("x", "y", "z")
+    threshold = 1.0 / math.sqrt(settings)
+    for p in [0.25, 0.4, *np.arange(0.5, threshold, 0.05), threshold - 1e-4]:
+        question = lambda: lhs_feasibility_qubit(werner_assemblage(float(p), axes))
+        verdict, pivots = master_pivots(monkeypatch, question)
+        plain, plain_pivots = master_pivots(monkeypatch, question, keep_separate=False)
+        assert verdict.is_feasible and plain.is_feasible
+        assert verdict.meta["master"]["early_stop"] is False
+        assert pivots == plain_pivots
+        np.testing.assert_array_equal(verdict.model, plain.model)
+
+
 @pytest.mark.parametrize("p, feasible", [(0.4, True), (0.72, False), (0.85, False)])
 def test_every_seed_size_gives_the_same_verdict(p, feasible):
     # the seed mesh only sets where column generation starts

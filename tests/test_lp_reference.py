@@ -92,6 +92,9 @@ def test_engine_lps_agree_with_highs_across_the_threshold(monkeypatch, settings,
         for problem, verdict in lps:
             assert_agrees_with_highs(problem, verdict)
         assert lps[-1][1].status == expected
+        # an infeasible verdict's last master stops at its first separating
+        # dual, and that certificate is valid on the master as HiGHS sees it
+        assert lps[-1][1].meta["early_stop"] is (offset > 0)
 
 
 def test_zero_column_lps_agree_with_highs(monkeypatch):
@@ -134,8 +137,9 @@ class _CountingNumpy:
         return np.linalg.inv(bmat)
 
 
-def run_kernel(a, b, max_iter=None):
-    """The kernel on ``A w = b`` as ``floating.phase_one`` sets it up.
+def run_kernel(a, b, max_iter=None, separate=None):
+    """The kernel on ``A w = b`` as ``floating.phase_one`` sets it up;
+    ``separate(basis, y)``, if given, is its stopping test.
 
     Returns (full, b, cost, basis, status, pivots, clean) in the kernel's
     own terms: rows with b_i < 0 negated, y not yet signed back."""
@@ -147,7 +151,8 @@ def run_kernel(a, b, max_iter=None):
     basis = np.arange(n, n + m, dtype=np.intp)
     if max_iter is None:
         max_iter = 1000 + 50 * m + 2 * n
-    status, pivots, clean = _pivot.run_phase1(full, b, cost, basis, max_iter)
+    extra = {} if separate is None else {"separate": lambda y: separate(basis, y)}
+    status, pivots, clean = _pivot.run_phase1(full, b, cost, basis, max_iter, **extra)
     return full, b, cost, basis, status, pivots, clean
 
 
@@ -186,19 +191,83 @@ def test_kernel_returns_numbers_of_a_fresh_factorization():
     assert_fresh(full, b, cost, basis, clean)
 
 
-def test_kernel_factorizes_once_per_window(monkeypatch):
-    # the m = 3, mesh-642 singlet master: 24 x 5184, 74 pivots, infeasible
+def singlet_master(monkeypatch):
+    """(A, b) of the m = 3, mesh-642 singlet master: 24 x 5184, infeasible,
+    74 pivots to its optimum."""
     asm = assemblage_from_povms(werner_state(1.0), [pauli_povm(ax) for ax in AXES[3]])
     (problem, verdict), = engine_lps(monkeypatch, lambda: engine.lhs_feasibility_qubit(asm, mesh=642))
     assert verdict.status == INFEASIBLE
+    return np.asarray(problem.a).reshape(len(problem.b), problem.num_vars), np.asarray(problem.b)
+
+
+def test_kernel_factorizes_once_per_window(monkeypatch):
+    a, b = singlet_master(monkeypatch)
     counting = _CountingNumpy()
     monkeypatch.setattr(_pivot, "np", counting)
-    a = np.asarray(problem.a).reshape(len(problem.b), problem.num_vars)
-    full, b, cost, basis, status, pivots, clean = run_kernel(a, np.asarray(problem.b))
+    full, b, cost, basis, status, pivots, clean = run_kernel(a, b)
     monkeypatch.undo()
     assert status == _pivot.OPTIMAL and pivots > _pivot.REFACTOR
     assert 2 <= counting.inverses <= pivots // _pivot.REFACTOR + 2
     assert_fresh(full, b, cost, basis, clean)
+
+
+def separation_cases(monkeypatch):
+    """(A, b) of LPs on which a stopping test gets asked: the singlet
+    master, an m = 2 Werner master above the threshold, and random
+    infeasible systems."""
+    asm = assemblage_from_povms(werner_state(0.8), [pauli_povm(ax) for ax in AXES[2]])
+    (problem, _), = engine_lps(monkeypatch, lambda: engine.lhs_feasibility_qubit(asm, mesh=162))
+    cases = [singlet_master(monkeypatch), (np.asarray(problem.a), np.asarray(problem.b))]
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        problem = infeasible_instance(rng, rng.integers(4, 12), rng.integers(20, 60))
+        cases.append((np.asarray(problem.a, dtype=float), np.asarray(problem.b, dtype=float)))
+    return cases
+
+
+def test_separate_sees_fresh_duals_only_where_they_can_survive_a_lift(monkeypatch):
+    consulted = 0
+    for a, b in separation_cases(monkeypatch):
+        asked = []
+        full, b, cost, basis, *_ = run_kernel(a, b, separate=lambda basis, y: asked.append((basis.copy(), y.copy())))
+        n = a.shape[1]
+        for at, y in asked:
+            # y is, bit for bit, what a factorization of that basis gives
+            binv = np.linalg.inv(full[:, at])
+            np.testing.assert_array_equal(y, cost[at] @ binv)
+            z = float(cost[at] @ (binv @ b))
+            rc_min = float((cost[:n] - y @ full[:, :n]).min())
+            assert z + rc_min > 0.0 and rc_min < -_pivot.TOL
+        consulted += len(asked)
+    assert consulted > 0
+
+
+def test_declining_separate_changes_nothing(monkeypatch):
+    refactored = 0
+    for a, b in separation_cases(monkeypatch):
+        runs = []
+        for separate in (None, lambda basis, y: False):
+            counting = _CountingNumpy()
+            monkeypatch.setattr(_pivot, "np", counting)
+            runs.append((run_kernel(a, b, separate=separate), counting.inverses))
+            monkeypatch.undo()
+        (plain, plain_inverses), (declined, declined_inverses) = runs
+        np.testing.assert_array_equal(plain[3], declined[3])  # basis
+        assert plain[4:6] == declined[4:6]  # status, pivots
+        for x, y in zip(plain[6], declined[6]):
+            np.testing.assert_array_equal(x, y)
+        # a test asked on an updated inverse gets a factorization of its own
+        refactored += declined_inverses - plain_inverses
+    assert refactored > 0
+
+
+def test_accepting_separate_stops_with_fresh_numbers(monkeypatch):
+    for a, b in separation_cases(monkeypatch):
+        *_, status, pivots, _ = run_kernel(a, b)
+        full, b, cost, basis, stopped, early, clean = run_kernel(a, b, separate=lambda basis, y: True)
+        assert (status, stopped) == (_pivot.OPTIMAL, _pivot.SEPARATED)
+        assert early < pivots
+        assert_fresh(full, b, cost, basis, clean)
 
 
 @pytest.mark.parametrize("max_iter", [0, 7, _pivot.REFACTOR, _pivot.REFACTOR + 13])

@@ -105,6 +105,19 @@ def test_cmd_werner_scan_grid_and_bracket():
     assert lo < 1.0 / math.sqrt(2.0) < hi
 
 
+def test_cmd_werner_scan_solves_each_p_once(monkeypatch):
+    # the default grid and the bisection both probe p = 0.5 and 0.75:
+    # 18 probes, 16 distinct weights, one LHS verdict each
+    probed = []
+    solve = engine.lhs_feasibility_qubit
+    monkeypatch.setattr(engine, "lhs_feasibility_qubit", lambda asm: probed.append(asm) or solve(asm))
+    report = cli.cmd_werner_scan(settings=2)
+    assert len(probed) == 16
+    grid = {p: status for p, _, status in report.details["csv_rows"]}
+    assert grid[0.5] == "feasible" and grid[0.75] == "infeasible"
+    assert report.details["bracket"] == [0.703125, 0.7109375]
+
+
 def test_cmd_werner_scan_witness_only():
     report = cli.cmd_werner_scan(settings=3, witness_only=True, grid=(0.4, 0.8, 0.2))
     assert abs(report.witness_values["crossing_p"] - 1.0 / math.sqrt(3.0)) < 1e-15
