@@ -118,7 +118,7 @@ class LhsModel:
         block (x, a) - sigma_a|x| over every block."""
         touch = _touch_matrix(self.strategies, [asm.outcomes] * asm.settings)
         weighted = np.asarray(self.weights, dtype=float)[:, None, None] * np.asarray(self.hidden_states)
-        want = [asm.block(x, a) for x in range(asm.settings) for a in range(asm.outcomes)]
+        want = asm.blocks.reshape(-1, asm.dim_b, asm.dim_b)
         return float(np.abs(np.einsum("lr,lij->rij", touch, weighted) - want).max())
 
     def total_weight(self) -> float:
@@ -129,10 +129,7 @@ class LhsModel:
         return {
             "weights": [float(self.weights[i]) for i in keep],
             "strategies": [list(self.strategies[i].responses) for i in keep],
-            "hidden_bloch": [
-                [float(v) for v in linalg.bloch_components(self.hidden_states[i])[1:]]
-                for i in keep
-            ],
+            "hidden_bloch": linalg.bloch_components(np.asarray(self.hidden_states)[keep])[:, 1:].tolist(),
         }
 
 
@@ -383,13 +380,9 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
     return undecided("round limit")
 
 
-def _block_rows(mats) -> np.ndarray:
-    """Trace and the three Pauli components of each 2x2 matrix, stacked."""
-    return np.array([linalg.bloch_components(m) for m in mats]).ravel()
-
-
 def _assemblage_rhs(asm: Assemblage) -> np.ndarray:
-    return _block_rows(asm.block(x, a) for x in range(asm.settings) for a in range(asm.outcomes))
+    """Trace and the three Pauli components of each block, x-major."""
+    return linalg.bloch_components(asm.blocks).ravel()
 
 
 def _local_models(question, asm: Assemblage, mesh, finite=None) -> SteeringVerdict:
@@ -502,12 +495,6 @@ def _qubit_povms(povms, what: str) -> list:
     return povms
 
 
-def _effect_components(effect: np.ndarray) -> tuple:
-    """(alpha, beta) with effect = alpha * I + beta . sigma."""
-    t, rx, ry, rz = linalg.bloch_components(effect)
-    return t / 2.0, np.array([rx, ry, rz]) / 2.0
-
-
 def deterministic_bloch_set(tests):
     """Unit Bloch vectors answering every listed test deterministically.
 
@@ -522,9 +509,8 @@ def deterministic_bloch_set(tests):
     value test alone would admit an angle of about sqrt(CERTAINTY_TOL).
     """
     tol = CERTAINTY_TOL
-    effects = [
-        _effect_components(effect) for povm in _qubit_povms(tests, "Bob's tests") for effect in povm.effects
-    ]
+    stack = np.array([e for povm in _qubit_povms(tests, "Bob's tests") for e in povm.effects]).reshape(-1, 2, 2)
+    effects = [(c[0], c[1:]) for c in linalg.bloch_components(stack) / 2.0]  # effect = alpha I + beta . sigma
     axes = [beta / np.linalg.norm(beta) for _, beta in effects if np.linalg.norm(beta) > tol]
     if not axes and all(min(abs(alpha), abs(alpha - 1.0)) <= tol for alpha, _ in effects):
         return None
@@ -642,11 +628,12 @@ def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
         raise InputError("need at least one measurement")
     counts = [p.num_outcomes for p in povms]
     touch = _touch_matrix(enumerate_strategies(len(povms), counts), counts)
-    rhs = _block_rows(e / 2 for povm in povms for e in povm.effects)
+    effects = np.array([e for povm in povms for e in povm.effects])
+    rhs = linalg.bloch_components(effects / 2).ravel()
 
     def rebuild(mass, vec):
         parents = _bloch_operators(2.0 * mass, 2.0 * vec)
-        return {"parent_effects": parents}, _parent_deviation(parents, touch, povms)
+        return {"parent_effects": parents}, _parent_deviation(parents, touch, effects)
 
     verdict = _column_generation("joint-measurability", touch, rhs, mesh, rebuild)
     if verdict.is_infeasible:
@@ -654,11 +641,10 @@ def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
     return verdict
 
 
-def _parent_deviation(parents, touch, povms) -> float:
+def _parent_deviation(parents, touch, effects) -> float:
     """Largest entry of |sum G - I| and of |marginal - effect| over all effects."""
     got = np.einsum("lr,lij->rij", touch, np.asarray(parents))
-    want = np.asarray([e for povm in povms for e in povm.effects])
-    return float(max(np.abs(sum(parents) - np.eye(2)).max(), np.abs(got - want).max()))
+    return float(max(np.abs(sum(parents) - np.eye(2)).max(), np.abs(got - effects).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything in this toolkit lives in dimension <= 8.  Matrices are plain
 ``numpy.ndarray`` objects with ``complex128`` entries; eigenvalues come
 from ``numpy.linalg.eigvalsh``, which reads one triangle only, so the
-positivity test first checks that its input is Hermitian.
+positivity test first checks that its input is Hermitian.  The checks
+and ``bloch_components`` also take a stack of matrices on the last two
+axes, so that a whole POVM or assemblage is checked in one pass.
 """
 
 from __future__ import annotations
@@ -36,31 +38,47 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _at(text, index) -> str:
+    return text(*index) if callable(text) else text
+
+
+def _refuse(flags, what, problem) -> None:
+    """Raise ``InputError`` for the first matrix, in index order, that
+    ``flags`` marks: ``what`` names it and ``problem`` says what is
+    wrong, each a str or a function of the matrix's index in the stack."""
+    if flags.any():
+        index = np.unravel_index(int(flags.argmax()), flags.shape)
+        raise InputError(f"{_at(what, index)} {_at(problem, index)}")
+
+
+def require_square(m, what="matrix") -> np.ndarray:
     """Return ``m`` as a complex array, raising ``InputError`` unless it is
-    a finite square matrix within HERMITICITY_TOL of its adjoint."""
+    a square matrix, or a stack of them on its last two axes, with finite
+    entries only.  ``what`` names the matrix; for a stack it maps a
+    matrix's index in the stack to its name."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"{what} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InputError(f"{what} has non-finite entries (NaN or infinity)")
-    dev = float(np.max(np.abs(m - dag(m))))
-    if dev > HERMITICITY_TOL:
-        raise InputError(f"{what} is not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.1e})")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InputError(f"{_at(what, (0,) * (m.ndim - 2))} must be square, got shape {m.shape}")
+    _refuse(~np.isfinite(m).all(axis=(-2, -1)), what, "has non-finite entries (NaN or infinity)")
     return m
 
 
-def partial_trace_A(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Trace out the first factor of a (dim_a*dim_b)-dimensional operator.
+def require_hermitian(m, what="matrix") -> np.ndarray:
+    """``require_square(m, what)``, then ``InputError`` unless every matrix
+    is within HERMITICITY_TOL of its adjoint."""
+    m = require_square(m, what)
+    dev = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    _refuse(dev > HERMITICITY_TOL, what,
+            lambda *i: f"is not Hermitian (max deviation {dev[i]:.3e} > {HERMITICITY_TOL:.1e})")
+    return m
 
-    Returns the dim_b x dim_b operator sum_i <i|_A m |i>_A.  The full
-    trace is preserved: ``tr(result) == tr(m)``.
-    """
-    m = np.asarray(m, dtype=complex)
-    d = dim_a * dim_b
-    if m.shape != (d, d):
-        raise ValueError(f"expected shape ({d}, {d}) for dims ({dim_a}, {dim_b}), got {m.shape}")
-    return np.einsum("ijil->jl", m.reshape(dim_a, dim_b, dim_a, dim_b))
+
+def require_psd(m, what="matrix") -> np.ndarray:
+    """``require_hermitian(m, what)``, then ``InputError`` unless every
+    matrix has min eigenvalue >= -PSD_TOL, by one ``eigvalsh`` call."""
+    m = require_hermitian(m, what)
+    _refuse(np.linalg.eigvalsh(m)[..., 0] < -PSD_TOL, what, "is not positive semidefinite")
+    return m
 
 
 def psd_check(m: np.ndarray, what: str = "matrix") -> bool:
@@ -68,22 +86,20 @@ def psd_check(m: np.ndarray, what: str = "matrix") -> bool:
 
     Raises ``InputError`` for non-Hermitian input, naming it ``what``.
     """
-    eigs = np.linalg.eigvalsh(require_hermitian(m, what=what))
-    return bool(eigs[0] >= -PSD_TOL)
+    return bool(np.linalg.eigvalsh(require_hermitian(m, what))[0] >= -PSD_TOL)
 
 
-def bloch_components(m: np.ndarray) -> tuple[float, float, float, float]:
+def bloch_components(m) -> np.ndarray:
     """Expansion coefficients of a 2x2 Hermitian matrix over {I, sx, sy, sz}.
 
     Returns (t, rx, ry, rz) such that m = (t*I + r . sigma) / 2, i.e.
-    t = tr(m) and r_k = tr(m sigma_k).
+    t = tr(m) and r_k = tr(m sigma_k).  For a stack of matrices on the
+    last two axes the coefficients fill a last axis of length 4; each is
+    formed by the same elementwise formula as for one matrix.
     """
     m = np.asarray(m, dtype=complex)
-    t = m.trace().real
-    rx = (m[0, 1] + m[1, 0]).real
-    ry = (1j * (m[0, 1] - m[1, 0])).real
-    rz = (m[0, 0] - m[1, 1]).real
-    return (t, rx, ry, rz)
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return np.stack([(m00 + m11).real, (m01 + m10).real, (1j * (m01 - m10)).real, (m00 - m11).real], axis=-1)
 
 
 def bloch_state(n: np.ndarray | tuple[float, float, float]) -> np.ndarray:

@@ -99,9 +99,8 @@ def phase_one(a: np.ndarray, b: np.ndarray, separate=None):
     cost = np.zeros(n + m)
     cost[n:] = 1.0
     basis = np.arange(n, n + m, dtype=np.intp)
-    # with no test the kernel gets only its five positional arguments
-    extra = {} if separate is None else {"separate": lambda y: separate(y * sign)}
-    status, pivots, clean = _pivot.run_phase1(full, b * sign, cost, basis, 1000 + 50 * m + 2 * n, **extra)
+    test = None if separate is None else lambda y: separate(y * sign)
+    status, pivots, clean = _pivot.run_phase1(full, b * sign, cost, basis, 1000 + 50 * m + 2 * n, separate=test)
     if clean is not None:
         xb, z, y, rc_min = clean
         clean = xb, max(z, 0.0), y * sign, rc_min

@@ -1,11 +1,16 @@
 """Quantum scenarios: states, measurements and the assemblages they steer.
 
 An assemblage is the family of subnormalized states left on Bob's side
-after Alice measures setting x and reads outcome a.  This module builds
-assemblages from density matrices paired with either POVMs or full Kraus
-instruments, validates the physicality invariants (positivity,
-normalization, marginal independence of x), and scans for contexts in
-which Bob's conditional state answers some test with certainty.
+after Alice measures setting x and reads outcome a.  ``Assemblage``
+holds them once, as the read-only array ``blocks`` of shape (settings,
+outcomes, dim_b, dim_b), which ``sigma`` and every accessor read.  One
+builder, ``assemblage_from_povms``, forms all blocks in one contraction;
+a Kraus instrument goes through it on its induced effects.  Each POVM,
+assemblage and shared state is validated as one stack (finite, then
+Hermitian, then one eigenvalue call for positivity, then normalization
+and marginal independence of x from array sums), and an error names the
+first offending effect or block.  A scan finds the contexts in which
+Bob's conditional state answers some test with certainty.
 
 Conventions fixed here and used everywhere else:
   - qubit measurement outcomes a in {0, 1} map to eigenvalue (-1)^a;
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -31,38 +37,28 @@ ZERO_PROB_TOL = 1e-12
 CERTAINTY_EPS = 1e-9
 
 
-def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("matrix has non-finite entries (NaN or infinity)")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A finite-outcome measurement: PSD effects summing to the identity."""
+    """A finite-outcome measurement: PSD effects summing to the identity.
+    ``effects`` are read-only views of one validated stack."""
 
     label: str
     effects: tuple
     dim: int
 
     def __post_init__(self):
-        effects = tuple(_as_matrix(e) for e in self.effects)
-        object.__setattr__(self, "effects", effects)
+        dim = positive_int(self.dim, f"POVM {self.label!r} dimension")
+        effects = [np.asarray(e, dtype=complex) for e in self.effects]
         if not effects:
             raise InputError(f"POVM {self.label!r} has no effects")
         for k, e in enumerate(effects):
-            if e.shape != (self.dim, self.dim):
-                raise InputError(
-                    f"POVM {self.label!r} effect {k} has shape {e.shape}, expected {(self.dim, self.dim)}"
-                )
-            if not linalg.psd_check(e, what=f"POVM {self.label!r} effect {k}"):
-                raise InputError(f"POVM {self.label!r} effect {k} is not positive semidefinite")
-        total = sum(effects)
-        if np.max(np.abs(total - np.eye(self.dim))) > COMPLETENESS_TOL:
+            if e.shape != (dim, dim):
+                raise InputError(f"POVM {self.label!r} effect {k} has shape {e.shape}, expected {(dim, dim)}")
+        stack = linalg.require_psd(np.stack(effects), lambda k: f"POVM {self.label!r} effect {k}")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > COMPLETENESS_TOL:
             raise InputError(f"POVM {self.label!r} effects do not sum to the identity")
+        stack.flags.writeable = False
+        object.__setattr__(self, "effects", tuple(stack))
 
     @property
     def num_outcomes(self) -> int:
@@ -82,17 +78,19 @@ class Instrument:
     dim: int
 
     def __post_init__(self):
-        sets = tuple(tuple(_as_matrix(k) for k in ks) for ks in self.kraus_sets)
+        dim = positive_int(self.dim, f"instrument {self.label!r} dimension")
+        sets = tuple(
+            tuple(linalg.require_square(k, f"instrument {self.label!r} outcome {a} operator") for k in ks)
+            for a, ks in enumerate(self.kraus_sets)
+        )
         object.__setattr__(self, "kraus_sets", sets)
-        total = np.zeros((self.dim, self.dim), dtype=complex)
         for a, ks in enumerate(sets):
             for k in ks:
-                if k.shape[1] != self.dim:
+                if k.shape[1] != dim:
                     raise InputError(
-                        f"instrument {self.label!r} outcome {a}: operator acts on dim {k.shape[1]}, expected {self.dim}"
+                        f"instrument {self.label!r} outcome {a}: operator acts on dim {k.shape[1]}, expected {dim}"
                     )
-                total += linalg.dag(k) @ k
-        if np.max(np.abs(total - np.eye(self.dim))) > COMPLETENESS_TOL:
+        if np.max(np.abs(sum(self.effects()) - np.eye(dim))) > COMPLETENESS_TOL:
             raise InputError(f"instrument {self.label!r} Kraus operators are not complete")
 
     @property
@@ -101,49 +99,52 @@ class Instrument:
 
     def effects(self) -> tuple:
         """The induced POVM effects M_a = sum_mu K^dag K."""
-        out = []
-        for ks in self.kraus_sets:
-            m = np.zeros((self.dim, self.dim), dtype=complex)
-            for k in ks:
-                m += linalg.dag(k) @ k
-            out.append(m)
-        return tuple(out)
+        zero = np.zeros((self.dim, self.dim), dtype=complex)
+        return tuple(sum((linalg.dag(k) @ k for k in ks), zero) for ks in self.kraus_sets)
 
 
 @dataclass(frozen=True, eq=False)
 class Assemblage:
     """Subnormalized Bob states sigma[(x, a)] conditioned on Alice's (x, a).
 
-    Physicality requires each block PSD, unit total trace per setting,
-    and a setting-independent marginal sum_a sigma[(x, a)], whose
-    comparison the constructor keeps in ``no_signalling``.
+    The constructor copies the blocks into ``blocks``, a read-only array
+    of shape (settings, outcomes, dim_b, dim_b), and ``sigma`` becomes a
+    read-only mapping of views into it.  Physicality requires each block
+    PSD, unit total trace per setting, and a setting-independent marginal
+    sum_a sigma[(x, a)], whose comparison the constructor keeps in
+    ``no_signalling``.
     """
 
     settings: int
     outcomes: int
     dim_b: int
     sigma: dict
+    blocks: np.ndarray = field(init=False, repr=False)
     no_signalling: NoSignallingReport = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = {}
-        for x in range(self.settings):
-            for a in range(self.outcomes):
+        names = ("settings", "outcomes", "dim_b")
+        settings, outcomes, dim_b = (positive_int(getattr(self, k), f"assemblage {k}") for k in names)
+        blocks = np.empty((settings, outcomes, dim_b, dim_b), dtype=complex)
+        for x in range(settings):
+            for a in range(outcomes):
                 if (x, a) not in self.sigma:
                     raise InputError(f"assemblage is missing block (x={x}, a={a})")
-                blocks[(x, a)] = _as_matrix(self.sigma[(x, a)])
-        object.__setattr__(self, "sigma", blocks)
-        for (x, a), s in blocks.items():
-            if s.shape != (self.dim_b, self.dim_b):
-                raise InputError(f"block (x={x}, a={a}) has shape {s.shape}")
-            if not linalg.psd_check(s, what=f"assemblage block (x={x}, a={a})"):
-                raise InputError(f"assemblage block (x={x}, a={a}) is not positive semidefinite")
-        for x in range(self.settings):
-            total = sum(blocks[(x, a)].trace().real for a in range(self.outcomes))
+                s = np.asarray(self.sigma[(x, a)], dtype=complex)
+                if s.shape != (dim_b, dim_b):
+                    raise InputError(f"block (x={x}, a={a}) has shape {s.shape}")
+                blocks[x, a] = s
+        linalg.require_psd(blocks, lambda x, a: f"assemblage block (x={x}, a={a})")
+        totals = np.trace(blocks, axis1=2, axis2=3).real.sum(axis=1)
+        for x, total in enumerate(totals.tolist()):
             if abs(total - 1.0) > TRACE_TOL:
                 raise InputError(f"setting x={x} has total probability {total}, expected 1")
-        marginals = [self.marginal(x) for x in range(self.settings)]
-        dev = max((float(np.max(np.abs(m - marginals[0]))) for m in marginals[1:]), default=0.0)
+        marginals = blocks.sum(axis=1)
+        dev = float(np.abs(marginals[1:] - marginals[0]).max(initial=0.0))
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
+        views = {(x, a): blocks[x, a] for x in range(settings) for a in range(outcomes)}
+        object.__setattr__(self, "sigma", MappingProxyType(views))
         object.__setattr__(self, "no_signalling", NoSignallingReport(passed=dev <= MARGINAL_TOL, max_deviation=dev))
         if not self.no_signalling.passed:
             raise InputError(f"marginals depend on the setting (max deviation {dev:.3e})")
@@ -162,7 +163,7 @@ class Assemblage:
         return self.sigma[(x, a)] / p
 
     def marginal(self, x: int = 0) -> np.ndarray:
-        return sum(self.sigma[(x, a)] for a in range(self.outcomes))
+        return self.blocks[x].sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -188,69 +189,44 @@ def check_no_signalling(asm: Assemblage) -> NoSignallingReport:
     return asm.no_signalling
 
 
-def _require_state(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
-    rho = _as_matrix(rho_ab)
-    if rho.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise InputError(
-            f"state has shape {rho.shape}, expected {(dim_a * dim_b, dim_a * dim_b)}"
-        )
-    if not linalg.psd_check(rho, what="shared state"):
-        raise InputError("shared state is not positive semidefinite")
+def _require_state(rho_ab, dim_a: int, dim_b: int | None) -> np.ndarray:
+    """The shared state, checked; ``dim_b`` None takes it from the shape."""
+    rho = linalg.require_psd(rho_ab, "shared state")
+    dim = dim_a * (len(rho) // dim_a if dim_b is None else dim_b)
+    if rho.shape != (dim, dim):
+        raise InputError(f"state has shape {rho.shape}, expected {(dim, dim)}")
     if abs(rho.trace().real - 1.0) > TRACE_TOL:
         raise InputError(f"shared state has trace {rho.trace().real}, expected 1")
     return rho
 
 
 def assemblage_from_povms(rho_ab, alice: Sequence[Povm], dim_b: int | None = None) -> Assemblage:
-    """sigma[(x, a)] = tr_A[(M_{a|x} (x) I) rho]."""
+    """sigma[(x, a)] = tr_A[(M_{a|x} (x) I) rho], every block in one
+    contraction over rho reshaped to (dim_a, dim_b, dim_a, dim_b)."""
     if not alice:
         raise InputError("need at least one Alice measurement")
-    dim_a = alice[0].dim
-    if dim_b is None:
-        dim_b = _as_matrix(rho_ab).shape[0] // dim_a
-    rho = _require_state(rho_ab, dim_a, dim_b)
-    outcomes = alice[0].num_outcomes
-    eye_b = np.eye(dim_b)
-    sigma = {}
+    dim_a, outcomes = alice[0].dim, alice[0].num_outcomes
     for x, povm in enumerate(alice):
         if povm.dim != dim_a:
             raise InputError(f"Alice measurement {x} acts on dim {povm.dim}, expected {dim_a}")
         if povm.num_outcomes != outcomes:
             raise InputError("all Alice measurements must share one outcome count")
-        for a, effect in enumerate(povm.effects):
-            sigma[(x, a)] = linalg.partial_trace_A(
-                linalg.kron(effect, eye_b) @ rho, dim_a, dim_b
-            )
+    rho = _require_state(rho_ab, dim_a, dim_b)
+    dim_b = rho.shape[0] // dim_a
+    effects = np.array([povm.effects for povm in alice])
+    blocks = np.einsum("xaij,jbil->xabl", effects, rho.reshape(dim_a, dim_b, dim_a, dim_b))
+    sigma = {(x, a): blocks[x, a] for x in range(len(alice)) for a in range(outcomes)}
     return Assemblage(settings=len(alice), outcomes=outcomes, dim_b=dim_b, sigma=sigma)
 
 
 def assemblage_from_instrument(
     rho_ab, alice: Sequence[Instrument], dim_b: int | None = None
 ) -> Assemblage:
-    """sigma[(x, a)] = sum_mu tr_A[(K (x) I) rho (K^dag (x) I)].
-
-    Agrees with assemblage_from_povms on the induced effects: the update
-    operators cancel under the partial trace over A.
-    """
-    if not alice:
-        raise InputError("need at least one Alice instrument")
-    dim_a = alice[0].dim
-    if dim_b is None:
-        dim_b = _as_matrix(rho_ab).shape[0] // dim_a
-    rho = _require_state(rho_ab, dim_a, dim_b)
-    outcomes = alice[0].num_outcomes
-    eye_b = np.eye(dim_b)
-    sigma = {}
-    for x, inst in enumerate(alice):
-        if inst.num_outcomes != outcomes:
-            raise InputError("all Alice instruments must share one outcome count")
-        for a, ks in enumerate(inst.kraus_sets):
-            block = np.zeros((dim_b, dim_b), dtype=complex)
-            for k in ks:
-                big = linalg.kron(k, eye_b)
-                block += linalg.partial_trace_A(big @ rho @ linalg.dag(big), dim_a, dim_b)
-            sigma[(x, a)] = block
-    return Assemblage(settings=len(alice), outcomes=outcomes, dim_b=dim_b, sigma=sigma)
+    """sigma[(x, a)] = sum_mu tr_A[(K (x) I) rho (K^dag (x) I)], which is
+    ``assemblage_from_povms`` on the induced effects: the update
+    operators cancel under the partial trace over A."""
+    povms = [Povm(label=inst.label, effects=inst.effects(), dim=inst.dim) for inst in alice]
+    return assemblage_from_povms(rho_ab, povms, dim_b)
 
 
 def scan_predictability(asm: Assemblage, bob: Sequence[Povm]) -> list:
@@ -362,7 +338,7 @@ def _axis_label(axis) -> str:
 # scenario files: JSON with complex entries as [re, im] pairs
 
 def matrix_to_json(m) -> list:
-    arr = _as_matrix(m)
+    arr = linalg.require_square(m)
     return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
 
 
@@ -373,7 +349,7 @@ def matrix_from_json(rows) -> np.ndarray:
         )
     except (TypeError, IndexError, ValueError) as exc:
         raise InputError("matrix entries must be [re, im] pairs in rows of equal length") from exc
-    return _as_matrix(arr)
+    return linalg.require_square(arr)
 
 
 def positive_int(value, what: str) -> int:

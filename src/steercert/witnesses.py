@@ -73,21 +73,16 @@ def correlators_from_assemblage(asm: Assemblage, bob_obs: Sequence) -> Correlato
         )
     if asm.dim_b != 2:
         raise InputError(f"the witness's local bound needs qubit observables, got Bob dimension {asm.dim_b}")
-    values, observables = [], []
-    for x, obs in enumerate(bob_obs):
-        b = np.asarray(obs, dtype=complex)
+    obs = [np.asarray(b, dtype=complex) for b in bob_obs]
+    for x, b in enumerate(obs):
         if b.shape != (2, 2):
             raise InputError(f"observable {x} has shape {b.shape}, expected (2, 2)")
-        linalg.require_hermitian(b, what=f"observable {x}")
-        eigs = np.linalg.eigvalsh(b)
-        if np.max(np.abs(np.abs(eigs) - 1.0)) > 1e-9:
-            raise InputError(f"observable {x} does not have a +-1 spectrum")
-        corr = 0.0
-        for a in range(2):
-            corr += (-1) ** a * float((b @ asm.block(x, a)).trace().real)
-        values.append(corr)
-        observables.append(tuple(v / 2.0 for v in linalg.bloch_components(b)))
-    return CorrelatorSet(m=asm.settings, values=tuple(values), observables=tuple(observables))
+    obs = linalg.require_hermitian(np.array(obs), lambda x: f"observable {x}")
+    off = np.flatnonzero(np.abs(np.abs(np.linalg.eigvalsh(obs)) - 1.0).max(axis=1) > 1e-9)
+    if len(off):
+        raise InputError(f"observable {off[0]} does not have a +-1 spectrum")
+    values = [sum((-1) ** a * float((b @ asm.blocks[x, a]).trace().real) for a in range(2)) for x, b in enumerate(obs)]
+    return CorrelatorSet(m=asm.settings, values=tuple(values), observables=linalg.bloch_components(obs) / 2.0)
 
 
 def s_m(c: CorrelatorSet) -> float:

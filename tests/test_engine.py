@@ -902,3 +902,14 @@ def test_threshold_scan_input_validation():
     for width in (0.0, -0.1, float("nan")):
         with pytest.raises(InputError):
             threshold_scan(lambda p: p, lambda a: None, 0.0, 1.0, width)
+
+
+def test_assemblage_rows_read_the_block_array_x_major():
+    asm = assemblage_from_povms(werner_state(0.7), [pauli_povm(axis) for axis in ("x", "y", "z")])
+    rows = engine._assemblage_rhs(asm).reshape(3, 2, 4)
+    for x in range(3):
+        for a in range(2):
+            m = asm.block(x, a)
+            t, rz = m.trace().real, (m[0, 0] - m[1, 1]).real
+            rx, ry = (m[0, 1] + m[1, 0]).real, (1j * (m[0, 1] - m[1, 0])).real
+            assert np.array_equal(rows[x, a], (t, rx, ry, rz))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from steercert import linalg
+from steercert.errors import InputError
 from helpers import (
     psd_sqrt_2x2,
     random_hermitian,
@@ -30,15 +31,6 @@ def kron_oracle(a, b):
     return out
 
 
-def partial_trace_oracle(m, dim_a, dim_b):
-    out = np.zeros((dim_b, dim_b), dtype=complex)
-    for j in range(dim_b):
-        for l in range(dim_b):
-            for i in range(dim_a):
-                out[j, l] += m[i * dim_b + j, i * dim_b + l]
-    return out
-
-
 def eig2_oracle(m):
     # closed form for 2x2 Hermitian: mean +- sqrt(mean^2 - det)
     t = m.trace().real / 2.0
@@ -60,27 +52,6 @@ def test_kron_mixed_product():
         c, d = (RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)) for _ in range(2))
         lhs = linalg.kron(a, c) @ linalg.kron(b, d)
         np.testing.assert_allclose(lhs, linalg.kron(a @ b, c @ d), atol=1e-12)
-
-
-def test_partial_trace_matches_index_oracle():
-    for dim_a, dim_b in ((2, 2), (2, 3), (3, 2), (2, 4)):
-        m = RNG.normal(size=(dim_a * dim_b,) * 2) + 1j * RNG.normal(size=(dim_a * dim_b,) * 2)
-        got = linalg.partial_trace_A(m, dim_a, dim_b)
-        np.testing.assert_allclose(got, partial_trace_oracle(m, dim_a, dim_b), atol=1e-13)
-        assert abs(got.trace() - m.trace()) < 1e-12
-
-
-def test_partial_trace_of_product_state():
-    rho_a = random_state(RNG, 2)
-    rho_b = random_state(RNG, 3)
-    np.testing.assert_allclose(
-        linalg.partial_trace_A(linalg.kron(rho_a, rho_b), 2, 3), rho_b, atol=1e-12
-    )
-
-
-def test_partial_trace_shape_error():
-    with pytest.raises(ValueError):
-        linalg.partial_trace_A(np.eye(5), 2, 2)
 
 
 def test_is_hermitian_and_require():
@@ -170,3 +141,33 @@ def test_pauli_algebra():
         2j * linalg.SIGMA_Z,
         atol=1e-15,
     )
+
+
+def test_bloch_components_of_a_stack_keep_the_one_matrix_formulas():
+    stack = np.array([random_hermitian(RNG, 2) for _ in range(6)]).reshape(3, 2, 2, 2)
+    got = linalg.bloch_components(stack)
+    assert got.shape == (3, 2, 4)
+    for m, row in zip(stack.reshape(-1, 2, 2), got.reshape(-1, 4)):
+        want = (m.trace().real, (m[0, 1] + m[1, 0]).real, (1j * (m[0, 1] - m[1, 0])).real, (m[0, 0] - m[1, 1]).real)
+        assert np.array_equal(row, want)
+
+
+def test_stack_checks_name_the_first_failing_matrix():
+    def name(k):
+        return f"m{k}"
+
+    stack = np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]], np.diag([np.nan, 1.0])])
+    with pytest.raises(InputError, match="^m3 has non-finite entries"):
+        linalg.require_psd(stack, name)
+    stack[3] = np.eye(2)
+    with pytest.raises(InputError, match="^m2 is not Hermitian"):
+        linalg.require_psd(stack, name)
+    stack[2] = np.eye(2)
+    with pytest.raises(InputError, match="^m1 is not positive semidefinite$"):
+        linalg.require_psd(stack, name)
+    stack[1] = np.eye(2)
+    np.testing.assert_array_equal(linalg.require_psd(stack, name), stack)
+    with pytest.raises(InputError, match=r"^m0 must be square, got shape \(3, 2, 3\)"):
+        linalg.require_square(np.zeros((3, 2, 3)), name)
+    with pytest.raises(InputError, match="^effect must be square"):
+        linalg.require_square(np.zeros(3), "effect")

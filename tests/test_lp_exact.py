@@ -238,8 +238,8 @@ def test_perturbed_float_witness_falls_back(monkeypatch, asm, field, delta):
     expected = lhs_feasibility_boxworld(asm)
     kernel = _pivot.run_phase1
 
-    def perturbed(*args):
-        status, pivots, clean = kernel(*args)
+    def perturbed(*args, separate=None):
+        status, pivots, clean = kernel(*args, separate=separate)
         clean = [v.copy() if isinstance(v, np.ndarray) else v for v in clean]
         clean[field][0] += delta
         return status, pivots, tuple(clean)
@@ -258,7 +258,7 @@ def test_perturbed_float_witness_falls_back(monkeypatch, asm, field, delta):
 def _kernel_setting(columns):
     """A stand-in kernel that leaves ``columns`` as the final basis."""
 
-    def kernel(full, b, cost, basis, max_iter):
+    def kernel(full, b, cost, basis, max_iter, separate=None):
         basis[:] = columns
         return OPTIMAL, 0, None
 

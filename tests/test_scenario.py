@@ -129,20 +129,22 @@ def test_bell_basis_is_orthonormal():
 
 
 def test_assemblage_from_povms_matches_index_oracle():
-    for _ in range(10):
-        rho = random_state(RNG, 4)
+    for dim_a, dim_b in [(2, 2), (2, 3), (3, 2), (2, 4)] * 3:
+        rho = random_state(RNG, dim_a * dim_b)
         povms = [
-            Povm(label="r0", effects=random_povm_pair(RNG), dim=2),
-            Povm(label="r1", effects=random_povm_pair(RNG), dim=2),
+            Povm(label="r0", effects=random_povm_pair(RNG, dim_a), dim=dim_a),
+            Povm(label="r1", effects=random_povm_pair(RNG, dim_a), dim=dim_a),
         ]
         asm = assemblage_from_povms(rho, povms)
+        assert asm.blocks.shape == (2, 2, dim_b, dim_b)
         for x in range(2):
             for a in range(2):
-                expected = manual_assemblage_block(rho, povms[x].effects[a], 2, 2)
+                expected = manual_assemblage_block(rho, povms[x].effects[a], dim_a, dim_b)
                 np.testing.assert_allclose(asm.block(x, a), expected, atol=1e-11)
         report = check_no_signalling(asm)
         assert report.passed
-        np.testing.assert_allclose(asm.marginal(0), linalg.partial_trace_A(rho, 2, 2), atol=1e-11)
+        rho_b = manual_assemblage_block(rho, np.eye(dim_a), dim_a, dim_b)
+        np.testing.assert_allclose(asm.marginal(0), rho_b, atol=1e-11)
 
 
 def test_singlet_assemblage_blocks():
@@ -241,3 +243,109 @@ def test_load_scenario_kinds_and_errors():
         load_scenario({**doc, "state": {"kind": "ghz"}})
     with pytest.raises(InputError):
         load_scenario({**doc, "dimA": 3})
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: Assemblage(settings=0, outcomes=2, dim_b=2, sigma={}), "assemblage settings"),
+        (lambda: Assemblage(settings=1.5, outcomes=2, dim_b=2, sigma={}), "assemblage settings"),
+        (lambda: Assemblage(settings=1, outcomes=0, dim_b=2, sigma={}), "assemblage outcomes"),
+        (lambda: Assemblage(settings=1, outcomes=2, dim_b=True, sigma={}), "assemblage dim_b"),
+        (lambda: Assemblage(settings=1, outcomes=2, dim_b=-2, sigma={}), "assemblage dim_b"),
+        (lambda: Povm(label="z", effects=pauli_povm("z").effects, dim=2.0), "POVM 'z' dimension"),
+        (lambda: Povm(label="z", effects=pauli_povm("z").effects, dim=0), "POVM 'z' dimension"),
+        (lambda: Instrument(label="k", kraus_sets=((np.eye(2),),), dim="2"), "instrument 'k' dimension"),
+    ],
+    ids=["no-settings", "float-settings", "no-outcomes", "bool-dim", "negative-dim",
+         "float-povm-dim", "zero-povm-dim", "str-instrument-dim"],
+)
+def test_counts_must_be_positive_integers(build, what):
+    with pytest.raises(InputError, match=f"^{what} must be a positive integer"):
+        build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    sigma = {(0, 0): np.eye(2) / 2, (0, 1): np.zeros((2, 2))}
+    asm = Assemblage(settings=np.int64(1), outcomes=np.int64(2), dim_b=np.int64(2), sigma=sigma)
+    assert asm.blocks.shape == (1, 2, 2, 2)
+    assert Povm(label="z", effects=pauli_povm("z").effects, dim=np.int64(2)).num_outcomes == 2
+
+
+@pytest.mark.parametrize(
+    "effects, problem",
+    [
+        ((np.eye(2) / 2, _SKEW), "is not Hermitian"),
+        ((np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])), "is not positive semidefinite"),
+    ],
+    ids=["not-hermitian", "not-psd"],
+)
+def test_povm_errors_name_a_later_effect(effects, problem):
+    with pytest.raises(InputError, match=f"^POVM 'm' effect 1 {problem}"):
+        Povm(label="m", effects=effects, dim=2)
+
+
+def _two_setting_blocks():
+    """Settings x = 0, 1; x = 1 has block (1, 0) = diag(0.6, -0.1), not PSD."""
+    return {
+        (0, 0): np.eye(2) / 4, (0, 1): np.eye(2) / 4,
+        (1, 0): np.diag([0.6, -0.1]), (1, 1): np.diag([-0.1, 0.6]),
+    }
+
+
+def test_assemblage_error_names_the_first_block_that_is_not_psd():
+    with pytest.raises(InputError, match=r"^assemblage block \(x=1, a=0\) is not positive semidefinite$"):
+        Assemblage(settings=2, outcomes=2, dim_b=2, sigma=_two_setting_blocks())
+
+
+def test_stacked_checks_run_in_order_over_every_block():
+    # a later non-finite block is reported before an earlier non-PSD one,
+    # and a later non-Hermitian block before it too
+    sigma = _two_setting_blocks()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"^assemblage block \(x=1, a=1\) has non-finite entries"):
+            Assemblage(settings=2, outcomes=2, dim_b=2, sigma={**sigma, (1, 1): np.diag([np.nan, 0.6])})
+    with pytest.raises(InputError, match=r"^assemblage block \(x=1, a=1\) is not Hermitian"):
+        Assemblage(settings=2, outcomes=2, dim_b=2, sigma={**sigma, (1, 1): _SKEW})
+
+
+def test_blocks_and_effects_are_read_only():
+    povm = pauli_povm("z")
+    asm = assemblage_from_povms(singlet(), [povm, pauli_povm("x")])
+    assert asm.blocks.shape == (2, 2, 2, 2)
+    assert all(asm.block(x, a) is asm.sigma[(x, a)] for x in range(2) for a in range(2))
+    for arr in (asm.blocks, asm.block(0, 0), asm.sigma[(1, 1)], povm.effects[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        asm.sigma[(0, 0)] = np.eye(2)
+
+
+def test_assemblage_copies_its_input():
+    sigma = {(0, 0): np.eye(2) / 2, (0, 1): np.zeros((2, 2))}
+    effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    asm = Assemblage(settings=1, outcomes=2, dim_b=2, sigma=sigma)
+    povm = Povm(label="z", effects=effects, dim=2)
+    sigma[(0, 0)][0, 0] = 7.0  # the caller's arrays stay writeable
+    effects[0][0, 0] = 7.0
+    assert asm.prob(0, 0) == 1.0 and povm.effects[0][0, 0] == 1.0
+
+
+def test_instrument_assemblage_is_the_povm_assemblage_on_induced_effects():
+    for _ in range(5):
+        rho = random_state(RNG, 4)
+        kraus = tuple(random_kraus_split(RNG, e, pieces=int(RNG.integers(1, 4))) for e in random_povm_pair(RNG))
+        inst = Instrument(label="m", kraus_sets=kraus, dim=2)
+        a1 = assemblage_from_instrument(rho, [inst])
+        a2 = assemblage_from_povms(rho, [Povm(label="m", effects=inst.effects(), dim=2)])
+        assert np.array_equal(a1.blocks, a2.blocks)
+
+
+def test_state_of_the_wrong_dimension_is_rejected():
+    with pytest.raises(InputError, match=r"^state has shape \(6, 6\), expected \(4, 4\)"):
+        assemblage_from_povms(np.eye(6) / 6, [pauli_povm("z")], dim_b=2)
+    with pytest.raises(InputError, match=r"^state has shape \(5, 5\), expected \(4, 4\)"):
+        assemblage_from_povms(np.eye(5) / 5, [pauli_povm("z")])
+    asm = assemblage_from_povms(np.eye(6) / 6, [pauli_povm("z")])
+    assert asm.dim_b == 3
