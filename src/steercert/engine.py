@@ -199,6 +199,14 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
+@functools.cache
+def _seed_mesh(n: int) -> np.ndarray:
+    """``fibonacci_sphere(n)``, built once per size and read-only."""
+    pool = fibonacci_sphere(n)
+    pool.flags.writeable = False
+    return pool
+
+
 def _seed_directions(mesh, directions) -> np.ndarray:
     """The Fibonacci mesh of ``mesh`` points plus the problem's own unit
     directions that it does not already contain.
@@ -209,7 +217,7 @@ def _seed_directions(mesh, directions) -> np.ndarray:
     """
     if isinstance(mesh, bool) or not isinstance(mesh, (int, np.integer)):
         raise InputError(f"mesh must be an integer seed size, got {mesh!r}")
-    pool = fibonacci_sphere(int(mesh))
+    pool = _seed_mesh(int(mesh))
     for d in directions:
         d = np.asarray(d, dtype=float)
         norm = float(np.linalg.norm(d))
@@ -301,10 +309,14 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
     every basis whose dual could survive the shift, and an infeasible
     master ends at the first one that passes (``master["early_stop"]``).
     If none does, the optimal master's certificate is shifted and
-    checked as above.  If it does not separate, the strategies with a
-    negative ball minimum enter with their best direction and the master
-    is solved again from scratch; when no column can enter, which is
-    always the case for a finite set, the verdict is Undecided.
+    checked as above.  The float solver judges nothing itself: every
+    master with phase-one z above ``lp.TOL``, however slightly, is an
+    infeasible master handled this way, and the verdict is Undecided
+    only when the solver had no numbers to report.  If the shifted
+    certificate does not separate, the strategies with a negative ball
+    minimum enter with their best direction and the master is solved
+    again from scratch; when no column can enter, which is always the
+    case for a finite set, the verdict is Undecided.
     """
     ball = finite is None
     meta = {"question": question}
@@ -346,8 +358,7 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
         master = solve_feasibility_float(FeasibilityProblem(a=a, b=rhs, num_vars=len(lam)), separate=separate)
         meta.update(rounds=rounds, columns=len(lam), master=master.meta)
         if master.status == UNDECIDED:
-            reason = master.meta.get("reason", "z inside the undecided band")
-            return undecided(f"master LP undecided: {reason}")
+            return undecided(f"master LP undecided: {master.meta['reason']}")
         if master.status == FEASIBLE:
             meta["margin"] = master.meta["z"]
             mass, vec = _per_strategy(touch, lam, dirs, master.model)
@@ -441,7 +452,7 @@ def _box_lp(x_settings: int, a_outcomes: int, y_settings: int, b_outcomes: int) 
 
 def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
     """Exact local-model membership: deterministic tables span Bob's
-    state polytope, so the rational LP decides with no undecided band.
+    state polytope, so the rational LP always decides.
 
     Columns are the pairs (Alice strategy, Bob strategy), rows the keys
     (x, a, y, b), both lexicographic; the column of a pair holds 1 in
@@ -510,21 +521,27 @@ def deterministic_bloch_set(tests):
     """
     tol = CERTAINTY_TOL
     stack = np.array([e for povm in _qubit_povms(tests, "Bob's tests") for e in povm.effects]).reshape(-1, 2, 2)
-    effects = [(c[0], c[1:]) for c in linalg.bloch_components(stack) / 2.0]  # effect = alpha I + beta . sigma
-    axes = [beta / np.linalg.norm(beta) for _, beta in effects if np.linalg.norm(beta) > tol]
-    if not axes and all(min(abs(alpha), abs(alpha - 1.0)) <= tol for alpha, _ in effects):
+    comps = linalg.bloch_components(stack) / 2.0  # effect = alpha I + beta . sigma
+    alpha, beta = comps[:, 0], comps[:, 1:]
+    norms = np.linalg.norm(beta, axis=1)
+    axes = beta[norms > tol] / norms[norms > tol, None]
+    if not len(axes) and (np.minimum(abs(alpha), abs(alpha - 1.0)) <= tol).all():
         return None
 
-    def certain(n) -> bool:
-        aligned = all(min(np.linalg.norm(n - a), np.linalg.norm(n + a)) <= tol for a in axes)
-        values = (alpha + beta @ n for alpha, beta in effects)
-        return aligned and all(min(abs(v), abs(v - 1.0)) <= tol for v in values)
-
-    points = []
-    for n in (sign * a for a in axes for sign in (1.0, -1.0)):
-        if certain(n) and all(np.linalg.norm(n - p) > tol for p in points):
-            points.append(n)
-    return np.asarray(points).reshape(-1, 3)
+    # candidates +a, -a of each axis a, in that order, against every axis and effect
+    cand = np.stack([axes, -axes], axis=1).reshape(-1, 3)
+    offset = np.linalg.norm(cand[:, None] - axes, axis=2)
+    across = np.linalg.norm(cand[:, None] + axes, axis=2)
+    values = alpha + cand @ beta.T
+    aligned = (np.minimum(offset, across) <= tol).all(axis=1)
+    valued = (np.minimum(abs(values), abs(values - 1.0)) <= tol).all(axis=1)
+    cand = cand[aligned & valued]
+    close = np.linalg.norm(cand[:, None] - cand, axis=2) <= tol
+    kept = []  # each certain candidate unless it repeats one kept before it
+    for i in range(len(cand)):
+        if not close[i, kept].any():
+            kept.append(i)
+    return cand[kept]
 
 
 def pv_feasibility(asm, bob_tests=None, mesh: int = DEFAULT_MESH) -> SteeringVerdict:

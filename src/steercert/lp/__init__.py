@@ -5,16 +5,18 @@ prices by Dantzig's rule, breaks ratio-test ties lexicographically so it
 cannot cycle, updates the basis inverse pivot by pivot and factorizes it
 from the original data every ``REFACTOR`` pivots and again before it
 returns.
-``solve_feasibility_float`` judges the kernel's final basis within the
-fixed bands of one tolerance, ``TOL``, and may answer undecided near
-the boundary; given a ``separate`` test, it stops an infeasible solve
-at the first basis whose dual that test turns into a certificate.
+``solve_feasibility_float`` reports the kernel's final basis without
+judging it: feasible when the phase-one optimum is at most ``TOL``,
+otherwise infeasible with the basis's Farkas candidate, and undecided
+only when the kernel has no numbers (a singular basis, the iteration
+limit, no admissible pivot); its caller checks the witness.  Given a
+``separate`` test, it stops an infeasible solve at the first basis
+whose dual that test turns into a certificate.
 ``solve_feasibility_exact`` rounds the final x_B and y of the same
 float phase one to exact rationals by Cramer's rule and verifies them;
 only when that fails does it run one revised simplex loop under Bland's
-rule in rational arithmetic, so it always decides.
-Every verdict carries a witness that was re-verified by substitution
-before being returned.
+rule in rational arithmetic, so it always decides, and every verdict
+carries a witness verified by exact substitution before it is returned.
 """
 
 from __future__ import annotations

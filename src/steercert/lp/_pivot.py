@@ -52,7 +52,7 @@ SEPARATED = 3
 
 # pivots between two factorizations of the basis from the data
 REFACTOR = 50
-# feasibility band of z* in ``floating``, and the reduced cost a column must beat to enter
+# the z* up to which ``floating`` reports feasible, and the reduced cost a column must beat to enter
 TOL = 1e-9
 # pivots smaller than this amplify roundoff faster than they make progress
 PIVOT_EPS = 1e-8

@@ -4,11 +4,13 @@ A :class:`FeasibilityProblem` is the standard-form question
 
     does there exist w >= 0 with  A w = b ?
 
-Entries may be floats (or numpy arrays) for the tolerance-based solver,
-or ints and :class:`fractions.Fraction` values for the exact solver.  Verdicts
+Entries may be floats (or numpy arrays) for the float solver, or ints
+and :class:`fractions.Fraction` values for the exact solver.  Verdicts
 carry either a model (a witnessing w) or a separating certificate c with
-``c . A >= 0`` componentwise and ``c . b < 0``, and are re-verified by
-substitution before being returned by the solvers.
+``c . A >= 0`` componentwise and ``c . b < 0``.  The exact solver
+verifies both by exact substitution before it returns them; the float
+solver reports its final basis, good to roundoff and within ``TOL``,
+and leaves the check to its caller.
 """
 
 from __future__ import annotations

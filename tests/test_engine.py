@@ -228,6 +228,14 @@ def test_every_seed_size_gives_the_same_verdict(p, feasible):
         # that is roundoff of the updated basis inverse; taken, it makes
         # the basis singular
         pytest.param(3, -1e-6, 162, id="-1e-06-3-mesh162"),
+        # this close, masters end with phase-one z a hair above TOL: each is
+        # an ordinary infeasible master, shifted and checked exactly or priced
+        *(
+            pytest.param(settings, offset, mesh, id=f"{offset}-{settings}-mesh{mesh}")
+            for offset in (-1e-7, 1e-7)
+            for settings in (2, 3)
+            for mesh in (12, 162, 642)
+        ),
     ],
 )
 def test_verdicts_a_hair_from_the_threshold_are_decided(settings, offset, mesh):
@@ -629,6 +637,66 @@ def test_deterministic_bloch_set_shapes():
     assert deterministic_bloch_set(near).shape == (0, 3)
     asm = assemblage_from_povms(singlet(), near)
     assert pv_feasibility(asm, near, mesh=162).is_infeasible
+
+
+def reference_bloch_set(tests):
+    """``deterministic_bloch_set`` one candidate and one axis at a time."""
+    tol = engine.CERTAINTY_TOL
+    comps = linalg.bloch_components(np.array([e for povm in tests for e in povm.effects])) / 2.0
+    axes = [c[1:] / np.linalg.norm(c[1:]) for c in comps if np.linalg.norm(c[1:]) > tol]
+    if not axes and all(min(abs(c[0]), abs(c[0] - 1.0)) <= tol for c in comps):
+        return None
+    points = []
+    for n in (sign * a for a in axes for sign in (1.0, -1.0)):
+        aligned = all(min(np.linalg.norm(n - a), np.linalg.norm(n + a)) <= tol for a in axes)
+        valued = all(min(abs(v), abs(v - 1.0)) <= tol for v in (c[0] + c[1:] @ n for c in comps))
+        if aligned and valued and all(np.linalg.norm(n - p) > tol for p in points):
+            points.append(n)
+    return np.asarray(points).reshape(-1, 3)
+
+
+def test_deterministic_bloch_set_matches_a_per_candidate_reference():
+    # repeated, antiparallel, nearly parallel and noisy axes, and trivial tests
+    coin = Povm(label="coin", effects=(linalg.I2, np.zeros((2, 2))), dim=2)
+    for _ in range(300):
+        base = random_unit_vector(RNG)
+        tests = []
+        for _ in range(RNG.integers(1, 5)):
+            axis = [
+                base,
+                -base,
+                base + 1e-10 * RNG.normal(size=3),
+                base + 1e-8 * RNG.normal(size=3),
+                random_unit_vector(RNG),
+            ][RNG.integers(5)]
+            eta = 1.0 - float(RNG.choice([0.0, 1e-11, 1e-4]))
+            tests.append(noisy_pauli_povm(tuple(axis), eta) if eta < 1.0 else pauli_povm(tuple(axis)))
+        if RNG.random() < 0.1:
+            tests.append(coin)
+        got, want = deterministic_bloch_set(tests), reference_bloch_set(tests)
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape
+            # norms summed in another order: unit vectors may differ by a few ulps
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=8 * np.finfo(float).eps)
+    assert deterministic_bloch_set([coin]) is None and reference_bloch_set([coin]) is None
+
+
+def test_seed_mesh_is_built_once_per_size(monkeypatch):
+    calls = []
+    build = engine.fibonacci_sphere
+    monkeypatch.setattr(engine, "fibonacci_sphere", lambda n: calls.append(n) or build(n))
+    engine._seed_mesh.cache_clear()
+    try:
+        for p in (0.4, 0.85, 0.4):
+            lhs_feasibility_qubit(werner_assemblage(p), mesh=42)
+        assert calls == [42]
+        pool = engine._seed_directions(42, [])
+        np.testing.assert_array_equal(pool, build(42))
+        assert not pool.flags.writeable
+    finally:
+        engine._seed_mesh.cache_clear()
 
 
 def test_pv_single_matched_test_is_feasible():

@@ -134,9 +134,17 @@ def test_parse_rational():
         parse_rational("a/b")
 
 
-def test_tolerance_band_boundary_behaviour():
-    # rhs sits 10*TOL outside the cone: inside the undecided band
+def test_tolerance_boundary_behaviour():
+    # the float LP reports its final basis: a right-hand side 10*TOL
+    # outside the cone is infeasible, with the Farkas candidate [1] of
+    # the optimal basis, which separates exactly
     a = np.array([[1.0]])
-    for offset, expected in ((-10 * TOL, UNDECIDED), (-1000 * TOL, INFEASIBLE), (0.5, FEASIBLE)):
-        verdict = solve_feasibility_float(FeasibilityProblem(a=a, b=np.array([offset]), num_vars=1))
+    for offset, expected in ((-10 * TOL, INFEASIBLE), (-1000 * TOL, INFEASIBLE), (0.5, FEASIBLE)):
+        problem = FeasibilityProblem(a=a, b=np.array([offset]), num_vars=1)
+        verdict = solve_feasibility_float(problem)
         assert verdict.status == expected, (offset, verdict.status, verdict.meta)
+        if expected == INFEASIBLE:
+            np.testing.assert_array_equal(verdict.certificate, [1.0])
+            assert_certificate_valid(problem, verdict)
+        else:
+            assert_model_valid(problem, verdict)
