@@ -115,8 +115,12 @@ class LhsModel:
 
     def max_deviation(self, asm: Assemblage) -> float:
         """Largest entry of |sum of w_l omega_l over the strategies l filling
-        block (x, a) - sigma_a|x| over every block."""
-        touch = _touch_matrix(self.strategies, [asm.outcomes] * asm.settings)
+        block (x, a) - sigma_a|x| over every block.  ``strategies`` must be
+        those of the assemblage's shape, as ``enumerate_strategies`` lists
+        them."""
+        strategies, touch = _shape_strategies((asm.outcomes,) * asm.settings)
+        if self.strategies != strategies:
+            raise InputError("the model's strategies are not those of the assemblage's shape")
         weighted = np.asarray(self.weights, dtype=float)[:, None, None] * np.asarray(self.hidden_states)
         want = asm.blocks.reshape(-1, asm.dim_b, asm.dim_b)
         return float(np.abs(np.einsum("lr,lij->rij", touch, weighted) - want).max())
@@ -235,6 +239,17 @@ def _touch_matrix(strategies, counts) -> np.ndarray:
     return touch
 
 
+@functools.cache
+def _shape_strategies(counts: tuple) -> tuple:
+    """(strategies, touch) of the settings with outcome counts ``counts``:
+    ``enumerate_strategies`` as a tuple and its ``_touch_matrix``, built
+    once per shape, with ``touch`` read-only."""
+    strategies = tuple(enumerate_strategies(len(counts), counts))
+    touch = _touch_matrix(strategies, counts)
+    touch.flags.writeable = False
+    return strategies, touch
+
+
 def _columns(touch: np.ndarray, lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Constraint matrix whose column j is (1, dirs[j]) in the four rows
     (trace, then Pauli components) of every block strategy lam[j] fills."""
@@ -291,9 +306,10 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
     Fibonacci mesh of ``mesh`` points plus the Bloch directions of the
     blocks of ``rhs``; a finite set is its own seed, so the first master
     already holds every column; seed and columns show only in ``meta``.
-    A feasible master is a genuine model: ``rebuild(mass, vec)`` turns
-    its per-strategy sums into (verdict fields, deviation), the deviation
-    must stay within MODEL_TOL, and ``mass`` is the verdict's ``model``.
+    A feasible master rebuilds rhs within MODEL_TOL, and only that:
+    ``rebuild(mass, vec)`` turns its per-strategy sums into (verdict
+    fields, deviation), the deviation must stay within MODEL_TOL, and
+    ``mass`` is the verdict's ``model``.
     Otherwise the master certificate c is priced per strategy: on column
     (l, n) it is alpha_l + beta_l.n, with alpha_l and beta_l the trace and
     Pauli parts of c summed over the blocks l fills.  On the ball that is
@@ -314,9 +330,19 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
     infeasible master handled this way, and the verdict is Undecided
     only when the solver had no numbers to report.  If the shifted
     certificate does not separate, the strategies with a negative ball
-    minimum enter with their best direction and the master is solved
-    again from scratch; when no column can enter, which is always the
-    case for a finite set, the verdict is Undecided.
+    minimum enter with their best direction, after the columns already
+    there; when no column can enter, which is always the case for a
+    finite set, the verdict is Undecided.
+
+    The first master starts from the all-artificial basis, and each later
+    one from the final basis of the master before it, with its
+    artificial indices moved past the new columns: that basis is still
+    primal feasible, so only the new columns have to be priced in.  If
+    this warm column generation ends Undecided after more than one
+    master, the whole column generation runs again with every master
+    started from the all-artificial basis, and its verdict is the one
+    reported, with the warm run's reason in ``meta["cold_retry"]``.
+    ``meta["pivots"]`` counts the pivots of every master solved.
     """
     ball = finite is None
     meta = {"question": question}
@@ -327,8 +353,6 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
         seed = finite
     num_strategies = touch.shape[0]
     k = touch.sum(axis=1)[0]  # blocks per strategy: one per setting
-    lam = np.repeat(np.arange(num_strategies), len(seed))
-    dirs = np.tile(seed, (num_strategies, 1))
 
     def shifted(c):
         """(cert, margin, certified, slack, beta): c with its trace rows
@@ -350,45 +374,67 @@ def _column_generation(question, touch, rhs, mesh, rebuild, finite=None) -> Stee
         cert, _, certified, _, _ = shifted(c)
         return cert if certified else None
 
-    def undecided(reason, **extra):
-        return SteeringVerdict(UNDECIDED, meta={**meta, "reason": reason, **extra})
+    def generate(warm):
+        """The verdict of the column generation; with ``warm``, each master
+        after the first starts from the final basis of the one before."""
+        run = {**meta, "pivots": 0}
 
-    for rounds in range(1, MAX_ROUNDS + 1):
-        a = _columns(touch, lam, dirs)
-        master = solve_feasibility_float(FeasibilityProblem(a=a, b=rhs, num_vars=len(lam)), separate=separate)
-        meta.update(rounds=rounds, columns=len(lam), master=master.meta)
-        if master.status == UNDECIDED:
-            return undecided(f"master LP undecided: {master.meta['reason']}")
-        if master.status == FEASIBLE:
-            meta["margin"] = master.meta["z"]
-            mass, vec = _per_strategy(touch, lam, dirs, master.model)
-            fields, dev = rebuild(mass, vec)
-            if dev > MODEL_TOL:
-                return undecided("reconstruction exceeded the model tolerance", deviation=dev)
-            return SteeringVerdict(FEASIBLE, model=mass, meta={**meta, "model_deviation": dev}, **fields)
+        def undecided(reason, **extra):
+            return SteeringVerdict(UNDECIDED, meta={**run, "reason": reason, **extra})
 
-        if master.meta["early_stop"]:
-            # ``separate`` has already shifted and exactly checked it
-            cert, certified = master.certificate, True
-            meta["margin"] = -float(cert @ rhs)
-        else:
-            cert, meta["margin"], certified, slack, beta = shifted(np.asarray(master.certificate, dtype=float))
-        if certified:
-            return SteeringVerdict(
-                INFEASIBLE,
-                certificate=cert,
-                meta={**meta, "certified": "exactly, for the input as stored in float64"},
-            )
-        if meta["margin"] > 0.0:
-            return undecided("certificate failed exact check")
+        lam = np.repeat(np.arange(num_strategies), len(seed))
+        dirs = np.tile(seed, (num_strategies, 1))
+        basis = None
+        for rounds in range(1, MAX_ROUNDS + 1):
+            if basis is None:  # the all-artificial basis
+                basis = np.arange(len(lam), len(lam) + len(rhs), dtype=np.intp)
+            a = _columns(touch, lam, dirs)
+            problem = FeasibilityProblem(a=a, b=rhs, num_vars=len(lam))
+            master = solve_feasibility_float(problem, separate=separate, basis=basis)
+            run.update(rounds=rounds, columns=len(lam), master=master.meta)
+            run["pivots"] += master.meta["pivots"]
+            if master.status == UNDECIDED:
+                return undecided(f"master LP undecided: {master.meta['reason']}")
+            if master.status == FEASIBLE:
+                run["margin"] = master.meta["z"]
+                mass, vec = _per_strategy(touch, lam, dirs, master.model)
+                fields, dev = rebuild(mass, vec)
+                if dev > MODEL_TOL:
+                    return undecided("reconstruction exceeded the model tolerance", deviation=dev)
+                return SteeringVerdict(FEASIBLE, model=mass, meta={**run, "model_deviation": dev}, **fields)
 
-        beta_norm = np.linalg.norm(beta, axis=1)
-        enter = np.flatnonzero((slack < 0.0) & (beta_norm > 0.0)) if ball else []
-        if len(enter) == 0:
-            return undecided("shifted certificate does not separate and no column can enter")
-        lam = np.concatenate([lam, enter])
-        dirs = np.vstack([dirs, -beta[enter] / beta_norm[enter, None]])
-    return undecided("round limit")
+            if master.meta["early_stop"]:
+                # ``separate`` has already shifted and exactly checked it
+                cert, certified = master.certificate, True
+                run["margin"] = -float(cert @ rhs)
+            else:
+                cert, run["margin"], certified, slack, beta = shifted(np.asarray(master.certificate, dtype=float))
+            if certified:
+                return SteeringVerdict(
+                    INFEASIBLE,
+                    certificate=cert,
+                    meta={**run, "certified": "exactly, for the input as stored in float64"},
+                )
+            if run["margin"] > 0.0:
+                return undecided("certificate failed exact check")
+
+            beta_norm = np.linalg.norm(beta, axis=1)
+            enter = np.flatnonzero((slack < 0.0) & (beta_norm > 0.0)) if ball else []
+            if len(enter) == 0:
+                return undecided("shifted certificate does not separate and no column can enter")
+            if warm:
+                basis[basis >= len(lam)] += len(enter)  # artificials follow the new columns
+            else:
+                basis = None
+            lam = np.concatenate([lam, enter])
+            dirs = np.vstack([dirs, -beta[enter] / beta_norm[enter, None]])
+        return undecided("round limit")
+
+    verdict = generate(warm=True)
+    if verdict.is_undecided and verdict.meta["rounds"] > 1:
+        cold = generate(warm=False)
+        verdict = cold.with_meta(pivots=verdict.meta["pivots"] + cold.meta["pivots"], cold_retry=verdict.meta["reason"])
+    return verdict
 
 
 def _assemblage_rhs(asm: Assemblage) -> np.ndarray:
@@ -401,14 +447,13 @@ def _local_models(question, asm: Assemblage, mesh, finite=None) -> SteeringVerdi
     with hidden states on the whole Bloch ball or on the ``finite`` set."""
     if asm.dim_b != 2:
         raise InputError(f"qubit engine needs a qubit on Bob's side, got dim {asm.dim_b}")
-    strategies = enumerate_strategies(asm.settings, asm.outcomes)
-    touch = _touch_matrix(strategies, [asm.outcomes] * asm.settings)
+    strategies, touch = _shape_strategies((asm.outcomes,) * asm.settings)
 
     def rebuild(mass, vec):
         # a strategy of weight 0 gets the maximally mixed state
         bloch = np.divide(vec, mass[:, None], out=np.zeros_like(vec), where=mass[:, None] > 0.0)
         states = _bloch_operators(np.ones_like(mass), bloch)
-        model = LhsModel(weights=mass, hidden_states=states, strategies=tuple(strategies))
+        model = LhsModel(weights=mass, hidden_states=states, strategies=strategies)
         dev = max(model.max_deviation(asm), abs(model.total_weight() - 1.0))
         return {"lhs_model": model}, dev
 
@@ -442,12 +487,10 @@ def _box_lp(x_settings: int, a_outcomes: int, y_settings: int, b_outcomes: int) 
     Kronecker product of their touch matrices, as tuples of Python ints
     (exact mode rejects numpy integers) that no caller may change.
     """
-    alice = enumerate_strategies(x_settings, a_outcomes)
-    bob = enumerate_strategies(y_settings, b_outcomes)
-    touch_a = _touch_matrix(alice, [a_outcomes] * x_settings)
-    touch_b = _touch_matrix(bob, [b_outcomes] * y_settings)
+    alice, touch_a = _shape_strategies((a_outcomes,) * x_settings)
+    bob, touch_b = _shape_strategies((b_outcomes,) * y_settings)
     rows = tuple(map(tuple, np.kron(touch_a, touch_b).T.astype(int).tolist()))
-    return tuple(la for la in alice for _ in bob), tuple(bob) * len(alice), rows
+    return tuple(la for la in alice for _ in bob), bob * len(alice), rows
 
 
 def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
@@ -643,8 +686,7 @@ def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:
     povms = _qubit_povms(povms, "the measurements")
     if not povms:
         raise InputError("need at least one measurement")
-    counts = [p.num_outcomes for p in povms]
-    touch = _touch_matrix(enumerate_strategies(len(povms), counts), counts)
+    _, touch = _shape_strategies(tuple(p.num_outcomes for p in povms))
     effects = np.array([e for povm in povms for e in povm.effects])
     rhs = linalg.bloch_components(effects / 2).ravel()
 
@@ -678,6 +720,12 @@ def threshold_scan(family, checker, lo, hi, width) -> tuple:
     halting, so the result is (largest parameter certified feasible,
     smallest certified infeasible), either side None if never observed.
     Works for float parameters and exact Fractions alike.
+
+    The bracket is only as fine as the checker's verdicts.  A Feasible
+    qubit verdict means a model that rebuilds the input within MODEL_TOL,
+    so just above a threshold such a model can still exist: Werner LHS
+    at m = 2 and width 1e-10 gives lo = 1/sqrt(2) + 2.4e-10, a bracket
+    that excludes the threshold, which widths of 1e-8 and above contain.
     """
     if not lo < hi:
         raise InputError(f"need lo < hi, got [{lo}, {hi}]")

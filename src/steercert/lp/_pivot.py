@@ -23,8 +23,11 @@ lexicographically (Dantzig, Orden & Wolfe, Pacific J. Math. 5, 183
 [x_B | B^-1] starts lexicographically positive, each pivot keeps them
 so and strictly lowers [z | c_B B^-1] lexicographically, so no basis
 comes round again.  The all-artificial start has B^-1 = I and x_B >= 0,
-so its rows qualify.  A warm start from another basis B0 does not in
-general; it must compare the rows of B^-1 B0 instead of B^-1.
+so its rows qualify.  A warm start from another basis B0 with x_B >= 0
+does not in general, so there the kernel compares the rows of B^-1 B0
+instead: they start as the rows of I, and the same argument holds for
+them.  The all-artificial start keeps the key on the rows of B^-1,
+which costs nothing extra.
 
 A caller may also pass ``separate``, a test of the dual prices y, to
 stop an infeasible solve before its optimum.  It is consulted after
@@ -72,10 +75,11 @@ def run_phase1(full, b, cost, basis, max_iter, separate=None):
 
     full:  m x (n + m) float64 matrix [A | I]; the identity columns
            n..n+m-1 (the artificials) may leave the basis but never enter.
-    b:     length-m right-hand side; the start basis must have x_B >= 0
-           and, for the guarantee against cycling, B^-1 = I.
+    b:     length-m right-hand side; the start basis must have x_B >= 0.
     cost:  length n + m costs c, data like A and b.
-    basis: length-m int array, basis[i] = the column basic in row i.
+    basis: length-m int array, basis[i] = the column basic in row i; the
+           all-artificial basis n..n+m-1 is a cold start, any other a
+           warm start.
     separate: optional test of the dual prices y at a basis that is not
            optimal and has z + rc_min > 0 (see the module docstring);
            a true result stops the solve with status SEPARATED.
@@ -83,13 +87,16 @@ def run_phase1(full, b, cost, basis, max_iter, separate=None):
     The entering column has the most negative reduced cost, below -TOL;
     the leaving row minimizes the ratio x_r / d_r over entries d_r above
     PIVOT_EPS, ties broken by the lexicographically smallest
-    [B^-1]_r / d_r.  At most ``max_iter`` pivots are made.
+    [B^-1]_r / d_r, or [B^-1 B0]_r / d_r from a warm start basis B0.
+    At most ``max_iter`` pivots are made.
     Returns (status, pivots, clean): clean is (x_B, z, y, min structural
     reduced cost) from a fresh factorization of the final basis, or None
     when a basis matrix was singular.
     """
     m = len(b)
     n = full.shape[1] - m
+    # the lexicographic key's right factor B0: None (the identity) from cold
+    start = None if np.array_equal(basis, np.arange(n, n + m)) else full[:, basis]
     binv = None
     age = 0  # pivots since B^-1 was last factorized; 0 means fresh
     it = 0
@@ -124,7 +131,12 @@ def run_phase1(full, b, cost, basis, max_iter, separate=None):
         ratios = xb[rows] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        r = tied[0] if tied.size == 1 else min(tied, key=lambda i: (binv[i] / col[i]).tolist())
+        if tied.size == 1:
+            r = tied[0]
+        elif start is None:
+            r = min(tied, key=lambda i: (binv[i] / col[i]).tolist())
+        else:
+            r = min(tied, key=lambda i: (binv[i] @ start / col[i]).tolist())
         if age and col[r] < PIVOT_EPS * abs(col).max():
             # next to the rest of its column this pivot may be roundoff of
             # the updates: choose again from a fresh factorization

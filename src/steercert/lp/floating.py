@@ -22,6 +22,11 @@ factorizes it afresh from the original constraint data every
 ``_pivot.REFACTOR`` pivots, and always does so before it returns, so
 the numbers reported (basic solution, objective, dual prices) come from
 a fresh factorization of its final basis, with nothing to restart.
+A caller that solves a run of LPs on the same rows and right-hand side,
+each adding columns after those of the one before, can start each from
+the final basis of the one before (``basis``, pivoted in place), with
+its artificial indices moved past the new columns: that basis is still
+primal feasible, so only the new columns have to be priced in.
 
 A caller that can judge a certificate on its own terms passes
 ``separate``: the kernel then offers it, at bases where z + rc_min > 0,
@@ -60,16 +65,22 @@ def _farkas(y: np.ndarray) -> np.ndarray:
     return c / scale if scale > 0.0 else c
 
 
-def phase_one(a: np.ndarray, b: np.ndarray, separate=None):
-    """Float phase one on ``A w = b, w >= 0`` from the all-artificial basis.
+def phase_one(a: np.ndarray, b: np.ndarray, separate=None, basis=None):
+    """Float phase one on ``A w = b, w >= 0`` from ``basis``.
 
-    Rows with b_i < 0 are negated so that start is feasible, and the
-    kernel runs on the one matrix [A_pos | I] built here.  Returns
-    (status, basis, clean, pivots): ``clean`` is the final basis's
-    (x_B, z, y, rc_min) with y pricing the rows of A as given, or None
-    when a basis turned out singular.  ``separate``, if given, is the
-    kernel's stopping test, called with y signed the same way.  The
-    kernel stops after 1000 + 50 m + 2 n pivots on an m x n problem.
+    Rows with b_i < 0 are negated so that the all-artificial basis is
+    feasible, and the kernel runs on the one matrix [A_pos | I] built
+    here, whose column n + i is row i's artificial.  ``basis`` None
+    starts from the all-artificial basis.  Otherwise it is a length-m
+    int array of columns of [A_pos | I] whose basic solution is
+    nonnegative, such as the final basis of an earlier solve on the same
+    rows and right-hand side, and the kernel pivots it in place, so the
+    caller sees the final basis in it.  Returns (status, basis, clean,
+    pivots): ``clean`` is the final basis's (x_B, z, y, rc_min) with y
+    pricing the rows of A as given, or None when a basis turned out
+    singular.  ``separate``, if given, is the kernel's stopping test,
+    called with y signed the same way.  The kernel stops after
+    1000 + 50 m + 2 n pivots on an m x n problem.
     """
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
@@ -78,7 +89,8 @@ def phase_one(a: np.ndarray, b: np.ndarray, separate=None):
     full[:, n:] = np.eye(m)
     cost = np.zeros(n + m)
     cost[n:] = 1.0
-    basis = np.arange(n, n + m, dtype=np.intp)
+    if basis is None:
+        basis = np.arange(n, n + m, dtype=np.intp)
     test = None if separate is None else lambda y: separate(y * sign)
     status, pivots, clean = _pivot.run_phase1(full, b * sign, cost, basis, 1000 + 50 * m + 2 * n, separate=test)
     if clean is not None:
@@ -87,7 +99,9 @@ def phase_one(a: np.ndarray, b: np.ndarray, separate=None):
     return status, basis, clean, pivots
 
 
-def solve_feasibility_float(problem: FeasibilityProblem, separate=None) -> FeasibilityVerdict:
+def solve_feasibility_float(problem: FeasibilityProblem, separate=None, basis=None) -> FeasibilityVerdict:
+    """The verdict of ``phase_one`` on ``problem``, started from ``basis``
+    (None: the all-artificial basis), which it pivots in place."""
     a = np.asarray(problem.a, dtype=np.float64)
     b = np.asarray(problem.b, dtype=np.float64)
     if a.ndim != 2:
@@ -103,7 +117,7 @@ def solve_feasibility_float(problem: FeasibilityProblem, separate=None) -> Feasi
             accepted.append(cert)
         return cert is not None
 
-    status, basis, clean, pivots = phase_one(a, b, None if separate is None else stop)
+    status, basis, clean, pivots = phase_one(a, b, None if separate is None else stop, basis)
     meta = {"mode": "float", "pivots": pivots, "early_stop": status == SEPARATED}
     if clean is None:
         return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "singular basis"})

@@ -28,6 +28,7 @@ from steercert.engine import (
     threshold_scan,
 )
 from steercert.errors import InputError, NonMonotoneFamilyError
+from steercert.lp import UNDECIDED, FeasibilityVerdict
 from steercert.scenario import (
     Assemblage,
     Povm,
@@ -163,8 +164,8 @@ def master_pivots(monkeypatch, question, keep_separate=True):
     pivots = []
     solve = engine.solve_feasibility_float
 
-    def recording(problem, separate=None):
-        verdict = solve(problem, separate=separate if keep_separate else None)
+    def recording(problem, separate=None, basis=None):
+        verdict = solve(problem, separate=separate if keep_separate else None, basis=basis)
         pivots.append(verdict.meta["pivots"])
         return verdict
 
@@ -228,6 +229,9 @@ def test_every_seed_size_gives_the_same_verdict(p, feasible):
         # that is roundoff of the updated basis inverse; taken, it makes
         # the basis singular
         pytest.param(3, -1e-6, 162, id="-1e-06-3-mesh162"),
+        # 15 masters: 1,013 pivots when each starts from the all-artificial
+        # basis, 116 when each starts from the final basis of the one before
+        pytest.param(2, 1e-6, 162, id="1e-06-2-mesh162"),
         # this close, masters end with phase-one z a hair above TOL: each is
         # an ordinary infeasible master, shifted and checked exactly or priced
         *(
@@ -255,6 +259,49 @@ def test_verdicts_a_hair_from_the_threshold_are_decided(settings, offset, mesh):
         assert_separates_on_ball(jm.certificate, jm_rows(povms), jm_touch(povms))
     # the seed mesh alone cannot decide this close: pricing added columns
     assert lhs.meta["rounds"] > 1 and jm.meta["rounds"] > 1
+    # every master after the first starts from the final basis of the one
+    # before: these verdicts take 85-302 pivots in all, against 482-2,933
+    # when every master starts from the all-artificial basis
+    assert "cold_retry" not in lhs.meta and "cold_retry" not in jm.meta
+    assert lhs.meta["pivots"] <= 400 and jm.meta["pivots"] <= 400
+
+
+def test_verdict_meta_counts_the_pivots_of_every_master(monkeypatch):
+    asm = werner_assemblage(1.0 / math.sqrt(2) + 1e-4)
+    verdict, pivots = master_pivots(monkeypatch, lambda: lhs_feasibility_qubit(asm))
+    assert verdict.is_infeasible and verdict.meta["rounds"] == len(pivots) > 1
+    assert verdict.meta["pivots"] == sum(pivots) and "cold_retry" not in verdict.meta
+
+
+@pytest.mark.parametrize("question", ["lhs", "jm"])
+def test_undecided_warm_column_generation_is_run_again_cold(monkeypatch, question):
+    # every master that starts from an earlier master's basis is made to
+    # fail; the verdict then comes from the run with every master cold
+    p = 1.0 / math.sqrt(2) + 1e-4
+    if question == "lhs":
+        ask = lambda: lhs_feasibility_qubit(werner_assemblage(p))
+    else:
+        ask = lambda: joint_measurability([noisy_pauli_povm(ax, p) for ax in ("x", "z")])
+    solve = engine.solve_feasibility_float
+    warm, cold = [], []
+
+    def failing_when_warm(problem, separate=None, basis=None):
+        if not np.array_equal(basis, np.arange(problem.num_vars, problem.num_vars + len(problem.b))):
+            warm.append(problem)
+            meta = {"mode": "float", "pivots": 7, "early_stop": False, "reason": "singular basis"}
+            return FeasibilityVerdict(UNDECIDED, meta=meta)
+        verdict = solve(problem, separate=separate, basis=basis)
+        cold.append(verdict.meta["pivots"])
+        return verdict
+
+    monkeypatch.setattr(engine, "solve_feasibility_float", failing_when_warm)
+    verdict = ask()
+    assert len(warm) == 1  # the second master, the first one started warm
+    assert verdict.is_infeasible and verdict.meta["rounds"] == len(cold) - 1 > 1
+    assert verdict.meta["cold_retry"] == "master LP undecided: singular basis"
+    # the warm run's two masters, the second failing at 7 pivots, then
+    # every master of the cold run
+    assert verdict.meta["pivots"] == sum(cold) + 7
 
 
 @pytest.mark.parametrize(

@@ -305,6 +305,15 @@ def test_kernel_does_not_cycle_on_beales_example():
     assert clean[1] == pytest.approx(reference.fun, abs=1e-12)
     assert sorted(basis) == [0, 3, 5]
 
+    # rows mixed by M: the start basis is then B0 = M, and ties broken on
+    # the rows of B^-1 B0 retrace the path above pivot for pivot (on the
+    # rows of B^-1 alone some of these take 5 pivots)
+    for mix in np.random.default_rng(0).normal(size=(20, m, m)):
+        mixed = np.hstack([mix @ a, np.eye(m)])
+        start = np.arange(m, dtype=np.intp)
+        got = _pivot.run_phase1(mixed, mix @ b, np.r_[cost, np.zeros(m)], start, 200)
+        assert got[:2] == (status, pivots) and sorted(start) == sorted(basis)
+
 
 def test_degenerate_systems_stay_under_a_pivot_ceiling():
     # 60 x 200 systems whose solution has 1-3 nonzeros, on random or on
@@ -322,3 +331,29 @@ def test_degenerate_systems_stay_under_a_pivot_ceiling():
         _, _, _, _, status, pivots, clean = run_kernel(a, a @ w)
         assert status == _pivot.OPTIMAL and clean[1] <= floating.TOL
         assert pivots <= 600
+
+
+def test_a_warm_start_ends_with_the_cold_verdict():
+    # the basis a cold solve stands at after 20 pivots is primal feasible
+    # and holds structural columns; started from it, the solve must reach
+    # the cold verdict, on degenerate systems as above and on infeasible ones
+    rng = np.random.default_rng(11)
+    for i in range(12):
+        if i % 3 == 2:
+            problem = infeasible_instance(rng, 30, 90)
+        else:
+            a = rng.normal(size=(60, 200))
+            w = np.zeros(200)
+            w[rng.choice(200, 1 + i % 3, replace=False)] = 1.0 + rng.random(1 + i % 3)
+            problem = FeasibilityProblem(a=a, b=a @ w, num_vars=200)
+        a, b = np.asarray(problem.a, dtype=float), np.asarray(problem.b, dtype=float)
+        *_, start, status, _, clean = run_kernel(a, b, max_iter=20)
+        assert status == _pivot.ITERATION_LIMIT and (start < a.shape[1]).any()
+        assert clean[0].min() >= -1e-12  # x_B of the start basis
+        cold = solve_feasibility_float(problem)
+        warm = solve_feasibility_float(problem, basis=start)
+        assert warm.status == cold.status in (FEASIBLE, INFEASIBLE)
+        if warm.is_feasible:
+            assert_model_valid(problem, warm)
+        else:
+            assert_certificate_valid(problem, warm)
