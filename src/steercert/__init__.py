@@ -50,7 +50,6 @@ from .boxworld import (  # noqa: E402
 )
 from .engine import (  # noqa: E402
     SteeringVerdict,
-    check_value_assignment,
     deterministic_bloch_set,
     joint_measurability,
     lhs_feasibility_boxworld,
@@ -70,7 +69,6 @@ from .gaussian import (  # noqa: E402
     inferred_variances,
     reid_check,
     reid_sweep,
-    symplectic_eigenvalues,
     tmsv_covariance,
 )
 from .report import RunReport  # noqa: E402

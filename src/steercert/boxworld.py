@@ -269,46 +269,31 @@ def joint_from_assemblage(asm: GptAssemblage) -> dict:
     return {(a, b, x, y): v for (x, a, y, b), v in asm.table.items()}
 
 
-def chsh_value(joint: dict):
+def chsh_value(joint: dict) -> Fraction:
     """E_00 + E_01 + E_10 - E_11 with observables (-1)^a, (-1)^b.
 
-    Works over Fractions (exact) or floats; each (x, y) slice must be
-    normalized.  Exact values are summed as integers over their common
-    denominator, and one Fraction is formed at the end.  Inputs and
-    outputs beyond the first two settings are ignored by construction of
-    the correlators.
+    Exact only: every entry must be a Fraction or an int, else
+    InputError, and each (x, y) slice must sum to exactly 1.  The entries
+    are summed as integers over their common denominator, and one
+    Fraction is formed at the end.  Inputs and outputs beyond the first
+    two settings are ignored by construction of the correlators.
     """
-    exact = all(isinstance(v, (Fraction, int)) for v in joint.values())
-    one = 1.0
-    if exact:
-        one = math.lcm(*(v.denominator for v in joint.values()))
-        joint = {k: v.numerator * (one // v.denominator) for k, v in joint.items()}
+    for k, v in joint.items():
+        if not isinstance(v, (Fraction, int)):
+            raise InputError(f"joint entry {k} must be an exact rational, got {type(v).__name__} {v!r}")
+    one = math.lcm(*(v.denominator for v in joint.values()))
     total = dict.fromkeys(itertools.product(range(2), repeat=2), 0)
     corr = dict(total)
     for (a, b, x, y), v in joint.items():
         if (x, y) in total:
-            total[x, y] += v
-            corr[x, y] += v if (a + b) % 2 == 0 else -v
+            n = v.numerator * (one // v.denominator)
+            total[x, y] += n
+            corr[x, y] += n if (a + b) % 2 == 0 else -n
     for (x, y), t in total.items():
-        if (t != one) if exact else (abs(t - 1.0) > 1e-9):
-            shown = Fraction(t, one) if exact else t
-            raise InputError(f"joint slice (x={x}, y={y}) sums to {shown}, expected 1")
+        if t != one:
+            raise InputError(f"joint slice (x={x}, y={y}) sums to {Fraction(t, one)}, expected 1")
     value = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
-    return Fraction(value, one) if exact else value
-
-
-def quantum_joint(rho_ab, alice, bob) -> dict:
-    """Born-rule joint p(a, b | x, y) = tr[(M_{a|x} (x) E_{b|y}) rho]."""
-    from . import linalg
-
-    joint = {}
-    for x, pa in enumerate(alice):
-        for y, pb in enumerate(bob):
-            for a, ma in enumerate(pa.effects):
-                for b, eb in enumerate(pb.effects):
-                    val = (linalg.kron(ma, eb) @ rho_ab).trace().real
-                    joint[(a, b, x, y)] = float(val)
-    return joint
+    return Fraction(value, one)
 
 
 # ---------------------------------------------------------------------------

@@ -616,56 +616,6 @@ def pv_feasibility(asm, bob_tests=None, mesh: int = DEFAULT_MESH) -> SteeringVer
 
 
 # ---------------------------------------------------------------------------
-# context-free value assignments
-
-def check_value_assignment(effect_groups, assignment, coarse_grainings=None) -> bool:
-    """Validate a 0/1 valuation of measurement effects.
-
-    ``assignment[g][k]`` values effect k of group g.  The valuation must
-    pick exactly one effect per group, assign equal values to equal
-    effects across groups (context independence), and respect additivity
-    on any requested coarse-grainings (group index, effect indices,
-    claimed value).
-    """
-    groups = list(effect_groups)
-    if len(assignment) != len(groups):
-        raise InputError("assignment must cover every effect group")
-    values = []
-    for g, povm in enumerate(groups):
-        row = list(assignment[g])
-        if len(row) != povm.num_outcomes:
-            raise InputError(f"group {g} has {povm.num_outcomes} effects, got {len(row)} values")
-        for v in row:
-            if v not in (0, 1):
-                raise InputError(f"assignment values must be 0 or 1, got {v!r}")
-        values.append(row)
-
-    for g, povm in enumerate(groups):
-        if sum(values[g]) != 1:
-            return False
-
-    # equal effects must get equal values regardless of the group
-    flat = [
-        (g, k, povm.effects[k])
-        for g, povm in enumerate(groups)
-        for k in range(povm.num_outcomes)
-    ]
-    for i, (g1, k1, e1) in enumerate(flat):
-        for g2, k2, e2 in flat[i + 1 :]:
-            if e1.shape == e2.shape and np.max(np.abs(e1 - e2)) <= 1e-12:
-                if values[g1][k1] != values[g2][k2]:
-                    return False
-
-    for g, members, claimed in coarse_grainings or ():
-        if claimed not in (0, 1):
-            return False
-        total = sum(values[g][k] for k in members)
-        if total != claimed:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # joint measurability
 
 def joint_measurability(povms, mesh: int = DEFAULT_MESH) -> SteeringVerdict:

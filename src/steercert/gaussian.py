@@ -105,13 +105,6 @@ def reid_check(var_x: float, var_p: float) -> ReidResult:
     return ReidResult(steering=product < 0.5, product=product)
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
-    """The two symplectic eigenvalues |eig(i Omega cm)|, ascending; both
-    equal 1/2 exactly when the state is pure."""
-    eigs = np.abs(np.linalg.eigvals(1j * OMEGA @ cm.entries))
-    return np.sort(eigs)[::2].copy()
-
-
 def apply_symmetric_loss(cm: CovarianceMatrix, eta: float) -> CovarianceMatrix:
     """Mix both modes with vacuum at transmissivity eta:
     cm -> eta*cm + (1-eta)/2 * I."""

@@ -33,11 +33,6 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with (i,j),(k,l) block structure; dims multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def _at(text, index) -> str:
     return text(*index) if callable(text) else text
 
@@ -79,14 +74,6 @@ def require_psd(m, what="matrix") -> np.ndarray:
     m = require_hermitian(m, what)
     _refuse(np.linalg.eigvalsh(m)[..., 0] < -PSD_TOL, what, "is not positive semidefinite")
     return m
-
-
-def psd_check(m: np.ndarray, what: str = "matrix") -> bool:
-    """True iff the Hermitian matrix m has min eigenvalue >= -PSD_TOL.
-
-    Raises ``InputError`` for non-Hermitian input, naming it ``what``.
-    """
-    return bool(np.linalg.eigvalsh(require_hermitian(m, what))[0] >= -PSD_TOL)
 
 
 def bloch_components(m) -> np.ndarray:

@@ -14,7 +14,6 @@ Bob's conditional state answers some test with certainty.
 
 Conventions fixed here and used everywhere else:
   - qubit measurement outcomes a in {0, 1} map to eigenvalue (-1)^a;
-  - the Bell basis is ordered (Phi+, Phi-, Psi+, Psi-);
   - conditional states are not materialized when p(a|x) <= 1e-12.
 """
 
@@ -261,17 +260,6 @@ def singlet() -> np.ndarray:
     psi[1] = 1 / np.sqrt(2)
     psi[2] = -1 / np.sqrt(2)
     return np.outer(psi, psi.conj())
-
-
-def bell_basis() -> tuple:
-    """Orthonormal Bell vectors in the fixed order (Phi+, Phi-, Psi+, Psi-)."""
-    s = 1 / np.sqrt(2)
-    return (
-        np.array([s, 0, 0, s], dtype=complex),
-        np.array([s, 0, 0, -s], dtype=complex),
-        np.array([0, s, s, 0], dtype=complex),
-        np.array([0, s, -s, 0], dtype=complex),
-    )
 
 
 def werner_state(p: float) -> np.ndarray:

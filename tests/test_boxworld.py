@@ -17,11 +17,9 @@ from steercert.boxworld import (
     load_box,
     mix_assemblages,
     prbox_assemblage,
-    quantum_joint,
     uniform_assemblage,
 )
 from steercert.errors import InputError
-from steercert.scenario import pauli_povm, singlet, werner_state
 
 HALF = Fraction(1, 2)
 
@@ -96,23 +94,11 @@ def test_chsh_requires_normalized_slices():
     joint[(0, 0, 0, 0)] += Fraction(1, 8)
     with pytest.raises(InputError):
         chsh_value(joint)
-
-
-def test_quantum_joint_tsirelson():
-    s = 1.0 / math.sqrt(2.0)
-    alice = [pauli_povm("z"), pauli_povm("x")]
-    bob = [pauli_povm((-s, 0.0, -s)), pauli_povm((s, 0.0, -s))]
-    value = chsh_value(quantum_joint(singlet(), alice, bob))
-    assert abs(value - 2.0 * math.sqrt(2.0)) < 1e-9
-
-
-def test_quantum_joint_werner_matched_correlators():
-    p = 0.6
-    joint = quantum_joint(werner_state(p), [pauli_povm("z")], [pauli_povm("z")])
-    corr = sum(
-        (-1) ** (a ^ b) * joint[(a, b, 0, 0)] for a in range(2) for b in range(2)
-    )
-    assert abs(corr + p) < 1e-12
+    # a float entry is not an exact rational
+    joint = joint_from_assemblage(prbox_assemblage())
+    joint[(0, 0, 0, 0)] = 0.5
+    with pytest.raises(InputError, match="exact rational"):
+        chsh_value(joint)
 
 
 def test_box_json_round_trip_is_exact():

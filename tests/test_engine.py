@@ -18,7 +18,6 @@ from steercert.boxworld import (
 from steercert.engine import (
     DEFAULT_MESH,
     DeterministicStrategy,
-    check_value_assignment,
     deterministic_bloch_set,
     enumerate_strategies,
     joint_measurability,
@@ -84,7 +83,7 @@ def test_werner_low_weight_is_feasible_with_tight_model():
     assert abs(model.total_weight() - 1.0) <= 1e-8
     assert np.min(model.weights) >= -1e-12
     for omega in model.hidden_states:
-        assert linalg.psd_check(omega)
+        linalg.require_psd(omega)
         assert abs(omega.trace().real - 1.0) < 1e-9
 
 
@@ -851,33 +850,6 @@ def test_pv_feasible_implies_lhs_feasible_on_samples():
                 assert not lhs_feasibility_qubit(asm, mesh=162).is_infeasible
             elif pv.is_infeasible:
                 assert_pv_certificate(pv, asm, tests)
-
-
-def test_check_value_assignment_rules():
-    z = pauli_povm("z")
-    assert check_value_assignment([z], [[1, 0]])
-    assert not check_value_assignment([z], [[1, 1]])
-    assert not check_value_assignment([z], [[0, 0]])
-    with pytest.raises(InputError):
-        check_value_assignment([z], [[1]])
-    with pytest.raises(InputError):
-        check_value_assignment([z], [[2, 0]])
-
-    # the same effect appearing in two groups must get one value
-    e = np.diag([0.5, 0.0])
-    g1 = Povm(label="g1", effects=(e, linalg.I2 - e), dim=2)
-    g2 = Povm(label="g2", effects=(e, linalg.I2 - e), dim=2)
-    assert check_value_assignment([g1, g2], [[1, 0], [1, 0]])
-    assert not check_value_assignment([g1, g2], [[1, 0], [0, 1]])
-
-
-def test_check_value_assignment_coarse_graining():
-    effects = (np.diag([0.5, 0.0]), np.diag([0.3, 0.2]), np.diag([0.2, 0.8]))
-    povm = Povm(label="three", effects=effects, dim=2)
-    assignment = [[0, 1, 0]]
-    assert check_value_assignment([povm], assignment, coarse_grainings=[(0, (1, 2), 1)])
-    assert not check_value_assignment([povm], assignment, coarse_grainings=[(0, (1, 2), 0)])
-    assert not check_value_assignment([povm], assignment, coarse_grainings=[(0, (0,), 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,40 +18,12 @@ from helpers import (
 RNG = np.random.default_rng(20260817)
 
 
-def kron_oracle(a, b):
-    # index-by-index tensor product, no library calls
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
 def eig2_oracle(m):
     # closed form for 2x2 Hermitian: mean +- sqrt(mean^2 - det)
     t = m.trace().real / 2.0
     det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
     disc = math.sqrt(max(t * t - det, 0.0))
     return np.array([t - disc, t + disc])
-
-
-def test_kron_matches_elementwise_oracle():
-    for _ in range(20):
-        a = RNG.normal(size=(2, 3)) + 1j * RNG.normal(size=(2, 3))
-        b = RNG.normal(size=(3, 2)) + 1j * RNG.normal(size=(3, 2))
-        np.testing.assert_allclose(linalg.kron(a, b), kron_oracle(a, b), atol=1e-13)
-
-
-def test_kron_mixed_product():
-    for _ in range(10):
-        a, b = (RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)) for _ in range(2))
-        c, d = (RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)) for _ in range(2))
-        lhs = linalg.kron(a, c) @ linalg.kron(b, d)
-        np.testing.assert_allclose(lhs, linalg.kron(a @ b, c @ d), atol=1e-12)
 
 
 def test_is_hermitian_and_require():
@@ -61,27 +33,37 @@ def test_is_hermitian_and_require():
             linalg.require_hermitian(bad, what="effect")
 
 
-def test_psd_check():
-    assert linalg.psd_check(np.zeros((3, 3)))
-    assert linalg.psd_check(random_state(RNG, 4))
-    assert not linalg.psd_check(np.diag([1.0, -0.1]))
+def check_psd(m, psd):
+    # require_psd returns its input when it is PSD and raises otherwise
+    if psd:
+        np.testing.assert_array_equal(linalg.require_psd(m), m)
+    else:
+        with pytest.raises(InputError, match="is not positive semidefinite$"):
+            linalg.require_psd(m)
+
+
+def test_require_psd_cases_and_slack():
+    check_psd(np.zeros((3, 3)), True)
+    check_psd(random_state(RNG, 4), True)
+    check_psd(np.diag([1.0, -0.1]), False)
     # slack: tiny negative eigenvalues pass
-    assert linalg.psd_check(np.diag([1.0, -1e-12]))
+    check_psd(np.diag([1.0, -1e-12]), True)
 
 
-def test_jacobi_matches_2x2_closed_form():
-    # at the PSD boundary the verdict follows the closed-form eigenvalues:
-    # shift a random Hermitian so its smaller eigenvalue is +-2 * PSD_TOL
+def test_psd_boundary_follows_2x2_closed_form():
+    # one eigvalsh call decides at the PSD boundary as the closed-form
+    # eigenvalues do: shift a random Hermitian so its smaller eigenvalue
+    # is +-2 * PSD_TOL
     for _ in range(50):
         m = random_hermitian(RNG, 2)
         low = eig2_oracle(m)[0]
         for target, expected in ((2 * linalg.PSD_TOL, True), (-2 * linalg.PSD_TOL, False)):
             shifted = m + (target - low) * linalg.I2
             assert abs(eig2_oracle(shifted)[0] - target) <= 1e-12
-            assert linalg.psd_check(shifted) is expected
+            check_psd(shifted, expected)
 
 
-def test_jacobi_matches_lapack_up_to_dim_8():
+def test_psd_boundary_follows_known_spectrum_up_to_dim_8():
     # a known spectrum U diag(lam) U^dag with its smallest eigenvalue at
     # +-2 * PSD_TOL; the verdict must follow lam, not the rotation
     for dim in (2, 3, 4, 6, 8):
@@ -91,21 +73,21 @@ def test_jacobi_matches_lapack_up_to_dim_8():
             for target, expected in ((2 * linalg.PSD_TOL, True), (-2 * linalg.PSD_TOL, False)):
                 m = u @ np.diag(lam + target) @ linalg.dag(u)
                 m = (m + linalg.dag(m)) / 2.0
-                assert linalg.psd_check(m) is expected
+                check_psd(m, expected)
 
 
-def test_jacobi_diagonal_and_identity():
-    assert not linalg.psd_check(np.diag([3.0, -1.0, 2.0]))
-    assert linalg.psd_check(np.diag([3.0, 0.0, 2.0]))
-    assert linalg.psd_check(np.eye(4))
-    assert not linalg.psd_check(-np.eye(4))
+def test_require_psd_diagonal_and_identity():
+    check_psd(np.diag([3.0, -1.0, 2.0]), False)
+    check_psd(np.diag([3.0, 0.0, 2.0]), True)
+    check_psd(np.eye(4), True)
+    check_psd(-np.eye(4), False)
 
 
-def test_jacobi_rejects_non_hermitian():
-    # the solver reads one triangle only, so non-Hermitian input must be refused
+def test_require_psd_rejects_non_hermitian():
+    # eigvalsh reads one triangle only, so non-Hermitian input must be refused
     for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1j], [1j, 1.0]])):
-        with pytest.raises(ValueError):
-            linalg.psd_check(bad)
+        with pytest.raises(InputError, match="is not Hermitian"):
+            linalg.require_psd(bad)
 
 
 def test_psd_sqrt_2x2_squares_back():
@@ -113,7 +95,7 @@ def test_psd_sqrt_2x2_squares_back():
         m = random_state(RNG, 2) * RNG.uniform(0.1, 3.0)
         r = psd_sqrt_2x2(m)
         np.testing.assert_allclose(r @ r, m, atol=1e-12)
-        assert linalg.psd_check(r)
+        linalg.require_psd(r)
     # rank-one and zero corner cases
     proj = linalg.bloch_state((0.0, 0.0, 1.0))
     np.testing.assert_allclose(psd_sqrt_2x2(proj) @ psd_sqrt_2x2(proj), proj, atol=1e-13)
@@ -128,7 +110,7 @@ def test_bloch_round_trip():
 
 
 def test_bloch_state_positivity_boundary():
-    assert linalg.psd_check(linalg.bloch_state((1.0, 0.0, 0.0)))
+    linalg.require_psd(linalg.bloch_state((1.0, 0.0, 0.0)))
     eigs = np.linalg.eigvalsh(linalg.bloch_state((0.0, 1.0, 0.0)))
     np.testing.assert_allclose(eigs, [0.0, 1.0], atol=1e-12)
 

@@ -91,7 +91,13 @@ def test_verdicts_are_monotone_along_werner_and_noisy_pauli_families(seed, m, we
 
 
 def test_import_leaves_scipy_out():
+    # numpy is the only runtime dependency: a fresh process that loads the
+    # CLI (and with it the whole package) loads no scipy and no test tooling
     src = str(Path(steercert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import steercert, sys; assert 'scipy' not in sys.modules"
+    code = (
+        "import steercert.cli, sys; "
+        "loaded = sorted({k.split('.')[0] for k in sys.modules} & {'scipy', 'hypothesis', 'pytest', '_pytest'}); "
+        "assert not loaded, loaded"
+    )
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
