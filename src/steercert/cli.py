@@ -23,6 +23,8 @@ from .lp.problem import jsonify
 from .report import RunReport, write_csv
 
 _AXES = {2: ("x", "z"), 3: ("x", "y", "z")}
+# the most points a werner-scan grid or a reid sweep may have
+MAX_GRID_POINTS = 10_000
 
 
 def _verdict_entry(name: str, verdict) -> dict:
@@ -127,8 +129,7 @@ def cmd_werner_scan(
     verdict_at = functools.cache(lambda p: engine.lhs_feasibility_qubit(_matched_setup(settings, p)[0]))
 
     rows = []
-    for p in np.arange(lo, hi + step / 2, step):
-        p = float(round(p, 12))
+    for p in _points(lo, hi, step, "grid"):
         asm, bob = _matched_setup(settings, p)
         cj = witnesses.cjwr(_correlators(asm, bob))
         f_val = cj.F
@@ -211,8 +212,7 @@ def cmd_reid(
         lo, hi, step = sweep
         if not (0.0 <= lo <= hi and step > 0):
             raise InputError(f"sweep must satisfy 0 <= lo <= hi with step > 0, got {sweep}")
-        r_values = [float(round(v, 12)) for v in np.arange(lo, hi + step / 2, step)]
-        rows = [list(row) for row in gaussian.reid_sweep(r_values, eta=eta)]
+        rows = [list(row) for row in gaussian.reid_sweep(_points(lo, hi, step, "sweep"), eta=eta)]
         details["csv_header"] = ["r", "var_x_inf", "var_p_inf", "product", "steering_flag"]
         details["csv_rows"] = rows
     inputs = {"r": None if r is None else float(r), "sweep": list(sweep) if sweep else None, "eta": eta}
@@ -270,6 +270,14 @@ def _parse_range(text: str, what: str) -> tuple:
     if not all(map(math.isfinite, (lo, hi, step))):
         raise InputError(f"{what} must be finite lo:hi:step, got {text!r}")
     return lo, hi, step
+
+
+def _points(lo: float, hi: float, step: float, what: str) -> list:
+    """lo, lo + step, ... up to hi within half a step, each rounded to 12
+    decimals; more than MAX_GRID_POINTS of them is an input error."""
+    if (hi - lo) / step + 0.5 > MAX_GRID_POINTS:
+        raise InputError(f"{what} {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points")
+    return [float(round(v, 12)) for v in np.arange(lo, hi + step / 2, step)]
 
 
 @functools.cache

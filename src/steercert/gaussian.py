@@ -59,6 +59,8 @@ def tmsv_covariance(r: float) -> CovarianceMatrix:
     try:
         c = math.cosh(2 * r) / 2.0
         s = math.sinh(2 * r) / 2.0
+        if math.isinf(c):  # 2r itself overflowed to inf
+            raise OverflowError
     except OverflowError:
         raise InputError(f"squeezing parameter too large for a finite covariance: {r}") from None
     diag = c * np.eye(2)

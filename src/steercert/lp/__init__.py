@@ -2,9 +2,10 @@
 
 Two solvers share one numpy phase-one kernel, a revised simplex that
 prices by Dantzig's rule, breaks ratio-test ties lexicographically so it
-cannot cycle, updates the basis inverse pivot by pivot and factorizes it
-from the original data every ``REFACTOR`` pivots and again before it
-returns.
+cannot cycle, and updates the basis inverse pivot by pivot; it
+factorizes the basis in one place, from the original data, every
+``REFACTOR`` pivots, before a small pivot, and whenever its numbers
+would leave the kernel.
 ``solve_feasibility_float`` reports the kernel's final basis without
 judging it: feasible when the phase-one optimum is at most ``TOL``,
 otherwise infeasible with the basis's Farkas candidate, and undecided
@@ -12,11 +13,12 @@ only when the kernel has no numbers (a singular basis, the iteration
 limit, no admissible pivot); its caller checks the witness.  Given a
 ``separate`` test, it stops an infeasible solve at the first basis
 whose dual that test turns into a certificate.
-``solve_feasibility_exact`` rounds the final x_B and y of the same
-float phase one to exact rationals by Cramer's rule and verifies them;
-only when that fails does it run one revised simplex loop under Bland's
-rule in rational arithmetic, so it always decides, and every verdict
-carries a witness verified by exact substitution before it is returned.
+``solve_feasibility_exact`` takes Python ints only.  It rounds the
+final x_B and y of the same float phase one to exact rationals by
+Cramer's rule and verifies them; only when that fails does it run one
+revised simplex loop under Bland's rule in rational arithmetic, so it
+always decides, and every verdict carries a witness verified by exact
+substitution before it is returned.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
-"""Exact rational feasibility solver.
+"""Exact feasibility solver for integer data.
 
-The same phase-one question as the float path, decided exactly.  First
-``floating.phase_one`` runs on a float64 copy of the data, and the x_B
-and y of its final basis are rounded to exact rationals by Cramer's
-rule: once the basis matrix B is scaled row by row to integers,
-d = |det B| is a common denominator of B^-1, so the numerators left to
-round to are integers (see ``_round_witness``).  When every artificial
-rounds to zero the basic solution is checked as a model; otherwise y
-must solve B^T y = c_B exactly and is checked as a separating
-certificate.  On box-world LPs, whose matrices are 0/1, the check
-passes as a rule and no elimination runs.
+The same phase-one question as the float path, decided exactly, for a
+problem whose entries are all Python ints; any other entry is an
+``InputError``.  First ``floating.phase_one`` runs on a float64 copy
+of the data, and the x_B and y of its final basis are rounded to exact
+rationals by Cramer's rule: the basis matrix B is an integer matrix, so
+d = |det B| is a common denominator of B^-1, and d x_B and d y are the
+integer vectors to round to (see ``_round_witness``).  When every
+artificial rounds to zero the basic solution is checked as a model;
+otherwise y must solve B^T y = c_B exactly and is checked as a
+separating certificate.  On box-world LPs, whose matrices are 0/1, the
+check passes as a rule and no elimination runs.
 
 When it fails (the float basis is singular or not optimal, the rounding
 is wrong, or the data leave float64 range), one revised simplex loop
@@ -26,13 +27,10 @@ never answers undecided.  Every witness is checked by exact
 substitution; a rounded one that fails is a bad guess, while a failed
 check in the loop is an internal bug, not an input property.
 
-Integer entries pass through as ints, and rows that hold only Python
-ints are used as given, with no per-entry conversion, so 0/1 constraint
-data are never boxed as Fractions.  Every check runs in integers
-wherever the data are integers: a rounded witness is checked as the
-integer vector d L x_B or d y before any Fraction is formed, and A w
-and c.A are summed with w and c scaled by a common denominator.  Models
-and certificates are returned as Fractions.
+Every check runs in integers: a rounded witness is checked as the
+integer vector d x_B or d y before any Fraction is formed, and A w and
+c.A are summed with w and c scaled by a common denominator.  Models and
+certificates are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -44,44 +42,24 @@ import numpy as np
 
 from ..errors import InputError, InternalCheckError
 from . import floating
-from .problem import FEASIBLE, INFEASIBLE, FeasibilityProblem, FeasibilityVerdict, parse_rational
+from .problem import FEASIBLE, INFEASIBLE, FeasibilityProblem, FeasibilityVerdict
 
 # Bland's rule cannot cycle, so this only guards against a logic bug.
 _MAX_PIVOTS = 2_000_000
 _ZERO = Fraction(0)
 
 
-def _as_fraction(value):
-    """``value`` as an exact rational: a Fraction or an int passes through
-    unchanged, a "num/den" string or a finite float becomes a Fraction."""
-    if type(value) is int or type(value) is Fraction:
-        return value
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise InputError("constraint data contains non-finite entries")
-        return Fraction(value)
-    raise InputError(f"cannot use {type(value).__name__} in exact mode")
-
-
 def _solve(mat, rhs):
     """The exact x with mat x = rhs, or None if the square mat is singular.
 
-    Gauss-Jordan on integer rows: each row [mat_i | rhs_i] is scaled to
-    integers, and eliminating column k with pivot row p replaces row r by
-    (p_k r - r_k p) / g for the gcd g of its entries.  Rows with a zero in
-    column k are left alone, and only the nonzero columns of p are
-    visited.  No Fraction is formed until x_k = rhs_k / diag_k.
+    Gauss-Jordan on the integer rows [mat_i | rhs_i]: eliminating column
+    k with pivot row p replaces row r by (p_k r - r_k p) / g for the gcd g
+    of its entries.  Rows with a zero in column k are left alone, and only
+    the nonzero columns of p are visited.  No Fraction is formed until
+    x_k = rhs_k / diag_k.
     """
     m = len(rhs)
-    rows = []
-    for row, r in zip(mat, rhs):
-        entries = [*row, r]
-        scale = math.lcm(*(v.denominator for v in entries))
-        rows.append([v.numerator * (scale // v.denominator) for v in entries])
+    rows = [[*row, r] for row, r in zip(mat, rhs)]
     for k in range(m):
         candidates = [i for i in range(k, m) if rows[i][k]]
         if not candidates:
@@ -130,11 +108,9 @@ def _model(a, b, n, basis, nums, den):
 
 
 def _column_products(cert, a, n) -> list:
-    """D * cert.A_j for each of the n columns of the rows ``a``, where
-    D > 0 is the common denominator of cert: exactly the signs of cert.A.
-
-    Every entry must be a Fraction or an int.  cert is scaled to the
-    integers D * c_i, so the sums stay in integers wherever ``a`` does.
+    """D * cert.A_j for each of the n columns of the integer rows ``a``,
+    where D > 0 is the common denominator of the rational cert: exactly
+    the signs of cert.A, summed in integers over D * c_i.
     """
     if not n:
         return []
@@ -151,7 +127,7 @@ def _column_products(cert, a, n) -> list:
 
 def separates(cert, a, b, n) -> bool:
     """True when cert.A >= 0 and cert.b < 0 hold exactly for the n columns
-    of the rows ``a``; every entry must be a Fraction or an int."""
+    of the integer rows ``a`` and the rational cert."""
     if any(v < 0 for v in _column_products(cert, a, n)):
         return False
     return sum(c * bi for c, bi in zip(cert, b)) < 0
@@ -161,8 +137,8 @@ def _float_basis(a_pos, b_pos, n):
     """(a_f, basis, clean, pivots) from the float kernel, or None when the
     data leave float64 range.
 
-    a_f is A_pos in float64, and ``clean`` the kernel's (x_B, z, y, rc_min)
-    for its final basis, y pricing the rows of A_pos, or None when a basis
+    a_f is A_pos in float64, and ``clean`` the kernel's (x_B, z, y) for
+    its final basis, y pricing the rows of A_pos, or None when a basis
     turned out singular.  All of it is confirmed exactly before use, so
     overflow or NaN inside the float search (entries near the float64
     limit) merely makes a worse guess and is not reported.
@@ -181,41 +157,31 @@ def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean):
     """The verdict that the float kernel's numbers for ``basis`` round to,
     or None when they do not round to a witness that checks exactly.
 
-    Cramer's rule bounds every denominator.  Row i of the basis matrix
-    B = [A_pos | I][:, basis] times s_i, the common denominator of its
-    entries, gives an integer matrix B'; for d = |det B'|, d B'^-1 is an
-    integer matrix (plus or minus the adjugate of B').  So with L the
-    common denominator of b, d L x_B is an integer vector, and so is
-    d y_i / s_i, since y / s solves B'^T y' = c_B.  Both are rounded from
-    the kernel's x_B and y, and d from a float LU of B'.  If every
-    artificial rounds to 0, x_B proposes a model, checked by ``_model``;
-    otherwise y proposes a certificate, which must solve B^T y = c_B
-    exactly (so that z = y.b_pos is this basis's objective) and separate.
-    Both checks run on those integer vectors.  A wrong rounding is a bad
+    Cramer's rule bounds every denominator.  The basis matrix
+    B = [A_pos | I][:, basis] is an integer matrix, so for d = |det B|,
+    d B^-1 is one too (plus or minus the adjugate of B), and so are
+    d x_B = d B^-1 b and d y = c_B d B^-1.  Both are rounded from the
+    kernel's x_B and y, and d from a float LU of B.  If every artificial
+    rounds to 0, x_B proposes a model, checked by ``_model``; otherwise
+    y proposes a certificate, which must solve B^T y = c_B exactly (so
+    that z = y.b_pos is this basis's objective) and separate.  Both
+    checks run on those integer vectors.  A wrong rounding is a bad
     guess, not a bug, and gives None.
     """
-    xb_f, _, y_f, _ = clean
-    m = len(basis)
-    structural = [j for j in basis if j < n]
-    scale = [math.lcm(*[row[j].denominator for j in structural]) for row in a_pos]
-    lcm_b = math.lcm(*(bi.denominator for bi in b_pos))
-    try:
-        s_f = np.array(scale, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = abs(np.linalg.det(np.rint(s_f[:, None] * np.hstack((a_f, np.eye(m)))[:, basis])))
-            if not math.isfinite(det) or det < 0.5:
-                return None
-            d = round(det)
-            xb = np.rint(xb_f * float(d * lcm_b))
-            ys = np.rint(y_f * (d / s_f))
-    except OverflowError:
-        return None
+    xb_f, _, y_f = clean
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = abs(np.linalg.det(np.hstack((a_f, np.eye(len(basis))))[:, basis]))
+        if not math.isfinite(det) or det < 0.5:
+            return None
+        d = round(det)
+        xb = np.rint(xb_f * float(d))
+        ys = np.rint(y_f * float(d))
     if not (np.isfinite(xb).all() and np.isfinite(ys).all()):
         return None
     if not any(v for v, j in zip(xb, basis) if j >= n):
-        w = _model(a, b, n, basis, [int(v) for v in xb], d * lcm_b)
+        w = _model(a, b, n, basis, [int(v) for v in xb], d)
         return None if w is None else FeasibilityVerdict(FEASIBLE, model=w, meta={"z": _ZERO})
-    ys = [s * int(v) for s, v in zip(scale, ys)]  # d * y
+    ys = [int(v) for v in ys]  # d * y
     for j in basis:
         if j >= n:
             if ys[j - n] != d:
@@ -225,9 +191,8 @@ def _round_witness(a, b, n, sign, a_pos, b_pos, a_f, basis, clean):
     cert = [-s * yi for s, yi in zip(sign, ys)]  # d * the certificate
     if not separates(cert, a, b, n):
         return None
-    z = sum(yi * bi.numerator * (lcm_b // bi.denominator) for yi, bi in zip(ys, b_pos))
-    cert = [Fraction(c, d) for c in cert]
-    return FeasibilityVerdict(INFEASIBLE, certificate=cert, meta={"z": Fraction(z, d * lcm_b)})
+    z = sum(yi * bi for yi, bi in zip(ys, b_pos))
+    return FeasibilityVerdict(INFEASIBLE, certificate=[Fraction(c, d) for c in cert], meta={"z": Fraction(z, d)})
 
 
 def _basis_matrix(a_pos, n, basis):
@@ -284,11 +249,11 @@ def _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb):
 
 
 def solve_feasibility_exact(problem: FeasibilityProblem) -> FeasibilityVerdict:
-    a = list(problem.a)
-    if not all({*map(type, row)} <= {int} for row in a):
-        a = [[_as_fraction(v) for v in row] for row in a]
-    b = [_as_fraction(v) for v in problem.b]
-    n = problem.num_vars
+    a, b, n = list(problem.a), list(problem.b), problem.num_vars
+    for row in (b, *a):
+        if not {*map(type, row)} <= {int}:
+            bad = next(v for v in row if type(v) is not int)
+            raise InputError(f"exact mode takes Python ints only, got {type(bad).__name__} {bad!r}")
     sign = [-1 if bi < 0 else 1 for bi in b]
     a_pos = [row if s > 0 else [-v for v in row] for s, row in zip(sign, a)]
     b_pos = [s * bi for s, bi in zip(sign, b)]

@@ -17,11 +17,12 @@ Its caller checks either on its own terms: the engine rebuilds a model
 within ``MODEL_TOL`` and shifts a certificate onto its admissible set
 before checking it exactly in integers.
 
-The kernel updates the basis inverse by each pivot's rank-one step,
+The kernel updates the basis inverse by each pivot's rank-one step and
 factorizes it afresh from the original constraint data every
-``_pivot.REFACTOR`` pivots, and always does so before it returns, so
-the numbers reported (basic solution, objective, dual prices) come from
-a fresh factorization of its final basis, with nothing to restart.
+``_pivot.REFACTOR`` pivots and whenever its numbers would leave the
+kernel, so the numbers reported (basic solution, objective, dual
+prices) come from a fresh factorization of its final basis, with
+nothing to restart.
 A caller that solves a run of LPs on the same rows and right-hand side,
 each adding columns after those of the one before, can start each from
 the final basis of the one before (``basis``, pivoted in place), with
@@ -34,9 +35,10 @@ the Farkas candidate -y / max|y| of the current dual prices, from a
 fresh factorization.  ``separate`` returns a certificate it vouches
 for, or None.  One it returns ends the solve there: the verdict is
 Infeasible with that certificate, its ``z`` is the phase one objective
-where the kernel stopped, and ``meta["early_stop"]`` is True.  A
-declined candidate leaves the pivots exactly as they are without
-``separate``.
+where the kernel stopped, and ``meta["early_stop"]`` is True.  After a
+declined candidate the kernel pivots on from the factorization that
+priced it, so a solve with ``separate`` may part from one without it
+by roundoff only.
 """
 
 from __future__ import annotations
@@ -76,11 +78,11 @@ def phase_one(a: np.ndarray, b: np.ndarray, separate=None, basis=None):
     nonnegative, such as the final basis of an earlier solve on the same
     rows and right-hand side, and the kernel pivots it in place, so the
     caller sees the final basis in it.  Returns (status, basis, clean,
-    pivots): ``clean`` is the final basis's (x_B, z, y, rc_min) with y
-    pricing the rows of A as given, or None when a basis turned out
-    singular.  ``separate``, if given, is the kernel's stopping test,
-    called with y signed the same way.  The kernel stops after
-    1000 + 50 m + 2 n pivots on an m x n problem.
+    pivots): ``clean`` is the final basis's (x_B, z, y) with y pricing
+    the rows of A as given, or None when a basis turned out singular.
+    ``separate``, if given, is the kernel's stopping test, called with y
+    signed the same way.  The kernel stops after 1000 + 50 m + 2 n
+    pivots on an m x n problem.
     """
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
@@ -94,8 +96,8 @@ def phase_one(a: np.ndarray, b: np.ndarray, separate=None, basis=None):
     test = None if separate is None else lambda y: separate(y * sign)
     status, pivots, clean = _pivot.run_phase1(full, b * sign, cost, basis, 1000 + 50 * m + 2 * n, separate=test)
     if clean is not None:
-        xb, z, y, rc_min = clean
-        clean = xb, max(z, 0.0), y * sign, rc_min
+        xb, z, y = clean
+        clean = xb, max(z, 0.0), y * sign
     return status, basis, clean, pivots
 
 
@@ -121,7 +123,7 @@ def solve_feasibility_float(problem: FeasibilityProblem, separate=None, basis=No
     meta = {"mode": "float", "pivots": pivots, "early_stop": status == SEPARATED}
     if clean is None:
         return FeasibilityVerdict(UNDECIDED, meta={**meta, "reason": "singular basis"})
-    xb, z, y, _ = clean
+    xb, z, y = clean
     meta["z"] = z
     if status == SEPARATED:
         return FeasibilityVerdict(INFEASIBLE, certificate=accepted[0], meta=meta)

@@ -4,13 +4,13 @@ A :class:`FeasibilityProblem` is the standard-form question
 
     does there exist w >= 0 with  A w = b ?
 
-Entries may be floats (or numpy arrays) for the float solver, or ints
-and :class:`fractions.Fraction` values for the exact solver.  Verdicts
-carry either a model (a witnessing w) or a separating certificate c with
-``c . A >= 0`` componentwise and ``c . b < 0``.  The exact solver
-verifies both by exact substitution before it returns them; the float
-solver reports its final basis, good to roundoff and within ``TOL``,
-and leaves the check to its caller.
+Entries may be floats (or numpy arrays) for the float solver; the exact
+solver takes Python ints only.  Verdicts carry either a model (a
+witnessing w) or a separating certificate c with ``c . A >= 0``
+componentwise and ``c . b < 0``.  The exact solver verifies both by
+exact substitution before it returns them; the float solver reports its
+final basis, good to roundoff and within ``TOL``, and leaves the check
+to its caller.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ class FeasibilityProblem:
     """Equality-constrained nonnegative feasibility system A w = b, w >= 0.
 
     ``a`` is a sequence of constraint rows (or a 2D numpy array) and ``b``
-    the matching right-hand sides.  All rows must have length ``num_vars``.
+    the matching right-hand sides, all Python ints for the exact solver.
+    All rows must have length ``num_vars``.
     """
 
     a: Any
@@ -108,28 +109,23 @@ def jsonify(value):
     return float(value)
 
 
-def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse a "num/den" string (or plain integer) into a Fraction.
+def parse_rational(text: str) -> Fraction:
+    """Parse a "num/den" string (or a plain integer string) into a Fraction.
 
     Plain ASCII "digits/digits" (or digits alone) is read with ``int``;
     every other string, a zero denominator and a digit string past
     ``int``'s digit limit go to ``Fraction``, which accepts the same
     strings and raises for the rest.
     """
-    if isinstance(text, str):
-        num, slash, den = text.partition("/")
-        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            try:
-                den = int(den) if slash else 1
-                if den:
-                    return Fraction(int(num), den)
-            except ValueError:
-                pass
-    elif isinstance(text, Fraction):
-        return text
-    elif isinstance(text, int):
-        return Fraction(text)
+    num, slash, den = text.partition("/")
+    if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        try:
+            den = int(den) if slash else 1
+            if den:
+                return Fraction(int(num), den)
+        except ValueError:
+            pass
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational number: {text!r}") from exc

@@ -93,6 +93,17 @@ def infeasible_instance(rng, rows, cols):
     return FeasibilityProblem(a=a, b=b, num_vars=cols)
 
 
+def integer_rows(a, b) -> tuple:
+    """(rows, rhs): each rational row of ``a`` and its b_i times the lcm
+    of their denominators, the same system in Python ints."""
+    rows, rhs = [], []
+    for row, bi in zip(a, b):
+        scale = math.lcm(*(v.denominator for v in (*row, bi)))
+        rows.append([int(v * scale) for v in row])
+        rhs.append(int(bi * scale))
+    return rows, rhs
+
+
 def assert_model_valid(problem, verdict, tol=1e-7):
     w = np.asarray(verdict.model, dtype=float)
     assert w.min(initial=0.0) >= -tol

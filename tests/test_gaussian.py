@@ -43,8 +43,11 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.eye(4) * 0.1)  # below the uncertainty bound
     with pytest.raises(InputError):
         tmsv_covariance(-0.2)
-    with pytest.raises(InputError):
-        tmsv_covariance(400.0)  # cosh overflows; must surface as an input error
+    # cosh(2r) overflows, or 2r itself does (and cosh(inf) = inf does not
+    # raise); either must surface as an input error
+    for r in (400.0, 1e308):
+        with pytest.raises(InputError, match="too large"):
+            tmsv_covariance(r)
     for r in (float("nan"), float("inf")):
         with pytest.raises(InputError):
             tmsv_covariance(r)

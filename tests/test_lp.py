@@ -23,6 +23,7 @@ from helpers import (
     assert_model_valid,
     feasible_instance,
     infeasible_instance,
+    integer_rows,
 )
 
 RNG = np.random.default_rng(4071)
@@ -72,8 +73,10 @@ def test_exact_mode_never_undecided_and_agrees_with_float():
             problem, _ = feasible_instance(RNG, 3, 5)
         else:
             problem = infeasible_instance(RNG, 3, 5)
-        a = [[Fraction(x).limit_denominator(10**6) for x in row] for row in problem.a]
-        b = [Fraction(x).limit_denominator(10**6) for x in problem.b]
+        a, b = integer_rows(
+            [[Fraction(x).limit_denominator(10**6) for x in row] for row in problem.a],
+            [Fraction(x).limit_denominator(10**6) for x in problem.b],
+        )
         exact_problem = FeasibilityProblem(a=a, b=b, num_vars=problem.num_vars)
         exact = solve_feasibility_exact(exact_problem)
         assert exact.status in (FEASIBLE, INFEASIBLE)
@@ -94,8 +97,10 @@ def test_exact_and_float_verdicts_match_on_decided_instances():
     for _ in range(10):
         problem, _ = feasible_instance(RNG, 4, 7)
         f = solve_feasibility_float(problem)
-        a = [[Fraction(x).limit_denominator(10**9) for x in row] for row in problem.a]
-        b = [Fraction(x).limit_denominator(10**9) for x in problem.b]
+        a, b = integer_rows(
+            [[Fraction(x).limit_denominator(10**9) for x in row] for row in problem.a],
+            [Fraction(x).limit_denominator(10**9) for x in problem.b],
+        )
         e = solve_feasibility_exact(FeasibilityProblem(a=a, b=b, num_vars=problem.num_vars))
         if f.status != UNDECIDED:
             assert f.status == e.status
@@ -120,8 +125,7 @@ def test_verdict_serialization_and_meta():
 
 
 def test_exact_verdict_serializes_fractions():
-    a = [[Fraction(1), Fraction(1)]]
-    verdict = solve_feasibility_exact(FeasibilityProblem(a=a, b=[Fraction(-1)], num_vars=2))
+    verdict = solve_feasibility_exact(FeasibilityProblem(a=[[1, 1]], b=[-1], num_vars=2))
     assert verdict.status == INFEASIBLE
     text = json.dumps(verdict.to_dict())
     assert "/" in text or "-1" in text

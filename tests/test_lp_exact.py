@@ -29,11 +29,10 @@ from steercert.lp import (
 )
 from steercert.lp._pivot import OPTIMAL
 from steercert.report import RunReport
-from helpers import assert_box_verdict_exact, box_lp, deterministic_box, lifted_prbox
+from helpers import assert_box_verdict_exact, box_lp, deterministic_box, integer_rows, lifted_prbox
 
-HUGE = Fraction(10**400)
-TINY = Fraction(1, 10**400)
-NEAR_MAX = Fraction(10**308)
+HUGE = 10**400
+NEAR_MAX = 10**308
 
 
 def bland_from_scratch(solve, *args):
@@ -90,6 +89,7 @@ ENTRY = st.one_of(
 
 @st.composite
 def rational_lps(draw):
+    """A system drawn in Fractions, each row and its b_i then scaled to ints."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(0, 7))
     a = [[draw(ENTRY) for _ in range(n)] for _ in range(m)]
@@ -99,13 +99,13 @@ def rational_lps(draw):
         b = [sum((row[j] * w[j] for j in range(n)), Fraction(0)) for row in a]
     else:
         b = [draw(ENTRY) for _ in range(m)]
+    a, b = integer_rows(a, b)
     return FeasibilityProblem(a=a, b=b, num_vars=n)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rational_lps())
 def test_guided_and_bland_agree_on_random_rational_lps(problem):
-    # ENTRY includes non-integer a_ij, so rows are scaled before rounding
     guided = solve_feasibility_exact(problem)
     confirmed = eliminated(solve_feasibility_exact, problem)
     bland = bland_from_scratch(solve_feasibility_exact, problem)
@@ -113,38 +113,6 @@ def test_guided_and_bland_agree_on_random_rational_lps(problem):
     for verdict in (guided, confirmed, bland):
         assert_exact_witness(problem, verdict)
         assert_exact_meta(verdict)
-
-
-@st.composite
-def zero_one_lps(draw):
-    """A 0/1 system with integer b, as ints; b is often inside the cone."""
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(0, 7))
-    a = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(m)]
-    if n and draw(st.booleans()):
-        w = [draw(st.integers(0, 3)) for _ in range(n)]
-        b = [sum(row[j] * w[j] for j in range(n)) for row in a]
-    else:
-        b = [draw(st.integers(-2, 3)) for _ in range(m)]
-    return a, b, n
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(zero_one_lps())
-def test_int_and_fraction_entries_give_the_same_verdict(system):
-    a, b, n = system
-    problem = FeasibilityProblem(a=a, b=b, num_vars=n)
-    as_ints = solve_feasibility_exact(problem)
-    assert_exact_witness(problem, as_ints)
-    as_fractions = solve_feasibility_exact(
-        FeasibilityProblem(a=[[Fraction(v) for v in row] for row in a], b=[Fraction(v) for v in b], num_vars=n)
-    )
-    assert as_ints.status == as_fractions.status
-    assert as_ints.model == as_fractions.model
-    assert as_ints.certificate == as_fractions.certificate
-    for verdict in (as_ints, as_fractions):
-        witness = verdict.model if verdict.is_feasible else verdict.certificate
-        assert all(type(v) is Fraction for v in witness)
 
 
 @st.composite
@@ -172,7 +140,9 @@ def test_guided_and_bland_agree_on_random_box_mixtures(asm):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(box_mixtures())
 def test_float_verdicts_on_box_lps_agree_with_exact(asm):
-    problem = box_lp(asm)
+    rational = box_lp(asm)
+    a, b = integer_rows(rational.a, rational.b)
+    problem = FeasibilityProblem(a=a, b=b, num_vars=rational.num_vars)
     exact_verdict = solve_feasibility_exact(problem)
     assert exact_verdict.status == lhs_feasibility_boxworld(asm).status
     float_copy = FeasibilityProblem(
@@ -212,27 +182,14 @@ def test_engine_box_verdicts_are_guided(monkeypatch):
         assert_exact_meta(verdict)
 
 
-@pytest.mark.parametrize("b, status", [([1, 1], FEASIBLE), ([1, -1], INFEASIBLE)])
-def test_non_integer_rows_are_scaled_before_rounding(b, status):
-    # unscaled, these basis matrices have determinants 14/15 and 1/2, not
-    # integers, so no rounding of d x_B or d y would be exact
-    problem = FeasibilityProblem(
-        a=[[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2)]], b=b, num_vars=2
-    )
-    verdict = solve_feasibility_exact(problem)
-    assert verdict.status == status and verdict.meta["rounded"] is True
-    assert_exact_witness(problem, verdict)
-    assert_exact_meta(verdict)
-
-
 @pytest.mark.parametrize(
     "asm, field, delta",
     [(uniform_assemblage(), 0, 1.0), (prbox_assemblage(), 2, 1.0), (prbox_assemblage(), 2, -1.0)],
     ids=["feasible-x_B", "infeasible-y-up", "infeasible-y-down"],
 )
 def test_perturbed_float_witness_falls_back(monkeypatch, asm, field, delta):
-    # a whole unit off in entry 0 of x_B (field 0) or y (field 2): d L x_B
-    # or d y / s rounds wrong, the exact check fails, and elimination
+    # a whole unit off in entry 0 of x_B (field 0) or y (field 2): d x_B
+    # or d y rounds wrong, the exact check fails, and elimination
     # confirms the same basis.  Lowering y_0 on the PR box still gives a
     # separating c, but not B^T y = c_B, so its c.b is not the basis's z.
     expected = lhs_feasibility_boxworld(asm)
@@ -265,12 +222,8 @@ def _kernel_setting(columns):
     return kernel
 
 
-ONE_ROW = FeasibilityProblem(a=[[Fraction(1), Fraction(-1)]], b=[Fraction(1)], num_vars=2)
-TWO_ROWS = FeasibilityProblem(
-    a=[[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]],
-    b=[Fraction(2), Fraction(3)],
-    num_vars=2,
-)
+ONE_ROW = FeasibilityProblem(a=[[1, -1]], b=[1], num_vars=2)
+TWO_ROWS = FeasibilityProblem(a=[[1, 1], [1, 2]], b=[2, 3], num_vars=2)
 
 
 @pytest.mark.parametrize(
@@ -295,7 +248,7 @@ def test_wrong_float_basis_falls_back_to_bland(monkeypatch, problem, columns, re
 def test_failed_model_check_raises(monkeypatch):
     # a basis whose exact solve gives z = 0 rebuilds A w = b by construction,
     # so a model failing re-substitution can only be a bug, and it raises
-    problem = FeasibilityProblem(a=[[Fraction(1), Fraction(1)]], b=[Fraction(1)], num_vars=2)
+    problem = FeasibilityProblem(a=[[1, 1]], b=[1], num_vars=2)
     monkeypatch.setattr(_pivot, "run_phase1", _kernel_setting([0]))
     monkeypatch.setattr(exact, "_solve", lambda mat, rhs: [Fraction(2)])  # not B^-1 b
     with pytest.raises(InternalCheckError, match="model failed re-substitution"):
@@ -307,11 +260,7 @@ def test_bland_starts_from_a_mixed_float_basis(monkeypatch):
     # it is not optimal (w_1 improves it), so its certificate fails.  The
     # loop keeps pivoting from that basis: w_1 enters and replaces
     # artificial 0 in row 0, the only row with d_i > 0.
-    problem = FeasibilityProblem(
-        a=[[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]],
-        b=[Fraction(2), Fraction(1)],
-        num_vars=2,
-    )
+    problem = FeasibilityProblem(a=[[1, 1], [1, 0]], b=[2, 1], num_vars=2)
     monkeypatch.setattr(_pivot, "run_phase1", _kernel_setting([2, 0]))
     verdict = solve_feasibility_exact(problem)
     assert verdict.status == FEASIBLE and verdict.model == [Fraction(1), Fraction(1)]
@@ -330,20 +279,9 @@ def test_forced_fallback_decides_the_prbox(monkeypatch):
 @pytest.mark.parametrize(
     "a, b, status, fallback",
     [
-        ([[HUGE, Fraction(1)]], [HUGE], FEASIBLE, "float overflow"),
-        ([[HUGE, Fraction(1)]], [-HUGE], INFEASIBLE, "float overflow"),
-        ([[Fraction(1)], [Fraction(1)]], [HUGE, HUGE + 1], INFEASIBLE, "float overflow"),
-        # rounds to 0 = 0: the float basis is the artificial one, which is wrong here
-        ([[TINY]], [TINY], FEASIBLE, "certificate check"),
-        # rounds to -0.0 in b; the row flip comes from the exact sign
-        ([[TINY, Fraction(1)]], [-TINY], INFEASIBLE, None),
-        # in floats b = 0, and the basis {artificial 0, w_0} has x = (-TINY**2, TINY)
-        (
-            [[TINY, Fraction(-1)], [Fraction(1), Fraction(1)]],
-            [Fraction(0), TINY],
-            FEASIBLE,
-            "negative basic value",
-        ),
+        ([[HUGE, 1]], [HUGE], FEASIBLE, "float overflow"),
+        ([[HUGE, 1]], [-HUGE], INFEASIBLE, "float overflow"),
+        ([[1], [1]], [HUGE, HUGE + 1], INFEASIBLE, "float overflow"),
     ],
 )
 def test_entries_outside_float_range_still_decide(a, b, status, fallback):
@@ -359,7 +297,7 @@ def test_entries_outside_float_range_still_decide(a, b, status, fallback):
     "a, b, status",
     [
         ([[NEAR_MAX, NEAR_MAX], [NEAR_MAX, -NEAR_MAX], [NEAR_MAX, NEAR_MAX]], [NEAR_MAX] * 3, FEASIBLE),
-        ([[NEAR_MAX, Fraction(1)]] * 4, [-NEAR_MAX] * 4, INFEASIBLE),
+        ([[NEAR_MAX, 1]] * 4, [-NEAR_MAX] * 4, INFEASIBLE),
     ],
 )
 def test_entries_near_the_float_limit_decide_without_warnings(a, b, status):
@@ -373,11 +311,11 @@ def test_entries_near_the_float_limit_decide_without_warnings(a, b, status):
 
 
 def test_zero_column_and_zero_rhs_problems():
-    empty = FeasibilityProblem(a=[[], []], b=[Fraction(0), Fraction(1)], num_vars=0)
+    empty = FeasibilityProblem(a=[[], []], b=[0, 1], num_vars=0)
     verdict = solve_feasibility_exact(empty)
     assert verdict.status == INFEASIBLE and verdict.meta["guided"]
     assert_exact_witness(empty, verdict)
-    zero = FeasibilityProblem(a=[[Fraction(1), Fraction(-1)]], b=[Fraction(0)], num_vars=2)
+    zero = FeasibilityProblem(a=[[1, -1]], b=[0], num_vars=2)
     verdict = solve_feasibility_exact(zero)
     assert verdict.status == FEASIBLE and verdict.model == [0, 0]
     verdict = solve_feasibility_exact(FeasibilityProblem(a=[], b=[], num_vars=0))
@@ -399,10 +337,11 @@ def test_exact_meta_reaches_the_run_report(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entry", [float("nan"), float("inf"), 1j, "abc", "1/0", np.int64(1)]
+    "entry", [float("nan"), float("inf"), 1j, "abc", "1/0", np.int64(1), Fraction(1, 2), "1/2", 0.5, True]
 )
 def test_exact_mode_rejects_non_finite_or_unsupported_entries(entry):
-    problem = FeasibilityProblem(a=[[entry]], b=[Fraction(1)], num_vars=1)
+    # exact mode takes Python ints only
+    problem = FeasibilityProblem(a=[[entry]], b=[1], num_vars=1)
     with pytest.raises(InputError):
         solve_feasibility_exact(problem)
 

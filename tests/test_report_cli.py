@@ -310,6 +310,10 @@ def test_main_input_error_exit_codes(tmp_path, capsys):
     assert cli.main(["reid", "--r", "-2"]) == 1
     assert cli.main(["werner-scan", "--grid", "0.5:0.9:inf"]) == 1
     assert cli.main(["reid", "--sweep", "0:inf:1"]) == 1
+    # refused before np.arange, which would raise or allocate the points
+    assert cli.main(["werner-scan", "--grid", "0.5:0.6:1e-30"]) == 1
+    assert cli.main(["reid", "--sweep", "0:1:1e-300"]) == 1
+    assert capsys.readouterr().err.count(f"has more than {cli.MAX_GRID_POINTS} points") == 2
     assert cli.main(["singlet-cjwr", "--csv", "x.csv"]) == 1  # unknown flag for this command
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
