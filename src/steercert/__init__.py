@@ -25,15 +25,13 @@ from .lp import (  # noqa: E402
 )
 from .scenario import (  # noqa: E402
     Assemblage,
-    Instrument,
     Povm,
-    assemblage_from_instrument,
     assemblage_from_povms,
-    check_no_signalling,
     load_scenario,
     pauli_observable,
     pauli_povm,
     noisy_pauli_povm,
+    povm_from_kraus,
     scan_predictability,
     singlet,
     werner_state,
@@ -42,7 +40,6 @@ from .boxworld import (  # noqa: E402
     GptAssemblage,
     GptState,
     chsh_value,
-    check_no_signalling_exact,
     load_box,
     mix_assemblages,
     prbox_assemblage,

@@ -193,13 +193,6 @@ class GptAssemblage:
         return self.entries[(0, 0)][1].b_outcomes
 
 
-def check_no_signalling_exact(asm: GptAssemblage) -> NoSignallingReport:
-    """The exact marginal comparison across settings that ``asm``'s
-    constructor made; a signalling family never constructs, so it passes
-    with deviation 0."""
-    return asm.no_signalling
-
-
 def prbox_assemblage() -> GptAssemblage:
     """Alice's side of the maximally nonlocal no-signalling box.
 

@@ -125,12 +125,13 @@ def cmd_werner_scan(
     lo, hi, step = grid
     if not (0.0 <= lo < hi <= 1.0 and step > 0):
         raise InputError(f"grid must satisfy 0 <= lo < hi <= 1 with step > 0, got {grid}")
-    # one LHS verdict per p, shared by the grid and the bisection
-    verdict_at = functools.cache(lambda p: engine.lhs_feasibility_qubit(_matched_setup(settings, p)[0]))
+    # one set-up and one LHS verdict per p, shared by the grid and the bisection
+    setup_at = functools.cache(lambda p: _matched_setup(settings, p))
+    verdict_at = functools.cache(lambda p: engine.lhs_feasibility_qubit(setup_at(p)[0]))
 
     rows = []
     for p in _points(lo, hi, step, "grid"):
-        asm, bob = _matched_setup(settings, p)
+        asm, bob = setup_at(p)
         cj = witnesses.cjwr(_correlators(asm, bob))
         f_val = cj.F
         if witness_only:
@@ -164,7 +165,7 @@ def _box_checks(asm, pv: bool = False) -> tuple:
     the same LP, so it is relabelled rather than solved again), the exact
     no-signalling check and, for two inputs and two outputs on each side,
     the exact CHSH value."""
-    ns = boxworld.check_no_signalling_exact(asm)
+    ns = asm.no_signalling
     lhs = engine.lhs_feasibility_boxworld(asm)
     verdicts = [_verdict_entry("lhs", lhs)]
     if pv:
@@ -201,13 +202,9 @@ def cmd_reid(
     witness_values = {}
     details = {}
     if sweep is None:
-        cm = gaussian.apply_symmetric_loss(gaussian.tmsv_covariance(r), eta)
-        var_x, var_p = gaussian.inferred_variances(cm)
-        res = gaussian.reid_check(var_x, var_p)
-        witness_values.update(
-            {"r": float(r), "var_x_inf": var_x, "var_p_inf": var_p, "product": res.product}
-        )
-        details["steering"] = res.steering
+        r_value, var_x, var_p, product, steering = gaussian.reid_sweep([r], eta)[0]
+        witness_values.update({"r": r_value, "var_x_inf": var_x, "var_p_inf": var_p, "product": product})
+        details["steering"] = steering
     else:
         lo, hi, step = sweep
         if not (0.0 <= lo <= hi and step > 0):
@@ -248,8 +245,8 @@ def _check_box(path, doc, t0) -> RunReport:
 
 def _check_quantum(path, doc, t0) -> RunReport:
     sc = scenario.load_scenario(doc)
-    asm = scenario.assemblage_from_povms(sc["rho"], sc["alice"], dim_b=sc["dims"][1])
-    ns = scenario.check_no_signalling(asm)
+    asm = scenario.assemblage_from_povms(sc["rho"], sc["alice"])
+    ns = asm.no_signalling
     verdicts, witness_values, details = _quantum_checks(asm, sc["bob"])
     details.update(schema="quantum", no_signalling={"passed": ns.passed, "max_deviation": ns.max_deviation})
     inputs = {"file": str(path)}

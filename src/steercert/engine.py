@@ -48,7 +48,7 @@ from .lp import (
     solve_feasibility_exact,
     solve_feasibility_float,
 )
-from .scenario import Assemblage, Povm
+from .scenario import Assemblage, Povm, matrix_to_json
 
 ENUMERATION_CAP = 4096
 MODEL_TOL = 1e-8
@@ -98,10 +98,7 @@ class SteeringVerdict(FeasibilityVerdict):
         if self.lhs_model is not None:
             d["lhs_model"] = self.lhs_model.to_dict()
         if self.parent_effects is not None:
-            d["parent_effects"] = [
-                [[[float(v.real), float(v.imag)] for v in row] for row in g]
-                for g in self.parent_effects
-            ]
+            d["parent_effects"] = [matrix_to_json(g) for g in self.parent_effects]
         return d
 
 

@@ -3,14 +3,16 @@
 An assemblage is the family of subnormalized states left on Bob's side
 after Alice measures setting x and reads outcome a.  ``Assemblage``
 holds them once, as the read-only array ``blocks`` of shape (settings,
-outcomes, dim_b, dim_b), which ``sigma`` and every accessor read.  One
-builder, ``assemblage_from_povms``, forms all blocks in one contraction;
-a Kraus instrument goes through it on its induced effects.  Each POVM,
+outcomes, dim_b, dim_b), and reads its sizes from that shape, as a
+``Povm`` reads its dimension from its effects.  One builder,
+``assemblage_from_povms``, forms all blocks in one contraction; a Kraus
+instrument enters it through ``povm_from_kraus``.  Each POVM,
 assemblage and shared state is validated as one stack (finite, then
 Hermitian, then one eigenvalue call for positivity, then normalization
 and marginal independence of x from array sums), and an error names the
-first offending effect or block.  A scan finds the contexts in which
-Bob's conditional state answers some test with certainty.
+first offending effect or block; ``load_scenario`` checks a file's
+declared dimensions against its arrays.  A scan finds the contexts in
+which Bob's conditional state answers some test with certainty.
 
 Conventions fixed here and used everywhere else:
   - qubit measurement outcomes a in {0, 1} map to eigenvalue (-1)^a;
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -39,100 +40,77 @@ CERTAINTY_EPS = 1e-9
 @dataclass(frozen=True, eq=False)
 class Povm:
     """A finite-outcome measurement: PSD effects summing to the identity.
-    ``effects`` are read-only views of one validated stack."""
+    ``effects`` are read-only views of one validated stack; ``dim`` is
+    the side of the square effects, which all have effect 0's shape."""
 
     label: str
     effects: tuple
-    dim: int
 
     def __post_init__(self):
-        dim = positive_int(self.dim, f"POVM {self.label!r} dimension")
         effects = [np.asarray(e, dtype=complex) for e in self.effects]
         if not effects:
             raise InputError(f"POVM {self.label!r} has no effects")
-        for k, e in enumerate(effects):
-            if e.shape != (dim, dim):
-                raise InputError(f"POVM {self.label!r} effect {k} has shape {e.shape}, expected {(dim, dim)}")
+        if effects[0].ndim != 2:
+            raise InputError(f"POVM {self.label!r} effect 0 has shape {effects[0].shape}, expected a matrix")
+        for k, e in enumerate(effects[1:], 1):
+            if e.shape != effects[0].shape:
+                raise InputError(f"POVM {self.label!r} effect {k} has shape {e.shape}, expected {effects[0].shape}")
         stack = linalg.require_psd(np.stack(effects), lambda k: f"POVM {self.label!r} effect {k}")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > COMPLETENESS_TOL:
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1]))) > COMPLETENESS_TOL:
             raise InputError(f"POVM {self.label!r} effects do not sum to the identity")
         stack.flags.writeable = False
         object.__setattr__(self, "effects", tuple(stack))
+
+    @property
+    def dim(self) -> int:
+        return len(self.effects[0])
 
     @property
     def num_outcomes(self) -> int:
         return len(self.effects)
 
 
-@dataclass(frozen=True, eq=False)
-class Instrument:
-    """A measurement given by Kraus operators, grouped by outcome.
+def povm_from_kraus(label: str, kraus_sets) -> Povm:
+    """The measurement of an instrument given by Kraus operators.
 
-    kraus_sets[a] lists the operators pooled into outcome a; jointly they
-    must satisfy the completeness relation sum K^dag K = identity.
+    kraus_sets[a] lists the square operators K pooled into outcome a;
+    the effects are M_a = sum_K K^dag K, and ``Povm`` checks that they
+    are positive and sum to the identity.  The post-measurement update
+    K rho K^dag cancels under the partial trace over A, so this POVM
+    steers the same assemblage as the instrument.
     """
-
-    label: str
-    kraus_sets: tuple
-    dim: int
-
-    def __post_init__(self):
-        dim = positive_int(self.dim, f"instrument {self.label!r} dimension")
-        sets = tuple(
-            tuple(linalg.require_square(k, f"instrument {self.label!r} outcome {a} operator") for k in ks)
-            for a, ks in enumerate(self.kraus_sets)
-        )
-        object.__setattr__(self, "kraus_sets", sets)
-        for a, ks in enumerate(sets):
-            for k in ks:
-                if k.shape[1] != dim:
-                    raise InputError(
-                        f"instrument {self.label!r} outcome {a}: operator acts on dim {k.shape[1]}, expected {dim}"
-                    )
-        if np.max(np.abs(sum(self.effects()) - np.eye(dim))) > COMPLETENESS_TOL:
-            raise InputError(f"instrument {self.label!r} Kraus operators are not complete")
-
-    @property
-    def num_outcomes(self) -> int:
-        return len(self.kraus_sets)
-
-    def effects(self) -> tuple:
-        """The induced POVM effects M_a = sum_mu K^dag K."""
-        zero = np.zeros((self.dim, self.dim), dtype=complex)
-        return tuple(sum((linalg.dag(k) @ k for k in ks), zero) for ks in self.kraus_sets)
+    effects = []
+    for a, ks in enumerate(kraus_sets):
+        ops = [linalg.require_square(k, f"POVM {label!r} outcome {a} Kraus operator") for k in ks]
+        if len({k.shape for k in ops}) != 1:
+            raise InputError(f"POVM {label!r} outcome {a} needs at least one Kraus operator, all of one shape")
+        effects.append(sum(linalg.dag(k) @ k for k in ops))
+    return Povm(label=label, effects=tuple(effects))
 
 
 @dataclass(frozen=True, eq=False)
 class Assemblage:
-    """Subnormalized Bob states sigma[(x, a)] conditioned on Alice's (x, a).
+    """Subnormalized Bob states sigma_a|x conditioned on Alice's (x, a).
 
-    The constructor copies the blocks into ``blocks``, a read-only array
-    of shape (settings, outcomes, dim_b, dim_b), and ``sigma`` becomes a
-    read-only mapping of views into it.  Physicality requires each block
-    PSD, unit total trace per setting, and a setting-independent marginal
-    sum_a sigma[(x, a)], whose comparison the constructor keeps in
-    ``no_signalling``.
+    The constructor copies ``blocks`` into a read-only complex array of
+    shape (settings, outcomes, dim_b, dim_b), whose block [x, a] is
+    sigma_a|x, and the three sizes are read from that shape.
+    Physicality requires each block PSD, unit total trace per setting,
+    and a setting-independent marginal sum_a sigma_a|x, whose
+    comparison the constructor keeps in ``no_signalling``.
     """
 
-    settings: int
-    outcomes: int
-    dim_b: int
-    sigma: dict
-    blocks: np.ndarray = field(init=False, repr=False)
+    blocks: np.ndarray
     no_signalling: NoSignallingReport = field(init=False, repr=False)
 
     def __post_init__(self):
-        names = ("settings", "outcomes", "dim_b")
-        settings, outcomes, dim_b = (positive_int(getattr(self, k), f"assemblage {k}") for k in names)
-        blocks = np.empty((settings, outcomes, dim_b, dim_b), dtype=complex)
-        for x in range(settings):
-            for a in range(outcomes):
-                if (x, a) not in self.sigma:
-                    raise InputError(f"assemblage is missing block (x={x}, a={a})")
-                s = np.asarray(self.sigma[(x, a)], dtype=complex)
-                if s.shape != (dim_b, dim_b):
-                    raise InputError(f"block (x={x}, a={a}) has shape {s.shape}")
-                blocks[x, a] = s
+        expected = "(settings, outcomes, dim_b, dim_b), each at least 1"
+        try:
+            blocks = np.array(self.blocks, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"assemblage blocks must be one numeric array of shape {expected}") from exc
+        if blocks.ndim != 4 or blocks.shape[2] != blocks.shape[3] or 0 in blocks.shape:
+            raise InputError(f"assemblage blocks have shape {blocks.shape}, expected {expected}")
         linalg.require_psd(blocks, lambda x, a: f"assemblage block (x={x}, a={a})")
         totals = np.trace(blocks, axis1=2, axis2=3).real.sum(axis=1)
         for x, total in enumerate(totals.tolist()):
@@ -142,24 +120,34 @@ class Assemblage:
         dev = float(np.abs(marginals[1:] - marginals[0]).max(initial=0.0))
         blocks.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
-        views = {(x, a): blocks[x, a] for x in range(settings) for a in range(outcomes)}
-        object.__setattr__(self, "sigma", MappingProxyType(views))
         object.__setattr__(self, "no_signalling", NoSignallingReport(passed=dev <= MARGINAL_TOL, max_deviation=dev))
         if not self.no_signalling.passed:
             raise InputError(f"marginals depend on the setting (max deviation {dev:.3e})")
 
+    @property
+    def settings(self) -> int:
+        return self.blocks.shape[0]
+
+    @property
+    def outcomes(self) -> int:
+        return self.blocks.shape[1]
+
+    @property
+    def dim_b(self) -> int:
+        return self.blocks.shape[2]
+
     def block(self, x: int, a: int) -> np.ndarray:
-        return self.sigma[(x, a)]
+        return self.blocks[x, a]
 
     def prob(self, x: int, a: int) -> float:
-        return float(self.sigma[(x, a)].trace().real)
+        return float(self.blocks[x, a].trace().real)
 
     def conditional_state(self, x: int, a: int) -> np.ndarray | None:
         """Normalized Bob state for context (x, a); None when p(a|x) ~ 0."""
         p = self.prob(x, a)
         if p <= ZERO_PROB_TOL:
             return None
-        return self.sigma[(x, a)] / p
+        return self.blocks[x, a] / p
 
     def marginal(self, x: int = 0) -> np.ndarray:
         return self.blocks[x].sum(axis=0)
@@ -181,27 +169,11 @@ class PredictabilityRecord:
     probability: float
 
 
-def check_no_signalling(asm: Assemblage) -> NoSignallingReport:
-    """The outcome-summed marginals compared across settings by ``asm``'s
-    constructor; within MARGINAL_TOL passes, and a failing family never
-    constructs."""
-    return asm.no_signalling
-
-
-def _require_state(rho_ab, dim_a: int, dim_b: int | None) -> np.ndarray:
-    """The shared state, checked; ``dim_b`` None takes it from the shape."""
-    rho = linalg.require_psd(rho_ab, "shared state")
-    dim = dim_a * (len(rho) // dim_a if dim_b is None else dim_b)
-    if rho.shape != (dim, dim):
-        raise InputError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-    if abs(rho.trace().real - 1.0) > TRACE_TOL:
-        raise InputError(f"shared state has trace {rho.trace().real}, expected 1")
-    return rho
-
-
-def assemblage_from_povms(rho_ab, alice: Sequence[Povm], dim_b: int | None = None) -> Assemblage:
-    """sigma[(x, a)] = tr_A[(M_{a|x} (x) I) rho], every block in one
-    contraction over rho reshaped to (dim_a, dim_b, dim_a, dim_b)."""
+def assemblage_from_povms(rho_ab, alice: Sequence[Povm]) -> Assemblage:
+    """sigma_a|x = tr_A[(M_a|x (x) I) rho], every block in one contraction
+    over rho reshaped to (dim_a, dim_b, dim_a, dim_b).  dim_a is that of
+    Alice's POVMs, and dim_b = len(rho) / dim_a, so rho must be a PSD
+    unit-trace matrix whose side dim_a divides."""
     if not alice:
         raise InputError("need at least one Alice measurement")
     dim_a, outcomes = alice[0].dim, alice[0].num_outcomes
@@ -210,22 +182,14 @@ def assemblage_from_povms(rho_ab, alice: Sequence[Povm], dim_b: int | None = Non
             raise InputError(f"Alice measurement {x} acts on dim {povm.dim}, expected {dim_a}")
         if povm.num_outcomes != outcomes:
             raise InputError("all Alice measurements must share one outcome count")
-    rho = _require_state(rho_ab, dim_a, dim_b)
-    dim_b = rho.shape[0] // dim_a
+    rho = linalg.require_psd(rho_ab, "shared state")
+    dim_b = len(rho) // dim_a
+    if rho.shape != (dim_a * dim_b,) * 2:
+        raise InputError(f"state has shape {rho.shape}, expected {(dim_a * dim_b,) * 2}")
+    if abs(rho.trace().real - 1.0) > TRACE_TOL:
+        raise InputError(f"shared state has trace {rho.trace().real}, expected 1")
     effects = np.array([povm.effects for povm in alice])
-    blocks = np.einsum("xaij,jbil->xabl", effects, rho.reshape(dim_a, dim_b, dim_a, dim_b))
-    sigma = {(x, a): blocks[x, a] for x in range(len(alice)) for a in range(outcomes)}
-    return Assemblage(settings=len(alice), outcomes=outcomes, dim_b=dim_b, sigma=sigma)
-
-
-def assemblage_from_instrument(
-    rho_ab, alice: Sequence[Instrument], dim_b: int | None = None
-) -> Assemblage:
-    """sigma[(x, a)] = sum_mu tr_A[(K (x) I) rho (K^dag (x) I)], which is
-    ``assemblage_from_povms`` on the induced effects: the update
-    operators cancel under the partial trace over A."""
-    povms = [Povm(label=inst.label, effects=inst.effects(), dim=inst.dim) for inst in alice]
-    return assemblage_from_povms(rho_ab, povms, dim_b)
+    return Assemblage(np.einsum("xaij,jbil->xabl", effects, rho.reshape(dim_a, dim_b, dim_a, dim_b)))
 
 
 def scan_predictability(asm: Assemblage, bob: Sequence[Povm]) -> list:
@@ -278,7 +242,7 @@ def pauli_povm(axis) -> Povm:
     n = _axis_vector(axis)
     plus = linalg.bloch_state(n)
     minus = linalg.bloch_state(-n)
-    return Povm(label=_axis_label(axis), effects=(plus, minus), dim=2)
+    return Povm(label=_axis_label(axis), effects=(plus, minus))
 
 
 def noisy_pauli_povm(axis, eta: float) -> Povm:
@@ -288,7 +252,7 @@ def noisy_pauli_povm(axis, eta: float) -> Povm:
     n = _axis_vector(axis)
     smear = (1.0 - eta) / 2.0 * np.eye(2)
     effects = tuple(eta * linalg.bloch_state(v) + smear for v in (n, -n))
-    return Povm(label=f"{_axis_label(axis)}(eta={eta})", effects=effects, dim=2)
+    return Povm(label=f"{_axis_label(axis)}(eta={eta})", effects=effects)
 
 
 def pauli_observable(axis) -> np.ndarray:
@@ -353,8 +317,10 @@ def load_scenario(doc: dict) -> dict:
     ``doc`` holds the fields {dimA, dimB, state, alice_povms, bob_povms?};
     ``state`` is {"kind": "werner", "p": p}, {"kind": "singlet"} or
     {"kind": "explicit", "matrix": rows}, and each POVM is a list of
-    effect matrices.  Returns a dict with keys rho, alice, bob (bob may
-    be an empty list), dims.  Malformed fields raise InputError.
+    effect matrices.  The state must be (dimA * dimB)-dimensional and
+    every POVM act on its side's declared dimension.  Returns a dict with
+    keys rho, alice, bob (bob may be an empty list).  Malformed fields
+    raise InputError.
     """
     for key in ("dimA", "dimB", "state", "alice_povms"):
         if key not in doc:
@@ -381,18 +347,21 @@ def load_scenario(doc: dict) -> dict:
         if "matrix" not in state:
             raise InputError("explicit state needs a 'matrix'")
         rho = matrix_from_json(state["matrix"])
+        if rho.shape != (dim_a * dim_b,) * 2:
+            raise InputError(f"state has shape {rho.shape}, expected {(dim_a * dim_b,) * 2} for dimA * dimB")
     else:
         raise InputError(f"unknown state kind {kind!r}")
 
-    def build(who, dim):
+    def build(who, key, dim):
         raw = doc.get(f"{who}_povms", [])
         if not isinstance(raw, list) or not all(isinstance(e, list) for e in raw):
             raise InputError(f"scenario field '{who}_povms' must be a list of POVMs, each a list of effects")
-        return [
-            Povm(label=f"{who}[{i}]", effects=tuple(matrix_from_json(e) for e in effects), dim=dim)
-            for i, effects in enumerate(raw)
-        ]
+        povms = []
+        for i, effects in enumerate(raw):
+            povm = Povm(label=f"{who}[{i}]", effects=tuple(matrix_from_json(e) for e in effects))
+            if povm.dim != dim:
+                raise InputError(f"POVM {povm.label!r} acts on dimension {povm.dim}, expected {key} = {dim}")
+            povms.append(povm)
+        return povms
 
-    alice = build("alice", dim_a)
-    bob = build("bob", dim_b)
-    return {"rho": rho, "alice": alice, "bob": bob, "dims": (dim_a, dim_b)}
+    return {"rho": rho, "alice": build("alice", "dimA", dim_a), "bob": build("bob", "dimB", dim_b)}

@@ -1,6 +1,7 @@
 """Linear correlation witnesses and their local-model bounds.
 
-A correlator set holds the matched-setting averages <A_x B_x>; the
+A correlator set holds the matched-setting averages <A_x B_x>, one per
+setting, with Bob's observable for each, and m is their number; the
 witness value is F = |sum_x <A_x B_x>| / sqrt(m).  A local hidden state
 model reaches at most L / sqrt(m), where L is the largest eigenvalue of
 sum_x s_x B_x over Alice's deterministic answers s = +-1, so F above
@@ -31,18 +32,18 @@ _VALUE_TOL = 1e-12
 @dataclass(frozen=True)
 class CorrelatorSet:
     """Matched-setting correlators, one value per setting, and Bob's
-    qubit observables B_x = b_x I + r_x . sigma as rows (b_x, r_x), which
-    fix the local bound."""
+    qubit observables B_x = b_x I + r_x . sigma as rows (b_x, r_x), one
+    per value, which fix the local bound; ``m`` is the number of
+    settings."""
 
-    m: int
     values: tuple
     observables: tuple
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", values)
-        if self.m != len(values) or self.m < 1:
-            raise InputError(f"expected {self.m} correlators, got {len(values)}")
+        if not values:
+            raise InputError("a correlator set needs at least one correlator")
         for x, v in enumerate(values):
             if abs(v) > 1.0 + _VALUE_TOL:
                 raise InputError(f"correlator {x} is {v}, outside [-1, 1]")
@@ -50,6 +51,10 @@ class CorrelatorSet:
         if len(obs) != self.m or any(len(row) != 4 for row in obs):
             raise InputError(f"expected {self.m} observables as rows (b, rx, ry, rz)")
         object.__setattr__(self, "observables", obs)
+
+    @property
+    def m(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ def correlators_from_assemblage(asm: Assemblage, bob_obs: Sequence) -> Correlato
     if len(off):
         raise InputError(f"observable {off[0]} does not have a +-1 spectrum")
     values = [sum((-1) ** a * float((b @ asm.blocks[x, a]).trace().real) for a in range(2)) for x, b in enumerate(obs)]
-    return CorrelatorSet(m=asm.settings, values=tuple(values), observables=linalg.bloch_components(obs) / 2.0)
+    return CorrelatorSet(values=tuple(values), observables=linalg.bloch_components(obs) / 2.0)
 
 
 def s_m(c: CorrelatorSet) -> float:

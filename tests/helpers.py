@@ -344,7 +344,7 @@ def random_qubit_assemblage(rng, settings: int):
     povms = [
         scenario.pauli_povm(random_unit_vector(rng))
         if rng.random() < 0.5
-        else scenario.Povm(label=f"M{x}", effects=random_povm_pair(rng), dim=2)
+        else scenario.Povm(label=f"M{x}", effects=random_povm_pair(rng))
         for x in range(settings)
     ]
     return scenario.assemblage_from_povms(rho, povms)
@@ -362,5 +362,5 @@ def random_noisy_povms(rng, count: int) -> list:
         effects = tuple(
             eta * e + (1.0 - eta) * np.trace(e).real / 2.0 * np.eye(2) for e in random_povm_pair(rng)
         )
-        out.append(scenario.Povm(label=f"N{x}", effects=effects, dim=2))
+        out.append(scenario.Povm(label=f"N{x}", effects=effects))
     return out

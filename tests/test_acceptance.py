@@ -12,7 +12,6 @@ import numpy as np
 
 from steercert import cli, linalg
 from steercert.boxworld import (
-    check_no_signalling_exact,
     chsh_value,
     joint_from_assemblage,
     mix_assemblages,
@@ -30,13 +29,12 @@ from steercert.engine import (
 from steercert.gaussian import inferred_variances, reid_check, tmsv_covariance
 from steercert.scenario import (
     Assemblage,
-    Instrument,
     Povm,
-    assemblage_from_instrument,
     assemblage_from_povms,
     noisy_pauli_povm,
     pauli_observable,
     pauli_povm,
+    povm_from_kraus,
     scan_predictability,
     singlet,
     werner_state,
@@ -114,7 +112,7 @@ def test_criterion_3_singlet_counterexample_pipeline():
 def test_criterion_4_prbox():
     t0 = time.perf_counter()
     asm = prbox_assemblage()
-    ns = check_no_signalling_exact(asm)
+    ns = asm.no_signalling
     assert ns.passed and ns.max_deviation == 0.0
     assert chsh_value(joint_from_assemblage(asm)) == Fraction(4)
 
@@ -179,13 +177,12 @@ def test_criterion_6_push_through_property():
     for _ in range(200):
         rho = random_state(rng, 4)
         effects = random_povm_pair(rng)
-        povm = Povm(label="m", effects=effects, dim=2)
+        povm = Povm(label="m", effects=effects)
         kraus = tuple(
             random_kraus_split(rng, e, pieces=int(rng.integers(1, 4))) for e in effects
         )
-        inst = Instrument(label="m", kraus_sets=kraus, dim=2)
         a_povm = assemblage_from_povms(rho, [povm])
-        a_inst = assemblage_from_instrument(rho, [inst])
+        a_inst = assemblage_from_povms(rho, [povm_from_kraus("m", kraus)])
         dev = max(
             float(np.max(np.abs(a_povm.block(0, a) - a_inst.block(0, a)))) for a in range(2)
         )
@@ -272,23 +269,18 @@ def test_criterion_9_convexity_and_coarse_graining():
             (2.0 / 3.0) * linalg.bloch_state((math.sin(a + shift), 0.0, math.cos(a + shift)))
             for a in angles
         )
-        alice = [Povm(label="trine", effects=effects, dim=2)]
+        alice = [Povm(label="trine", effects=effects)]
         return assemblage_from_povms(werner_state(p), alice)
 
     for _ in range(25):  # mixtures of feasible assemblages stay feasible
         a1, a2 = random_feasible(), random_feasible()
         lam = float(rng.uniform(0.0, 1.0))
-        sigma = {k: lam * a1.sigma[k] + (1 - lam) * a2.sigma[k] for k in a1.sigma}
-        mixed = Assemblage(settings=2, outcomes=2, dim_b=2, sigma=sigma)
+        mixed = Assemblage(lam * a1.blocks + (1 - lam) * a2.blocks)
         assert lhs_feasibility_qubit(mixed, mesh=162).is_feasible
 
     for _ in range(25):  # deterministic outcome merges stay feasible
         asm = trine_assemblage()
         assert lhs_feasibility_qubit(asm, mesh=162).is_feasible
-        merged = {
-            (0, 0): asm.block(0, 0),
-            (0, 1): asm.block(0, 1) + asm.block(0, 2),
-        }
-        coarse = Assemblage(settings=1, outcomes=2, dim_b=2, sigma=merged)
+        coarse = Assemblage([[asm.block(0, 0), asm.block(0, 1) + asm.block(0, 2)]])
         assert lhs_feasibility_qubit(coarse, mesh=162).is_feasible
     finish(9, t0, 60)

@@ -11,7 +11,6 @@ from steercert.boxworld import (
     GptAssemblage,
     GptState,
     box_to_json,
-    check_no_signalling_exact,
     chsh_value,
     joint_from_assemblage,
     load_box,
@@ -47,7 +46,7 @@ def test_prbox_table_and_weights():
 
 
 def test_prbox_no_signalling_is_exact():
-    report = check_no_signalling_exact(prbox_assemblage())
+    report = prbox_assemblage().no_signalling
     assert report.passed and report.max_deviation == 0.0
 
 

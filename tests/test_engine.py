@@ -144,7 +144,7 @@ def test_singlet_matched_paulis_is_infeasible_with_witness_certificate():
                 rows.extend([t, rx, ry, rz])
         return np.asarray(rows)
 
-    assert c @ rows_for(asm.sigma) < -1e-10
+    assert c @ rows_for(asm.blocks) < -1e-10
     for strat in enumerate_strategies(2, 2):
         for _ in range(40):
             n = random_unit_vector(RNG)
@@ -432,10 +432,7 @@ def test_feasible_set_is_convex():
     a1 = werner_assemblage(0.30)
     a2 = werner_assemblage(0.55)
     lam = 0.37
-    sigma = {
-        k: lam * a1.sigma[k] + (1 - lam) * a2.sigma[k] for k in a1.sigma
-    }
-    mixed = Assemblage(settings=2, outcomes=2, dim_b=2, sigma=sigma)
+    mixed = Assemblage(lam * a1.blocks + (1 - lam) * a2.blocks)
     assert lhs_feasibility_qubit(mixed, mesh=162).is_feasible
 
 
@@ -665,7 +662,7 @@ def test_deterministic_bloch_set_shapes():
     det = deterministic_bloch_set([noisy_pauli_povm("z", 0.9)])
     assert det.shape == (0, 3)  # noisy effects are never certain
 
-    trivial = Povm(label="coin", effects=(linalg.I2, np.zeros((2, 2))), dim=2)
+    trivial = Povm(label="coin", effects=(linalg.I2, np.zeros((2, 2))))
     assert deterministic_bloch_set([trivial]) is None  # unconstrained
 
     # antiparallel axes pose the same question: both poles, each listed once
@@ -703,7 +700,7 @@ def reference_bloch_set(tests):
 
 def test_deterministic_bloch_set_matches_a_per_candidate_reference():
     # repeated, antiparallel, nearly parallel and noisy axes, and trivial tests
-    coin = Povm(label="coin", effects=(linalg.I2, np.zeros((2, 2))), dim=2)
+    coin = Povm(label="coin", effects=(linalg.I2, np.zeros((2, 2))))
     for _ in range(300):
         base = random_unit_vector(RNG)
         tests = []
@@ -879,7 +876,7 @@ def trine_povm(eta):
     """Three effects (I + eta n_k.sigma)/3 along trine axes in the x-z plane."""
     axes = [(math.sin(t), math.cos(t)) for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
     effects = tuple((linalg.I2 + eta * (sx * linalg.SIGMA_X + sz * linalg.SIGMA_Z)) / 3 for sx, sz in axes)
-    return Povm(label="trine", effects=effects, dim=2)
+    return Povm(label="trine", effects=effects)
 
 
 def assert_jm_margin_matches(jm, povms):
@@ -892,12 +889,7 @@ def assert_jm_margin_matches(jm, povms):
 def test_jm_is_lhs_of_half_the_effects(settings, offset):
     axes = ("x", "z") if settings == 2 else ("x", "y", "z")
     povms = [noisy_pauli_povm(ax, 1.0 / math.sqrt(settings) + offset) for ax in axes]
-    asm = Assemblage(
-        settings=settings,
-        outcomes=2,
-        dim_b=2,
-        sigma={(x, a): povm.effects[a] / 2 for x, povm in enumerate(povms) for a in range(2)},
-    )
+    asm = Assemblage(np.array([povm.effects for povm in povms]) / 2)
     jm = joint_measurability(povms)
     lhs = lhs_feasibility_qubit(asm)
     assert jm.status == lhs.status and not jm.is_undecided

@@ -41,14 +41,14 @@ def matched(p, m):
 
 
 def test_correlator_set_validation():
-    c = CorrelatorSet(2, (-1.0, 0.5), pauli_rows(2))
-    assert c.values == (-1.0, 0.5)
+    c = CorrelatorSet((-1.0, 0.5), pauli_rows(2))
+    assert c.values == (-1.0, 0.5) and c.m == 2
+    with pytest.raises(InputError, match="at least one correlator"):
+        CorrelatorSet((), ())
     with pytest.raises(InputError):
-        CorrelatorSet(2, (-1.0,), pauli_rows(2))
+        CorrelatorSet((1.5,), pauli_rows(1))
     with pytest.raises(InputError):
-        CorrelatorSet(1, (1.5,), pauli_rows(1))
-    with pytest.raises(InputError):
-        CorrelatorSet(2, (-1.0, 0.5), pauli_rows(1))
+        CorrelatorSet((-1.0, 0.5), pauli_rows(1))
 
 
 def test_singlet_matched_correlators_are_minus_one():
@@ -78,7 +78,7 @@ def test_f_equals_sqrt_m_times_mean_identity():
     for _ in range(200):
         m = int(RNG.integers(1, 7))
         values = RNG.uniform(-1.0, 1.0, size=m)
-        c = CorrelatorSet(m, tuple(values), pauli_rows(m))
+        c = CorrelatorSet(tuple(values), pauli_rows(m))
         f = cjwr(c).F
         assert abs(f - math.sqrt(m) * abs(s_m(c))) <= 1e-15
 
@@ -161,7 +161,7 @@ def test_bound_is_the_top_eigenvalue_over_sign_strategies():
             else:
                 v = RNG.normal(size=3)
                 rows.append((0.0, *(v / np.linalg.norm(v))))
-        c = CorrelatorSet(m, tuple(RNG.uniform(-1.0, 1.0, size=m)), observables=tuple(rows))
+        c = CorrelatorSet(tuple(RNG.uniform(-1.0, 1.0, size=m)), observables=tuple(rows))
         want = _top_eigenvalue_bound(rows) / math.sqrt(m)
         assert abs(cjwr(c).bound - want) < 1e-12
 
@@ -181,11 +181,11 @@ def test_violation_is_decided_exactly_at_the_bound():
         value = total
         for _ in range(abs(step)):
             value = math.nextafter(value, math.inf if step > 0 else -math.inf)
-        c = CorrelatorSet(2, (-value / 2.0, -value / 2.0), observables=rows)
+        c = CorrelatorSet((-value / 2.0, -value / 2.0), observables=rows)
         assert cjwr(c).violated is (Fraction(sum(c.values)) ** 2 > bound_sq)
 
 
 def test_platonic_cube_bound():
     rows = tuple((0.0, *axis) for axis in CUBE)
-    c = CorrelatorSet(4, (-0.5,) * 4, observables=rows)
+    c = CorrelatorSet((-0.5,) * 4, observables=rows)
     assert abs(cjwr(c).bound - 2.0 / math.sqrt(3.0)) < 1e-12
