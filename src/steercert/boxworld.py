@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .errors import InputError
-from .lp.problem import parse_rational
+from .lp.problem import jsonify, parse_rational
 from .scenario import NoSignallingReport, positive_int
 
 ONE = Fraction(1)
@@ -51,10 +51,10 @@ def _outside_unit(v: Fraction) -> bool:
 
 
 def _sums_to_one(values) -> bool:
-    """Whether the Fractions ``values`` sum to exactly 1: over their common
-    denominator L, their numerators must sum to L."""
-    den = math.lcm(*(v.denominator for v in values))
-    return sum(v.numerator * (den // v.denominator) for v in values) == den
+    """Whether the Fractions ``values`` sum to exactly 1: written as ints
+    over their least common denominator d, they must sum to d."""
+    ints, d = linalg.scaled_ints(values)
+    return sum(ints) == d
 
 
 @functools.cache
@@ -138,20 +138,7 @@ class GptAssemblage:
                 weights.append(weight)
             if not _sums_to_one(weights):
                 raise InputError(f"setting x={x} has total weight {sum(weights)}, expected 1")
-        # entry (x, a) over its own denominator weight.den * lcm(table dens),
-        # then everything over the lcm of those, reduced by the common gcd
-        scaled = []
-        for weight, state in clean.values():
-            probs = state.table.values()
-            sd = math.lcm(*(p.denominator for p in probs))
-            nums = [weight.numerator * p.numerator * (sd // p.denominator) for p in probs]
-            scaled.append((weight.denominator * sd, nums))
-        den = math.lcm(*(d for d, _ in scaled))
-        counts = [v * (den // d) for d, nums in scaled for v in nums]
-        g = math.gcd(den, *counts)
-        if g > 1:
-            den //= g
-            counts = [v // g for v in counts]
+        counts, den = linalg.scaled_ints([w * p for w, state in clean.values() for p in state.table.values()])
         width = shape[0] * shape[1]
         block = self.a_outcomes * width
 
@@ -274,12 +261,11 @@ def chsh_value(joint: dict) -> Fraction:
     for k, v in joint.items():
         if not isinstance(v, (Fraction, int)):
             raise InputError(f"joint entry {k} must be an exact rational, got {type(v).__name__} {v!r}")
-    one = math.lcm(*(v.denominator for v in joint.values()))
+    ints, one = linalg.scaled_ints(list(joint.values()))
     total = dict.fromkeys(itertools.product(range(2), repeat=2), 0)
     corr = dict(total)
-    for (a, b, x, y), v in joint.items():
+    for (a, b, x, y), n in zip(joint, ints):
         if (x, y) in total:
-            n = v.numerator * (one // v.denominator)
             total[x, y] += n
             corr[x, y] += n if (a + b) % 2 == 0 else -n
     for (x, y), t in total.items():
@@ -292,27 +278,20 @@ def chsh_value(joint: dict) -> Fraction:
 # ---------------------------------------------------------------------------
 # box files: JSON with probabilities as "num/den" strings
 
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
 def box_to_json(asm: GptAssemblage) -> dict:
-    ny, nb = asm.y_settings, asm.b_outcomes
-    entries = []
-    for x in range(asm.x_settings):
-        row = []
-        for a in range(asm.a_outcomes):
-            weight, state = asm.entries[(x, a)]
-            table = [[_frac_str(state.prob(y, b)) for b in range(nb)] for y in range(ny)]
-            row.append({"weight": _frac_str(weight), "table": table})
-        entries.append(row)
-    return {
-        "x_settings": asm.x_settings,
-        "a_outcomes": asm.a_outcomes,
+    """The box file of ``asm`` that ``load_box`` reads back."""
+    nx, na, ny, nb = asm.shape
+    entries = [[asm.entries[(x, a)] for a in range(na)] for x in range(nx)]
+    return jsonify({
+        "x_settings": nx,
+        "a_outcomes": na,
         "y_settings": ny,
         "b_outcomes": nb,
-        "entries": entries,
-    }
+        "entries": [
+            [{"weight": w, "table": [[s.prob(y, b) for b in range(nb)] for y in range(ny)]} for w, s in row]
+            for row in entries
+        ],
+    })
 
 
 def load_box(doc: dict) -> GptAssemblage:

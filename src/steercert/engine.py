@@ -48,6 +48,7 @@ from .lp import (
     solve_feasibility_exact,
     solve_feasibility_float,
 )
+from .lp.problem import jsonify
 from .scenario import Assemblage, Povm, matrix_to_json
 
 ENUMERATION_CAP = 4096
@@ -59,29 +60,6 @@ class DeterministicStrategy:
     """One outcome per setting: responses[x] = a."""
 
     responses: tuple
-
-
-def enumerate_strategies(num_settings: int, num_outcomes) -> list:
-    """All response functions, lexicographic in the response tuple.
-
-    ``num_outcomes`` is one count shared by every setting, or a sequence
-    giving each setting its own count.  More than ENUMERATION_CAP
-    strategies is an input error.
-    """
-    counts = (
-        [num_outcomes] * num_settings if np.ndim(num_outcomes) == 0 else list(num_outcomes)
-    )
-    if num_settings < 1 or len(counts) != num_settings or min(counts) < 1:
-        raise InputError("need at least one setting and one outcome per setting")
-    count = math.prod(counts)
-    if count > ENUMERATION_CAP:
-        raise InputError(
-            f"{count} deterministic strategies exceed the enumeration cap {ENUMERATION_CAP}"
-        )
-    return [
-        DeterministicStrategy(responses=r)
-        for r in itertools.product(*[range(c) for c in counts])
-    ]
 
 
 @dataclass(frozen=True)
@@ -113,8 +91,8 @@ class LhsModel:
     def max_deviation(self, asm: Assemblage) -> float:
         """Largest entry of |sum of w_l omega_l over the strategies l filling
         block (x, a) - sigma_a|x| over every block.  ``strategies`` must be
-        those of the assemblage's shape, as ``enumerate_strategies`` lists
-        them."""
+        those of the assemblage's shape, in the order ``_shape_strategies``
+        lists them."""
         strategies, touch = _shape_strategies((asm.outcomes,) * asm.settings)
         if self.strategies != strategies:
             raise InputError("the model's strategies are not those of the assemblage's shape")
@@ -150,13 +128,12 @@ class BoxLhsModel:
         """The largest |rebuilt - input| over every (x, a, y, b): each
         weight is added into the rows (x, lam_A(x), y, lam_B(y)) of its
         pair, and the sums are compared with ``asm.counts`` / ``asm.den``,
-        in integers over the common denominator of the weights."""
-        scale = math.lcm(*(w.denominator for w in self.weights if w))
+        in integers over the least common denominator of the weights."""
+        ints, scale = linalg.scaled_ints(self.weights)
         _, na, ny, nb = asm.shape
         rebuilt = [0] * len(asm.counts)
-        for w, bob, alice in zip(self.weights, self.hidden_states, self.strategies):
-            if w:
-                k = w.numerator * (scale // w.denominator)
+        for k, bob, alice in zip(ints, self.hidden_states, self.strategies):
+            if k:
                 for x, a in enumerate(alice.responses):
                     row = (x * na + a) * ny
                     for y, b in enumerate(bob.responses):
@@ -168,7 +145,7 @@ class BoxLhsModel:
     def to_dict(self) -> dict:
         keep, nb = [i for i, w in enumerate(self.weights) if w > 0], self.b_outcomes
         return {
-            "weights": [f"{self.weights[i].numerator}/{self.weights[i].denominator}" for i in keep],
+            "weights": [jsonify(self.weights[i]) for i in keep],
             "strategies": [list(self.strategies[i].responses) for i in keep],
             "hidden_tables": [
                 {f"{y},{b}": f"{int(b == r)}/1" for y, r in enumerate(self.hidden_states[i].responses) for b in range(nb)}
@@ -227,24 +204,23 @@ def _seed_directions(mesh, directions) -> np.ndarray:
     return pool
 
 
-def _touch_matrix(strategies, counts) -> np.ndarray:
-    """touch[l, r] = 1 when strategy l fills block r, where block
-    offsets[x] + a stands for context (x, a)."""
-    offsets = np.cumsum([0, *counts[:-1]])
-    touch = np.zeros((len(strategies), sum(counts)))
-    touch[np.arange(len(strategies))[:, None], offsets + np.array([s.responses for s in strategies])] = 1.0
-    return touch
-
-
 @functools.cache
 def _shape_strategies(counts: tuple) -> tuple:
-    """(strategies, touch) of the settings with outcome counts ``counts``:
-    ``enumerate_strategies`` as a tuple and its ``_touch_matrix``, built
-    once per shape, with ``touch`` read-only."""
-    strategies = tuple(enumerate_strategies(len(counts), counts))
-    touch = _touch_matrix(strategies, counts)
+    """(strategies, touch) of the settings with outcome counts ``counts``,
+    built once per shape.  ``strategies`` holds every response function
+    x -> a, lexicographic in the response tuple; more than
+    ENUMERATION_CAP of them is an input error.  touch[l, r] = 1 when
+    strategy l fills block r, where block offsets[x] + a stands for
+    context (x, a); ``touch`` is read-only."""
+    count = math.prod(counts)
+    if count > ENUMERATION_CAP:
+        raise InputError(f"{count} deterministic strategies exceed the enumeration cap {ENUMERATION_CAP}")
+    responses = list(itertools.product(*map(range, counts)))
+    offsets = np.cumsum([0, *counts[:-1]])
+    touch = np.zeros((count, sum(counts)))
+    touch[np.arange(count)[:, None], offsets + np.array(responses)] = 1.0
     touch.flags.writeable = False
-    return strategies, touch
+    return tuple(map(DeterministicStrategy, responses)), touch
 
 
 def _columns(touch: np.ndarray, lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -286,7 +262,7 @@ def _exact_check(touch: np.ndarray, c, b, finite=None) -> bool:
     alpha, beta = ab[:, 0], ab[:, 1:]
     if finite is None:
         return all(a >= 0 and a * a >= sum(p * p for p in bl) for a, bl in zip(alpha, beta))
-    ni, d = linalg.scaled_ints(finite)
+    ni, d = linalg.scaled_ints(finite.ravel())
     values = alpha[:, None] * d + beta @ np.array(ni, dtype=object).reshape(-1, 3).T
     return all(v >= 0 for v in values.ravel())
 
@@ -469,6 +445,8 @@ def lhs_feasibility_qubit(asm: Assemblage, mesh: int = DEFAULT_MESH) -> Steering
     mesh; it changes the work done, and a decided verdict does not
     depend on it.  Undecided names its reason in ``meta["reason"]``.
     """
+    if not isinstance(asm, Assemblage):
+        raise InputError(f"expected a qubit Assemblage, got {type(asm).__name__}")
     return _local_models("lhs", asm, mesh)
 
 
@@ -503,6 +481,8 @@ def lhs_feasibility_boxworld(asm: GptAssemblage) -> SteeringVerdict:
     units.  Feasible ships a ``BoxLhsModel`` that ``max_deviation`` has
     checked to rebuild the table exactly.
     """
+    if not isinstance(asm, GptAssemblage):
+        raise InputError(f"expected a GptAssemblage, got {type(asm).__name__}")
     alice, bob, rows = _box_lp(*asm.shape)
     problem = FeasibilityProblem(a=rows, b=list(asm.counts), num_vars=len(rows[0]))
     verdict = solve_feasibility_exact(problem)

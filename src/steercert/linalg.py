@@ -6,9 +6,13 @@ from ``numpy.linalg.eigvalsh``, which reads one triangle only, so the
 positivity test first checks that its input is Hermitian.  The checks
 and ``bloch_components`` also take a stack of matrices on the last two
 axes, so that a whole POVM or assemblage is checked in one pass.
+``scaled_ints`` writes exact rationals as Python ints over their least
+common denominator, the form in which every exact check sums.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,7 +57,11 @@ def require_square(m, what="matrix") -> np.ndarray:
     matrix's index in the stack to its name."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise InputError(f"{_at(what, (0,) * (m.ndim - 2))} must be square, got shape {m.shape}")
+        try:
+            name = _at(what, (0,) * (m.ndim - 2))
+        except TypeError:  # ``what`` names the matrices of a stack of another rank
+            name = "matrix stack"
+        raise InputError(f"{name} must be square, got shape {m.shape}")
     _refuse(~np.isfinite(m).all(axis=(-2, -1)), what, "has non-finite entries (NaN or infinity)")
     return m
 
@@ -96,9 +104,10 @@ def bloch_state(n: np.ndarray | tuple[float, float, float]) -> np.ndarray:
 
 
 def scaled_ints(v) -> tuple:
-    """(ints, d): the float64 entries of v as the Python ints v * d, where d
-    is the largest of their denominators.  Every float64 is a dyadic
-    rational, so d is a power of two and the scaling is exact."""
-    ratios = [x.as_integer_ratio() for x in np.asarray(v, dtype=float).ravel().tolist()]
-    d = max((q for _, q in ratios), default=1)
+    """(ints, d): the entries of the sequence v (a 1-D float64 array is
+    one) as the Python ints v * d, d the lcm of their denominators (1 for
+    none), so gcd(d, *ints) = 1.  Ints, Fractions and floats are read
+    exactly by ``as_integer_ratio``; for floats d is a power of two."""
+    ratios = [x.as_integer_ratio() for x in v]
+    d = math.lcm(*(q for _, q in ratios))
     return [p * (d // q) for p, q in ratios], d

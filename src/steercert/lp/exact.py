@@ -40,6 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .. import linalg
 from ..errors import InputError, InternalCheckError
 from . import floating
 from .problem import FEASIBLE, INFEASIBLE, FeasibilityProblem, FeasibilityVerdict
@@ -109,16 +110,15 @@ def _model(a, b, n, basis, nums, den):
 
 def _column_products(cert, a, n) -> list:
     """D * cert.A_j for each of the n columns of the integer rows ``a``,
-    where D > 0 is the common denominator of the rational cert: exactly
-    the signs of cert.A, summed in integers over D * c_i.
+    where D > 0 is the least common denominator of the rational cert
+    (``linalg.scaled_ints``): exactly the signs of cert.A, summed in
+    integers over D * c_i.
     """
     if not n:
         return []
-    scale = math.lcm(*(c.denominator for c in cert))
     ca = [0] * n
-    for c, row in zip(cert, a):
+    for c, row in zip(linalg.scaled_ints(cert)[0], a):
         if c:
-            c = c.numerator * (scale // c.denominator)
             for j, v in enumerate(row):
                 if v:
                     ca[j] += c * v
@@ -218,8 +218,7 @@ def _phase_one(a, b, n, sign, a_pos, b_pos, basis, xb):
     while True:
         z = sum((v for v, j in zip(xb, basis) if j >= n), Fraction(0))
         if z == 0:
-            den = math.lcm(*(v.denominator for v in xb))
-            w = _model(a, b, n, basis, [v.numerator * (den // v.denominator) for v in xb], den)
+            w = _model(a, b, n, basis, *linalg.scaled_ints(xb))
             if w is None:
                 raise InternalCheckError("exact model failed re-substitution")
             return FeasibilityVerdict(FEASIBLE, model=w, meta={"z": z}), pivots

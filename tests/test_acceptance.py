@@ -4,6 +4,7 @@ the gate reads as a checklist."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -19,7 +20,6 @@ from steercert.boxworld import (
     uniform_assemblage,
 )
 from steercert.engine import (
-    enumerate_strategies,
     joint_measurability,
     lhs_feasibility_boxworld,
     lhs_feasibility_qubit,
@@ -131,11 +131,11 @@ def test_criterion_4_prbox():
             for x in range(2) for a in range(2)
         }
         assert sum(c * r for c, r in zip(certificate, rows_for(rhs))) < 0
-        for alice in enumerate_strategies(2, 2):
-            for bob in enumerate_strategies(2, 2):
+        for alice in itertools.product(range(2), repeat=2):
+            for bob in itertools.product(range(2), repeat=2):
                 col = {
                     (x, a): {
-                        (y, b): Fraction(int(alice.responses[x] == a and bob.responses[y] == b))
+                        (y, b): Fraction(int(alice[x] == a and bob[y] == b))
                         for y in range(2) for b in range(2)
                     }
                     for x in range(2) for a in range(2)

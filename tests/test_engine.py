@@ -19,7 +19,6 @@ from steercert.engine import (
     DEFAULT_MESH,
     DeterministicStrategy,
     deterministic_bloch_set,
-    enumerate_strategies,
     joint_measurability,
     lhs_feasibility_boxworld,
     lhs_feasibility_qubit,
@@ -63,15 +62,29 @@ def werner_assemblage(p, axes=("x", "z")):
     return assemblage_from_povms(werner_state(p), [pauli_povm(ax) for ax in axes])
 
 
-def test_enumerate_strategies_lexicographic_and_cap():
-    strategies = enumerate_strategies(2, 2)
-    assert [s.responses for s in strategies] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    with pytest.raises(InputError):
-        enumerate_strategies(10, 4)
-    mixed = enumerate_strategies(2, [1, 3])
+def test_shape_strategies_lexicographic_and_cap():
+    strategies, touch = engine._shape_strategies((2, 2))
+    assert strategies == tuple(map(DeterministicStrategy, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+    np.testing.assert_array_equal(touch, [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]])
+    assert not touch.flags.writeable
+    with pytest.raises(InputError, match="exceed the enumeration cap"):
+        engine._shape_strategies((4,) * 10)
+    mixed, touch = engine._shape_strategies((1, 3))
     assert [s.responses for s in mixed] == [(0, 0), (0, 1), (0, 2)]
-    with pytest.raises(InputError):
-        enumerate_strategies(2, [2])
+    np.testing.assert_array_equal(touch, [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "question, asm",
+    [
+        (lhs_feasibility_qubit, prbox_assemblage()),
+        (lhs_feasibility_boxworld, assemblage_from_povms(singlet(), [pauli_povm("z")])),
+    ],
+    ids=["box-to-qubit", "qubit-to-box"],
+)
+def test_wrong_assemblage_type_is_an_input_error(question, asm):
+    with pytest.raises(InputError, match="^expected a"):
+        question(asm)
 
 
 def test_werner_low_weight_is_feasible_with_tight_model():
@@ -145,12 +158,12 @@ def test_singlet_matched_paulis_is_infeasible_with_witness_certificate():
         return np.asarray(rows)
 
     assert c @ rows_for(asm.blocks) < -1e-10
-    for strat in enumerate_strategies(2, 2):
+    for strat in itertools.product(range(2), repeat=2):
         for _ in range(40):
             n = random_unit_vector(RNG)
             omega = linalg.bloch_state(n)
             blocks = {
-                (x, a): (omega if strat.responses[x] == a else np.zeros((2, 2)))
+                (x, a): (omega if strat[x] == a else np.zeros((2, 2)))
                 for x in range(2)
                 for a in range(2)
             }
@@ -181,7 +194,7 @@ def test_singlet_master_stops_at_its_first_separating_dual(monkeypatch):
     assert verdict.is_infeasible and verdict.meta["master"]["early_stop"] is True
     assert len(pivots) == 1 and pivots[0] <= 20
     c = np.asarray(verdict.certificate, dtype=float)
-    touch = engine._touch_matrix(enumerate_strategies(3, 2), [2] * 3)
+    _, touch = engine._shape_strategies((2,) * 3)
     rhs = engine._assemblage_rhs(asm)
     assert engine._exact_check(touch, c, rhs)
     assert verdict.meta["margin"] == -float(c @ rhs) > 0.0
@@ -486,12 +499,12 @@ def test_prbox_is_infeasible_with_exact_certificate():
         for a in range(2)
     }
     assert sum(ci * ri for ci, ri in zip(c, rows_for(rhs))) < 0
-    for alice in enumerate_strategies(2, 2):
-        for bob in enumerate_strategies(2, 2):
+    for alice in itertools.product(range(2), repeat=2):
+        for bob in itertools.product(range(2), repeat=2):
             col = {
                 (x, a): {
                     (y, b): Fraction(1)
-                    if alice.responses[x] == a and bob.responses[y] == b
+                    if alice[x] == a and bob[y] == b
                     else Fraction(0)
                     for y in range(2)
                     for b in range(2)

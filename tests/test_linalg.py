@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,3 +154,21 @@ def test_stack_checks_name_the_first_failing_matrix():
         linalg.require_square(np.zeros((3, 2, 3)), name)
     with pytest.raises(InputError, match="^effect must be square"):
         linalg.require_square(np.zeros(3), "effect")
+    with pytest.raises(InputError, match=r"^matrix stack must be square, got shape \(3,\)"):
+        linalg.require_square(np.zeros(3), name)
+
+
+def test_scaled_ints_is_exact_and_least():
+    floats = [0.5, -0.75, 5e-324, 1e300, 3.0, 0.1]
+    cases = [
+        floats,
+        [3, 0, -7, 0],
+        [0, 0],
+        [Fraction(1, 10**40), Fraction(-3, 2 * 10**40 + 1), Fraction(7, 5), Fraction(0)],
+    ]
+    for v in cases:
+        ints, d = linalg.scaled_ints(v)
+        assert len(ints) == len(v) and all(i == Fraction(x) * d for i, x in zip(ints, v)), v
+        assert math.gcd(d, *ints) == 1, v
+    assert linalg.scaled_ints(np.array(floats)) == linalg.scaled_ints(floats)
+    assert linalg.scaled_ints([]) == ([], 1)

@@ -336,6 +336,12 @@ MALFORMED_DOCS = {
         quantum_doc(),
         alice_povms=[[matrix_to_json(_NON_HERMITIAN), matrix_to_json(np.eye(2) - _NON_HERMITIAN)]],
     ),
+    "qutrit Bob": {
+        "dimA": 2,
+        "dimB": 3,
+        "state": {"kind": "explicit", "matrix": matrix_to_json(np.eye(6) / 6)},
+        "alice_povms": [[matrix_to_json(e) for e in pauli_povm("z").effects]],
+    },
 }
 
 
